@@ -200,8 +200,7 @@ inline uint32_t TunedCoroWidth(const model::CodeCosts& costs,
 /// Model-chosen kernel parameters for a simulated machine: the same
 /// Theorem 1+2 sizing the real-hardware resolver applies, fed with the
 /// sim config's latency and bandwidth gap instead of a calibration. Sim
-/// drivers use this instead of hardcoding depths (hjlint's
-/// tuned-depth-handoff rule).
+/// drivers use this instead of hardcoding depths.
 inline KernelParams SimTunedParams(const model::CodeCosts& costs,
                                    const sim::SimConfig& cfg) {
   model::MachineParams machine{cfg.memory_latency,
@@ -267,7 +266,7 @@ inline JsonValue SimRunToJson(const SimRun& r) {
 // ---------------------------------------------------------------------------
 // Shared G/D tuning resolution (--tune=off|static|online). One resolver
 // for every bench driver: drivers must not hardcode depths or carry
-// their own calibration blocks (hjlint's tuned-depth-handoff rule).
+// their own calibration blocks.
 
 /// How a bench picks G and D.
 enum class TuneMode {
@@ -321,7 +320,7 @@ inline KernelParams PaperPartitionDefaults() {
 /// The simulated machine's join-phase optima (the fig10/fig18/fig19
 /// empirical sweep: G=14, D=1 at the simulator's T=150 — the paper's
 /// machine lands at G=19). One definition so the sim drivers never
-/// hardcode depths individually (tuned-depth-handoff).
+/// hardcode depths individually.
 inline KernelParams SimPaperJoinParams() {
   KernelParams p;
   p.group_size = 14;

@@ -32,8 +32,7 @@ uint64_t SchemaFingerprint(const Schema& schema) {
   return h;
 }
 
-HashTableCache::HashTableCache(uint64_t capacity_bytes)
-    : static_capacity_(capacity_bytes) {}
+HashTableCache::HashTableCache(BudgetView budget) : budget_(budget) {}
 
 HashTableCache::~HashTableCache() {
   MutexLock lock(mu_);
@@ -41,39 +40,6 @@ HashTableCache::~HashTableCache() {
     HJ_CHECK(entry->pins == 0)
         << "HashTableCache destroyed with a pinned table";
   }
-}
-
-uint64_t HashTableCache::LiveCapacity() const {
-  // Snapshot the closure under mu_, invoke the copy outside: the
-  // closure belongs to a broker grant and may take broker/grant locks,
-  // so calling it under mu_ would nest foreign mutexes inside ours
-  // (hjlint: callback-under-lock).
-  std::function<uint64_t()> fn;
-  {
-    MutexLock lock(mu_);
-    if (!capacity_fn_) return static_capacity_;
-    fn = capacity_fn_;
-  }
-  return fn();
-}
-
-uint64_t HashTableCache::capacity_bytes() const { return LiveCapacity(); }
-
-uint64_t HashTableCache::RevokeEpoch() const {
-  MutexLock lock(mu_);
-  return revoke_epoch_;
-}
-
-uint64_t HashTableCache::ClampToRevokesLocked(uint64_t sampled_cap,
-                                              uint64_t epoch_before) const {
-  // A revoke that fired inside the caller's epoch→sample→lock window
-  // makes the sample stale on the high side; the revoke's recorded
-  // target is the authoritative bound. Samples with an unchanged epoch
-  // post-date every revoke and need no clamp.
-  if (revoke_epoch_ != epoch_before) {
-    return std::min(sampled_cap, last_revoke_cap_);
-  }
-  return sampled_cap;
 }
 
 PinnedTable HashTableCache::Acquire(const CacheKey& key) {
@@ -100,10 +66,7 @@ const CachedTable* HashTableCache::Pin(const CacheKey& key) {
 }
 
 void HashTableCache::Unpin(const CachedTable* entry) {
-  const uint64_t epoch = RevokeEpoch();
-  const uint64_t sampled = LiveCapacity();
   MutexLock lock(mu_);
-  const uint64_t cap = ClampToRevokesLocked(sampled, epoch);
   HJ_CHECK(entry != nullptr) << "Unpin(nullptr)";
   auto it = entries_.find(entry->key);
   HJ_CHECK(it != entries_.end() && it->second.get() == entry)
@@ -114,15 +77,10 @@ void HashTableCache::Unpin(const CachedTable* entry) {
   if (e->pins == 0 && e->doomed) {
     EraseLocked(e->key);
   }
-  // A revoke that could not fully apply (entries were pinned) finishes
-  // here, as soon as pins drain. `cap` is the unlocked sample clamped
-  // against any revoke that raced it, so the last Unpin can neither
-  // skip the deferred shrink nor falsely clear the pending flag.
-  if (charged_bytes_ > cap) {
-    ShrinkLocked(cap, revoke_shrink_pending_);
-  } else {
-    revoke_shrink_pending_ = false;
-  }
+  // Offer admits only within the budget, so occupancy above it means a
+  // revoke that pins blocked, or one whose OnRevoke has not run yet;
+  // either way it finishes here, as soon as pins drain.
+  ShrinkLocked(budget_.bytes());
 }
 
 bool HashTableCache::Offer(const CacheKey& key,
@@ -136,13 +94,8 @@ bool HashTableCache::Offer(const CacheKey& key,
   if (rebuild_cycles <= 0) {
     rebuild_cycles = EstimateRebuildCycles(table->num_tuples());
   }
-  const uint64_t epoch = RevokeEpoch();
-  const uint64_t sampled = LiveCapacity();
   MutexLock lock(mu_);
-  // Admit against the post-revoke budget even when a revoke raced the
-  // unlocked sample — otherwise the insert could push charged_bytes_
-  // over the revoked grant with no pending flag left to correct it.
-  const uint64_t cap = ClampToRevokesLocked(sampled, epoch);
+  const uint64_t cap = budget_.bytes();
   if (bytes > cap || entries_.count(key) != 0) {
     ++stats_.rejected_inserts;
     return false;
@@ -187,42 +140,9 @@ uint64_t HashTableCache::Invalidate(uint64_t relation_id) {
   return affected;
 }
 
-void HashTableCache::SetCapacityFn(std::function<uint64_t()> fn) {
-  // Sample the incoming closure before locking — never invoke a
-  // caller-supplied closure under mu_.
-  const uint64_t epoch = RevokeEpoch();
-  uint64_t cap = 0;
-  const bool have_fn = bool(fn);
-  if (have_fn) cap = fn();
+void HashTableCache::OnRevoke() {
   MutexLock lock(mu_);
-  capacity_fn_ = std::move(fn);
-  if (have_fn) {
-    ShrinkLocked(ClampToRevokesLocked(cap, epoch), /*from_revoke=*/false);
-  }
-}
-
-void HashTableCache::OnRevoke(uint64_t new_capacity_bytes) {
-  const uint64_t epoch = RevokeEpoch();
-  const uint64_t live = LiveCapacity();
-  MutexLock lock(mu_);
-  // The grant's own bytes() already reflects the cut; min against the
-  // live sample (itself clamped against any revoke racing THIS one, so
-  // concurrent notifications min-combine whichever order they land) in
-  // case notifications race out of order. With no live closure the
-  // shrunken budget must persist in the static capacity, or the
-  // deferred shrink at Unpin sees the old value and pinned entries
-  // survive the revoke forever.
-  const uint64_t cap =
-      std::min(new_capacity_bytes, ClampToRevokesLocked(live, epoch));
-  if (!capacity_fn_) {
-    static_capacity_ = std::min(static_capacity_, new_capacity_bytes);
-  }
-  // Record the target under mu_: Unpin/Offer sample capacity outside
-  // the lock, so a revoke landing inside their sample window would
-  // otherwise be invisible to them until unrelated later activity.
-  ++revoke_epoch_;
-  last_revoke_cap_ = cap;
-  ShrinkLocked(cap, /*from_revoke=*/true);
+  ShrinkLocked(budget_.bytes());
 }
 
 bool HashTableCache::EvictOneLocked(bool from_revoke) {
@@ -241,15 +161,11 @@ bool HashTableCache::EvictOneLocked(bool from_revoke) {
   return true;
 }
 
-void HashTableCache::ShrinkLocked(uint64_t capacity, bool from_revoke) {
+void HashTableCache::ShrinkLocked(uint64_t capacity) {
   while (charged_bytes_ > capacity) {
-    if (!EvictOneLocked(from_revoke)) {
-      // Pinned entries block the rest of the shrink; Unpin finishes it.
-      if (from_revoke) revoke_shrink_pending_ = true;
-      return;
-    }
+    // Pinned entries block the rest of the shrink; Unpin finishes it.
+    if (!EvictOneLocked(/*from_revoke=*/true)) return;
   }
-  if (from_revoke) revoke_shrink_pending_ = false;
 }
 
 void HashTableCache::EraseLocked(const CacheKey& key) {

@@ -1,9 +1,7 @@
 #ifndef HASHJOIN_CACHE_HASH_TABLE_CACHE_H_
 #define HASHJOIN_CACHE_HASH_TABLE_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -11,6 +9,7 @@
 #include "hash/hash_table.h"
 #include "storage/relation.h"
 #include "storage/schema.h"
+#include "util/budget_view.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -96,14 +95,13 @@ struct CacheStats {
 class HashTableCache;
 
 /// RAII pin guard: holds one pin on a cached table and releases it on
-/// destruction. This is the only way join code should hold a pin —
-/// hjlint's cache-pin-discipline rule flags raw Pin() calls that have no
-/// matching Unpin() in the same scope.
+/// destruction. Only HashTableCache::Acquire() makes a pinned guard, and
+/// Pin()/Unpin() are private to the cache, so join code cannot hold a
+/// pin any other way — a leaked pin (an entry no revoke can reclaim) is
+/// unrepresentable.
 class PinnedTable {
  public:
   PinnedTable() = default;
-  PinnedTable(HashTableCache* cache, const CachedTable* entry)
-      : cache_(cache), entry_(entry) {}
   ~PinnedTable() { Reset(); }
 
   PinnedTable(PinnedTable&& o) noexcept
@@ -127,34 +125,36 @@ class PinnedTable {
   explicit operator bool() const { return entry_ != nullptr; }
   const HashTable& table() const { return *entry_->table; }
   const Relation& build() const { return *entry_->build; }
-  const CachedTable* entry() const { return entry_; }
 
   /// Drops the pin early (idempotent).
   void Reset();
 
  private:
+  friend class HashTableCache;
+  /// Adopts the pin Pin() took on `entry` (nullptr = miss).
+  PinnedTable(HashTableCache* cache, const CachedTable* entry)
+      : cache_(cache), entry_(entry) {}
+
   HashTableCache* cache_ = nullptr;
   const CachedTable* entry_ = nullptr;
 };
 
 /// Cross-query cache of built hash tables, sized by revocable memory.
 ///
-/// Capacity: a fixed byte budget by default; SetCapacityFn() replaces it
-/// with a live closure (a MemoryGrant::BudgetFn), making the cache an
-/// ordinary broker client. OnRevoke() is the grant's revoke listener:
-/// it evicts unpinned entries (lowest benefit first) until occupancy
-/// fits the shrunken grant, tallying `revoked_bytes`. Pinned entries
-/// cannot be evicted mid-probe; they are marked doomed and freed at the
-/// last Unpin, so a revoke's full effect lands as soon as probes drain.
+/// Capacity: a broker grant's live budget (a BudgetView), which makes
+/// the cache an ordinary broker client. OnRevoke() is the grant's revoke
+/// listener: it evicts unpinned entries (lowest benefit first) until
+/// occupancy fits the shrunken grant, tallying `revoked_bytes`. Pinned
+/// entries cannot be evicted mid-probe; they are marked doomed and freed
+/// at the last Unpin, so a revoke's full effect lands as soon as probes
+/// drain.
 ///
-/// The capacity closure is always invoked OUTSIDE mu_ (it takes broker
-/// locks; hjlint callback-under-lock), so its result is advisory — a
-/// revoke can land between a sample and the mutation it guards. Every
-/// revoke therefore also records its target under mu_ with a
-/// generation counter, and mutating paths clamp a sample that raced a
-/// revoke to that recorded target (RevokeEpoch / ClampToRevokesLocked),
-/// so the cache never admits or retains bytes above a revoked grant on
-/// the strength of a stale sample.
+/// The budget is read under mu_, inside the critical section that acts
+/// on it: reading a BudgetView is one atomic load and takes no lock. The
+/// broker stores a revoke's new size into the grant before it calls
+/// OnRevoke, and OnRevoke takes mu_ and reads the budget again — so an
+/// Offer or Unpin that read the budget just before a revoke is corrected
+/// by the shrink that follows it.
 ///
 /// Eviction is LRU-by-benefit (GreedyDual-Size): each entry carries
 /// H = L + rebuild_cycles / bytes where L is the inflation floor (the H
@@ -165,7 +165,10 @@ class PinnedTable {
 /// All methods are thread-safe.
 class HashTableCache {
  public:
-  explicit HashTableCache(uint64_t capacity_bytes);
+  /// A cache sized by `budget` (a broker grant's, or any atomic that
+  /// outlives the cache). Whoever lowers the budget calls OnRevoke
+  /// afterwards — for a grant, its revoke listener.
+  explicit HashTableCache(BudgetView budget);
   ~HashTableCache();
 
   HashTableCache(const HashTableCache&) = delete;
@@ -174,15 +177,6 @@ class HashTableCache {
   /// Looks up `key` and pins the entry (wrapped in the RAII guard).
   /// An empty guard means miss. Counts one lookup either way.
   PinnedTable Acquire(const CacheKey& key) HJ_EXCLUDES(mu_);
-
-  /// Raw pin: returns the entry with one pin held, or nullptr on miss.
-  /// Every call site must pair with Unpin() — prefer Acquire().
-  const CachedTable* Pin(const CacheKey& key) HJ_EXCLUDES(mu_);
-
-  /// Releases one pin taken by Pin()/Acquire(). Frees the entry if it
-  /// was doomed (invalidated or revoked while pinned) and this was the
-  /// last pin.
-  void Unpin(const CachedTable* entry) HJ_EXCLUDES(mu_);
 
   /// Offers a freshly built table for caching. Takes ownership on
   /// success (returns true); rejects duplicates of an existing key and
@@ -198,17 +192,12 @@ class HashTableCache {
   /// old version, then the entry is freed. Returns entries affected.
   uint64_t Invalidate(uint64_t relation_id) HJ_EXCLUDES(mu_);
 
-  /// Replaces the static capacity with a live byte budget (a broker
-  /// grant's BudgetFn). The closure must outlive the cache.
-  void SetCapacityFn(std::function<uint64_t()> fn) HJ_EXCLUDES(mu_);
-
-  /// Revoke listener body for the cache's grant: records the shrunken
-  /// budget and evicts down to it. Safe from any thread; bytes evicted
-  /// here (and at unpin while shrinking) count as `revoked_bytes`.
-  void OnRevoke(uint64_t new_capacity_bytes) HJ_EXCLUDES(mu_);
-
-  /// Current capacity in bytes (live closure when set).
-  uint64_t capacity_bytes() const HJ_EXCLUDES(mu_);
+  /// Revoke listener body for the cache's grant: evicts down to the
+  /// budget as it reads now, so notifications that arrive out of order
+  /// or after a re-grow are harmless. Safe from any thread; bytes
+  /// evicted here (and at unpin while shrinking) count as
+  /// `revoked_bytes`.
+  void OnRevoke() HJ_EXCLUDES(mu_);
 
   CacheStats stats() const HJ_EXCLUDES(mu_);
 
@@ -218,62 +207,38 @@ class HashTableCache {
   static double EstimateRebuildCycles(uint64_t tuples);
 
  private:
+  friend class PinnedTable;
+
   struct KeyPtrHash {
     size_t operator()(const CacheKey& k) const { return CacheKeyHash()(k); }
   };
+
+  /// Returns the entry with one pin held, or nullptr on miss. Only
+  /// Acquire() calls it, handing the pin to a PinnedTable.
+  const CachedTable* Pin(const CacheKey& key) HJ_EXCLUDES(mu_);
+
+  /// Releases one pin (PinnedTable::Reset). Frees the entry if it was
+  /// doomed (invalidated or revoked while pinned) and this was the last
+  /// pin.
+  void Unpin(const CachedTable* entry) HJ_EXCLUDES(mu_);
 
   /// Evicts the lowest-priority unpinned entry. Returns false when
   /// every entry is pinned (nothing evictable right now).
   bool EvictOneLocked(bool from_revoke) HJ_REQUIRES(mu_);
 
   /// Evicts until occupancy fits `capacity` (or everything left is
-  /// pinned).
-  void ShrinkLocked(uint64_t capacity, bool from_revoke) HJ_REQUIRES(mu_);
-
-  /// Current capacity: samples the live closure (outside mu_ — the
-  /// closure is a broker grant's and may take other locks) or the
-  /// static budget. The result is ADVISORY: it was true at some point
-  /// during the call, but a revoke can land before the caller re-locks.
-  /// Mutating paths must bracket the sample with RevokeEpoch() /
-  /// ClampToRevokesLocked() so a racing revoke's target wins over the
-  /// stale sample.
-  uint64_t LiveCapacity() const HJ_EXCLUDES(mu_);
-
-  /// Revoke generation counter, for the sample-validation bracket:
-  /// read the epoch, sample LiveCapacity(), lock mu_, then clamp with
-  /// ClampToRevokesLocked(). A revoke that fires before the epoch read
-  /// is already reflected in the closure's value; one that fires after
-  /// it is caught by the epoch comparison.
-  uint64_t RevokeEpoch() const HJ_EXCLUDES(mu_);
-
-  /// Returns `sampled_cap` unless revoke_epoch_ advanced past
-  /// `epoch_before` (a revoke raced the caller's unlocked capacity
-  /// sample), in which case the sample is stale on the high side and is
-  /// clamped to the racing revoke's recorded target.
-  uint64_t ClampToRevokesLocked(uint64_t sampled_cap,
-                                uint64_t epoch_before) const
-      HJ_REQUIRES(mu_);
+  /// pinned), counting the bytes as revoked.
+  void ShrinkLocked(uint64_t capacity) HJ_REQUIRES(mu_);
 
   void EraseLocked(const CacheKey& key) HJ_REQUIRES(mu_);
 
+  const BudgetView budget_;
   mutable Mutex mu_;
-  uint64_t static_capacity_ HJ_GUARDED_BY(mu_);
-  std::function<uint64_t()> capacity_fn_ HJ_GUARDED_BY(mu_);
   std::unordered_map<CacheKey, std::unique_ptr<CachedTable>, KeyPtrHash>
       entries_ HJ_GUARDED_BY(mu_);
   uint64_t charged_bytes_ HJ_GUARDED_BY(mu_) = 0;
   /// GreedyDual inflation floor: H of the last evicted entry.
   double inflation_ HJ_GUARDED_BY(mu_) = 0;
-  /// Set while a revoke left pinned-only overflow behind; makes Unpin
-  /// count its deferred evictions as revoked bytes.
-  bool revoke_shrink_pending_ HJ_GUARDED_BY(mu_) = false;
-  /// Bumped by every OnRevoke, under mu_. See RevokeEpoch().
-  uint64_t revoke_epoch_ HJ_GUARDED_BY(mu_) = 0;
-  /// Capacity target of the most recent revoke (min-combined with the
-  /// live budget, and with any concurrent revoke's target, at
-  /// notification time). Only consulted by samplers whose epoch
-  /// changed mid-sample, so a later re-grant naturally supersedes it.
-  uint64_t last_revoke_cap_ HJ_GUARDED_BY(mu_) = UINT64_MAX;
   CacheStats stats_ HJ_GUARDED_BY(mu_);
 };
 

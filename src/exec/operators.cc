@@ -236,13 +236,8 @@ GraceJoinOperator::GraceJoinOperator(std::unique_ptr<Operator> build_child,
 }
 
 void GraceJoinOperator::BindQueryContext(QueryContext* ctx) {
-  if (ctx == nullptr) {
-    config_.executor = nullptr;
-    config_.dynamic_budget = nullptr;
-    return;
-  }
-  config_.executor = &ctx->executor();
-  config_.dynamic_budget = ctx->GrantFn();
+  config_.executor = ctx != nullptr ? &ctx->executor() : nullptr;
+  config_.dynamic_budget = ctx != nullptr ? ctx->GrantFn() : BudgetView();
 }
 
 Status GraceJoinOperator::Open() {

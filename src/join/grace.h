@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -15,6 +14,7 @@
 #include "model/cost_model.h"
 #include "storage/relation.h"
 #include "util/bitops.h"
+#include "util/budget_view.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -84,11 +84,11 @@ struct GraceConfig {
   /// per-invocation pool is created. Must outlive the join call.
   PoolExecutor* executor = nullptr;
 
-  /// Live memory budget (bytes) supplied by a scheduler's memory-broker
-  /// grant. When set and returning non-zero it overrides
-  /// `memory_budget` at sizing time, so an admitted query partitioned
-  /// under the grant it actually holds rather than a static default.
-  std::function<uint64_t()> dynamic_budget;
+  /// Live memory budget of a scheduler's memory-broker grant. When it
+  /// reads non-zero it overrides `memory_budget` at sizing time, so an
+  /// admitted query partitioned under the grant it actually holds
+  /// rather than a static default.
+  BudgetView dynamic_budget;
 
   /// Cross-query hash-table cache (not owned; must outlive the call).
   /// When set and the sizing collapses to a single partition, the join
@@ -105,11 +105,8 @@ struct GraceConfig {
 /// The budget sizing decisions should honor right now: the broker grant
 /// when one is wired in, the static configuration otherwise.
 inline uint64_t EffectiveMemoryBudget(const GraceConfig& config) {
-  if (config.dynamic_budget) {
-    uint64_t live = config.dynamic_budget();
-    if (live > 0) return live;
-  }
-  return config.memory_budget;
+  const uint64_t live = config.dynamic_budget.bytes();
+  return live > 0 ? live : config.memory_budget;
 }
 
 /// Partition count such that one partition of `data_bytes` total bytes

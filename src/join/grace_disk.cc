@@ -294,11 +294,8 @@ StatusOr<std::vector<BufferManager::FileId>> DiskGraceJoin::Partition(
 }
 
 uint64_t DiskGraceJoin::EffectiveBudget() {
-  uint64_t budget = config_.memory_budget;
-  if (config_.dynamic_budget) {
-    uint64_t live = config_.dynamic_budget();
-    if (live > 0) budget = live;
-  }
+  const uint64_t live = config_.dynamic_budget.bytes();
+  const uint64_t budget = live > 0 ? live : config_.memory_budget;
   if (budget != 0) {
     peak_budget_ = std::max(peak_budget_, budget);
     trough_budget_ = std::min(trough_budget_, budget);
@@ -306,31 +303,9 @@ uint64_t DiskGraceJoin::EffectiveBudget() {
   return budget;
 }
 
-void DiskGraceJoin::RecordDegrade(DegradeReason reason) {
-  switch (reason) {
-    case DegradeReason::kRoleReversal:
-      ++tally_.role_reversals;
-      break;
-    case DegradeReason::kRecursiveSplit:
-      ++tally_.recursive_splits;
-      break;
-    case DegradeReason::kChunkedBuild:
-      ++tally_.chunked_fallbacks;
-      break;
-    case DegradeReason::kBlockNestedLoop:
-      ++tally_.bnl_fallbacks;
-      break;
-    case DegradeReason::kVictimSpill:
-      ++tally_.victim_spills;
-      break;
-    case DegradeReason::kVictimUnspill:
-      ++tally_.victim_unspills;
-      break;
-  }
-}
-
 void DiskGraceJoin::ReverseRoles(BufferManager::FileId* build,
                                  BufferManager::FileId* probe) {
+  ++tally_.role_reversals;
   std::swap(*build, *probe);
 }
 
@@ -434,6 +409,7 @@ Status DiskGraceJoin::BuildAndProbe(
 Status DiskGraceJoin::JoinChunked(BufferManager::FileId build,
                                   BufferManager::FileId probe,
                                   uint64_t* matches) {
+  ++tally_.chunked_fallbacks;
   std::vector<std::vector<uint8_t>> chunk;
   uint64_t chunk_tuples = 0;
   auto scan = bm_->OpenScan(build);
@@ -494,6 +470,7 @@ Status DiskGraceJoin::RecurseSplit(
     BufferManager::FileId probe,
     const std::vector<BufferManager::FileId>& sub_build, uint32_t fanout,
     uint32_t depth, uint64_t* matches) {
+  ++tally_.recursive_splits;
   tally_.deepest_recursion = std::max(tally_.deepest_recursion, depth + 1);
   std::vector<BufferManager::FileId> sub_probe(fanout);
   for (uint32_t p = 0; p < fanout; ++p) {
@@ -510,6 +487,7 @@ Status DiskGraceJoin::RecurseSplit(
 Status DiskGraceJoin::JoinBlockNestedLoop(BufferManager::FileId build,
                                           BufferManager::FileId probe,
                                           uint64_t* matches) {
+  ++tally_.bnl_fallbacks;
   // Single-hash partition: a hash table would be one long chain probed
   // by every tuple, so compare the 4-byte keys directly. Blocks are raw
   // build pages with no table overhead, so a block holds strictly more
@@ -586,7 +564,6 @@ Status DiskGraceJoin::JoinPartitionPair(BufferManager::FileId build,
   // avoids spilling entirely. Counting is side-symmetric, so only the
   // memory plan changes.
   if (config_.role_reversal && EstimateBuildBytes(probe) <= budget) {
-    RecordDegrade(DegradeReason::kRoleReversal);
     ReverseRoles(&build, &probe);
     return JoinInMemory(build, probe, matches);
   }
@@ -610,7 +587,6 @@ Status DiskGraceJoin::JoinPartitionPair(BufferManager::FileId build,
       largest = std::max(largest, bm_->FileNumPages(sub_build[p]));
     }
     if (largest < build_pages) {
-      RecordDegrade(DegradeReason::kRecursiveSplit);
       return RecurseSplit(probe, sub_build, fanout, depth, matches);
     }
   }
@@ -618,7 +594,6 @@ Status DiskGraceJoin::JoinPartitionPair(BufferManager::FileId build,
   // Rungs 3 and 4 hold one side in budget-sized pieces and re-scan the
   // other per piece — so work off whichever side is cheaper to hold.
   if (config_.role_reversal && EstimateBuildBytes(probe) < need) {
-    RecordDegrade(DegradeReason::kRoleReversal);
     ReverseRoles(&build, &probe);
   }
 
@@ -627,12 +602,10 @@ Status DiskGraceJoin::JoinPartitionPair(BufferManager::FileId build,
   // hash table would degenerate to a single chain — the block nested
   // loop does the same comparisons without the table overhead.
   if (UniformHash(build)) {
-    RecordDegrade(DegradeReason::kBlockNestedLoop);
     return JoinBlockNestedLoop(build, probe, matches);
   }
 
   // Ladder rung 3 — chunked multipass build past the depth cap.
-  RecordDegrade(DegradeReason::kChunkedBuild);
   return JoinChunked(build, probe, matches);
 }
 
@@ -656,6 +629,7 @@ struct DiskGraceJoin::HybridState {
 
 Status DiskGraceJoin::SpillVictim(PartitionResidency* res, uint32_t victim,
                                   HybridState* st) {
+  ++tally_.victim_spills;
   std::vector<std::vector<uint8_t>> pages = res->Evict(victim);
   if (!st->build_on_disk[victim]) {
     // First eviction: write the resident pages out. During the build
@@ -693,7 +667,6 @@ Status DiskGraceJoin::EnforceResidencyBudget(PartitionResidency* res,
     const int victim = res->PickVictim(res->ResidentBytes() - target);
     if (victim < 0) break;  // minimum working set: nothing left to evict
     if (target < peak_budget_) ++tally_.revoke_spills;
-    RecordDegrade(DegradeReason::kVictimSpill);
     HJ_RETURN_IF_ERROR(SpillVictim(res, uint32_t(victim), st));
   }
   return Status::OK();
@@ -701,6 +674,7 @@ Status DiskGraceJoin::EnforceResidencyBudget(PartitionResidency* res,
 
 Status DiskGraceJoin::UnspillPartition(PartitionResidency* res, uint32_t p,
                                        HybridState* st) {
+  ++tally_.victim_unspills;
   std::vector<std::vector<uint8_t>> pages;
   uint64_t tuples = 0;
   auto scan = bm_->OpenScan(st->build_files[p]);
@@ -736,7 +710,6 @@ Status DiskGraceJoin::MaybeUnspill(PartitionResidency* res, HybridState* st) {
       flushed = true;
     }
     if (budget > trough_budget_) ++tally_.regrant_unspills;
-    RecordDegrade(DegradeReason::kVictimUnspill);
     HJ_RETURN_IF_ERROR(UnspillPartition(res, uint32_t(p), st));
   }
   return Status::OK();

@@ -12,6 +12,7 @@
 #include "join/residency.h"
 #include "storage/buffer_manager.h"
 #include "storage/relation.h"
+#include "util/budget_view.h"
 #include "util/status.h"
 
 namespace hashjoin {
@@ -95,15 +96,12 @@ struct DiskJoinConfig {
   /// per-page CRC.
   bool page_checksums = true;
 
-  /// Live memory budget (bytes) from a scheduler's memory-broker grant.
-  /// When set and returning non-zero it overrides `memory_budget` and is
-  /// re-read at every sizing decision — so a broker revoke mid-join
-  /// forces subsequent build partitions to spill (recursive repartition
-  /// or chunked build), and a re-grown grant lets them run in memory
-  /// again. The function must be safe to call from the joining thread at
-  /// any time (a relaxed atomic read of the grant is the intended
-  /// implementation).
-  std::function<uint64_t()> dynamic_budget;
+  /// Live memory budget of a scheduler's memory-broker grant. When it
+  /// reads non-zero it overrides `memory_budget` and is re-read at every
+  /// sizing decision — so a broker revoke mid-join forces subsequent
+  /// build partitions to spill (recursive repartition or chunked build),
+  /// and a re-grown grant lets them run in memory again.
+  BudgetView dynamic_budget;
 
   /// Execution policy of the join phase's in-memory probe loop (the
   /// count-only probe over loaded partition pages). Every policy visits
@@ -168,9 +166,9 @@ struct DiskJoinConfig {
 /// Recovery actions taken during one Join() call; all zero on a clean,
 /// well-balanced run. The I/O counters are diffs of the buffer manager's
 /// cumulative stats; the skew counters are tallied by the join itself.
-/// Every rung of the degradation ladder (DegradeReason) lands in exactly
-/// one of the reason counters below — RecordDegrade is the single
-/// chokepoint — so the counters fully classify *why* a join degraded.
+/// Every rung of the degradation ladder is a DiskGraceJoin member that
+/// increments exactly one of the reason counters below, so the counters
+/// fully classify *why* a join degraded.
 struct DiskJoinRecovery {
   uint64_t read_retries = 0;
   uint64_t write_retries = 0;
@@ -239,7 +237,7 @@ struct DiskJoinResult {
 /// retries or detected corruption (kDataLoss) surface here.
 ///
 /// A build partition that overflows the budget descends the degradation
-/// ladder (DESIGN.md §11), each rung recorded through RecordDegrade:
+/// ladder (DESIGN.md §11), each rung counting itself in the ledger:
 ///   1. role reversal — join the probe side instead if it fits;
 ///   2. recursive repartition with a level-salted hash (SaltedRehash),
 ///      with the fan-out re-decided per level under `adaptive_fanout`;
@@ -313,23 +311,17 @@ class DiskGraceJoin {
   /// watermarks the revoke/un-spill accounting compares against.
   uint64_t EffectiveBudget();
 
-  /// The single chokepoint for degradation-ladder accounting: every
-  /// rung (reversal, split, chunk, BNL, victim spill/un-spill)
-  /// increments exactly one DiskJoinRecovery counter here. hjlint's
-  /// recovery-ledger-discipline rule pins each ladder action to one
-  /// adjacent RecordDegrade call.
-  void RecordDegrade(DegradeReason reason);
-
   /// Fan-out for (re)partitioning `input` at `level`: the static config
   /// counts, or — under `adaptive_fanout` — the histogram projection
   /// (level 0) / observed-overflow sizing (level >= 1).
   uint32_t ChooseFanout(BufferManager::FileId input, uint32_t level,
                         uint64_t budget) const;
 
-  /// Swaps the build/probe roles of a partition-file pair. Counting is
-  /// side-symmetric, so only the memory/I/O plan changes.
-  static void ReverseRoles(BufferManager::FileId* build,
-                           BufferManager::FileId* probe);
+  /// Ladder rung 1: swaps the build/probe roles of a partition-file
+  /// pair. Counting is side-symmetric, so only the memory/I/O plan
+  /// changes. Counts `role_reversals`.
+  void ReverseRoles(BufferManager::FileId* build,
+                    BufferManager::FileId* probe);
 
   /// Whether every tuple of `file` shares one hash code (recursive
   /// splitting cannot make progress on such a partition).
@@ -364,20 +356,22 @@ class DiskGraceJoin {
                       BufferManager::FileId probe, uint64_t* matches);
 
   /// Ladder rung 2: re-split the pair at `depth + 1` over `sub_build`
-  /// (already partitioned) and recurse on each sub-pair.
+  /// (already partitioned) and recurse on each sub-pair. Counts
+  /// `recursive_splits`.
   Status RecurseSplit(BufferManager::FileId probe,
                       const std::vector<BufferManager::FileId>& sub_build,
                       uint32_t fanout, uint32_t depth, uint64_t* matches);
 
   /// Ladder rung 3: stream the build partition in budget-sized chunks,
   /// probing the full probe partition against each chunk's hash table
-  /// (multipass chunked build).
+  /// (multipass chunked build). Counts `chunked_fallbacks`.
   Status JoinChunked(BufferManager::FileId build,
                      BufferManager::FileId probe, uint64_t* matches);
 
   /// Ladder rung 4 (last resort): single-hash build partition — a hash
   /// table would be one long chain, so compare keys directly, build
-  /// block by budget-sized block against one probe scan each.
+  /// block by budget-sized block against one probe scan each. Counts
+  /// `bnl_fallbacks`.
   Status JoinBlockNestedLoop(BufferManager::FileId build,
                              BufferManager::FileId probe, uint64_t* matches);
 
@@ -396,7 +390,8 @@ class DiskGraceJoin {
   Status EnforceResidencyBudget(PartitionResidency* res, HybridState* st);
 
   /// Writes one evicted partition's pages to its file (unless the file
-  /// already holds the full partition) and drops its hash table.
+  /// already holds the full partition) and drops its hash table. Counts
+  /// `victim_spills`.
   Status SpillVictim(PartitionResidency* res, uint32_t victim,
                      HybridState* st);
 
@@ -404,7 +399,8 @@ class DiskGraceJoin {
   /// budget headroom lasts.
   Status MaybeUnspill(PartitionResidency* res, HybridState* st);
 
-  /// Reads partition `p`'s file back into residency.
+  /// Reads partition `p`'s file back into residency. Counts
+  /// `victim_unspills`.
   Status UnspillPartition(PartitionResidency* res, uint32_t p,
                           HybridState* st);
 

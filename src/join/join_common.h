@@ -60,21 +60,6 @@ bool SchemeAvailable(Scheme s);
 /// iterate this so a newly added scheme shows up everywhere at once.
 std::vector<Scheme> AllSchemes();
 
-/// Why the disk join left the plain in-memory path for one partition —
-/// the rungs of the graceful-degradation ladder (DESIGN.md §11). Every
-/// rung increments exactly one `DiskJoinRecovery` counter through
-/// `DiskGraceJoin::RecordDegrade`, so a degraded join is always fully
-/// classified by reason; hjlint's recovery-ledger-discipline rule pins
-/// the pairing of each ladder action with its RecordDegrade call.
-enum class DegradeReason {
-  kRoleReversal,     ///< probe side fit (or was cheaper); sides swapped
-  kRecursiveSplit,   ///< partition re-split with the next salted hash
-  kChunkedBuild,     ///< budget-sized build chunks, probe re-scanned
-  kBlockNestedLoop,  ///< single-hash partition: no table, block loop
-  kVictimSpill,      ///< resident partition evicted (smallest-loss policy)
-  kVictimUnspill,    ///< spilled partition re-loaded after a re-grant
-};
-
 /// How the join phase obtains hash codes: reuse the 4-byte codes the
 /// partition phase memoized in the page slot area (§7.1 optimization), or
 /// recompute them from the join keys (the ablation).
@@ -105,8 +90,7 @@ struct LiveTuning {
 /// Kernels must read G and D through EffectiveGroupSize() /
 /// EffectiveDistance() — the policy/tuner handoff — never through the
 /// raw members, so an attached LiveTuning override reaches every scheme
-/// uniformly (hjlint's tuned-depth-handoff rule pins the bench side of
-/// this contract).
+/// uniformly.
 struct KernelParams {
   uint32_t group_size = 19;        // G; the paper's optimum at T=150
   uint32_t prefetch_distance = 1;  // D; the paper's optimum at T=150

@@ -19,7 +19,6 @@ JoinScheduler::JoinScheduler(const SchedulerConfig& config)
     // class: a tiny irrevocable minimum (so the broker always has a
     // victim ordering, never a blocked admission on the cache's
     // account) and the full capacity as revocable surplus.
-    cache_ = std::make_unique<cache::HashTableCache>(config_.cache_bytes);
     const uint64_t cache_min =
         std::min<uint64_t>(config_.cache_bytes, 64 * 1024);
     auto grant_or = broker_.Acquire(cache_min, config_.cache_bytes,
@@ -28,10 +27,9 @@ JoinScheduler::JoinScheduler(const SchedulerConfig& config)
     HJ_CHECK(grant_or.ok())
         << "cache grant failed: " << grant_or.status().ToString();
     cache_grant_ = std::move(grant_or).value();
-    cache_->SetCapacityFn(cache_grant_->BudgetFn());
+    cache_ = std::make_unique<cache::HashTableCache>(cache_grant_->budget());
     cache::HashTableCache* cache = cache_.get();
-    cache_grant_->SetRevokeListener(
-        [cache](uint64_t new_bytes) { cache->OnRevoke(new_bytes); });
+    cache_grant_->SetRevokeListener([cache](uint64_t) { cache->OnRevoke(); });
   }
   runners_.reserve(config_.max_concurrent);
   for (uint32_t i = 0; i < config_.max_concurrent; ++i) {

@@ -138,11 +138,11 @@ class JoinScheduler {
   MemoryBroker broker_;
   ThreadPool pool_;
 
-  /// Cache + its broker grant. Declared after broker_ so destruction
-  /// releases the grant (and checks no table is still pinned) before
-  /// the broker asserts that no grants are outstanding.
-  std::unique_ptr<cache::HashTableCache> cache_;
+  /// Cache + the broker grant it reads its budget from. Declared after
+  /// broker_ so destruction checks no table is still pinned, then
+  /// releases the grant, before the broker asserts none is outstanding.
   std::unique_ptr<MemoryGrant> cache_grant_;
+  std::unique_ptr<cache::HashTableCache> cache_;
 
   /// Admission state. Lock order: mu_ before stats_mu_ (Submit bumps
   /// the rejected/submitted tallies while holding the queue lock).

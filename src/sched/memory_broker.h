@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "util/budget_view.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -33,15 +34,15 @@ enum class GrantClass {
 /// time to admit another query, and re-grow it (up to its desired size)
 /// when budget frees up. The owning query reads `bytes()` — a relaxed
 /// atomic load, safe from any thread — at every sizing decision; wiring
-/// `BudgetFn()` into `DiskJoinConfig::dynamic_budget` or
+/// `budget()` into `DiskJoinConfig::dynamic_budget` or
 /// `GraceConfig::dynamic_budget` makes the join spill more partitions
 /// after a revoke and build in memory again after a re-grow, with no
 /// locking on the join's hot path.
 ///
 /// Destroying (or Release()ing) the grant returns its bytes to the
 /// broker, which redistributes them to shrunken grants and wakes blocked
-/// Acquire() calls. The handle must outlive every closure obtained from
-/// BudgetFn().
+/// Acquire() calls. The handle must outlive every view obtained from
+/// budget().
 class MemoryGrant {
  public:
   ~MemoryGrant() { Release(); }
@@ -52,11 +53,9 @@ class MemoryGrant {
   /// Bytes currently granted (relaxed atomic; any thread).
   uint64_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
 
-  /// The live-budget closure to wire into a join config. Reads the grant
-  /// on every call; the grant must outlive the closure.
-  std::function<uint64_t()> BudgetFn() const {
-    return [this] { return bytes(); };
-  }
+  /// The live budget to wire into a join config, a buffer manager or
+  /// the cache; the grant must outlive the view.
+  BudgetView budget() const { return BudgetView(&bytes_); }
 
   /// Admission minimum / ceiling this grant was acquired with.
   uint64_t min_bytes() const { return min_bytes_; }

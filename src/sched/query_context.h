@@ -101,10 +101,10 @@ class QueryContext {
   /// Live grant size in bytes (relaxed atomic; any thread).
   uint64_t grant_bytes() const { return grant_->bytes(); }
 
-  /// The closure to wire into `DiskJoinConfig::dynamic_budget` /
+  /// The live budget to wire into `DiskJoinConfig::dynamic_budget` /
   /// `GraceConfig::dynamic_budget` and `SetReadAheadBudget`. Valid while
   /// this context lives.
-  std::function<uint64_t()> GrantFn() const { return grant_->BudgetFn(); }
+  BudgetView GrantFn() const { return grant_->budget(); }
 
   /// The closure to wire into `DiskJoinConfig::install_revoke_listener`:
   /// lets the join (re)install its revoke listener on this query's grant

@@ -286,24 +286,11 @@ double BufferManager::max_disk_busy_seconds() const {
   return mx;
 }
 
-void BufferManager::SetReadAheadBudget(std::function<uint64_t()> bytes_fn) {
-  auto holder =
-      bytes_fn ? std::make_shared<const std::function<uint64_t()>>(
-                     std::move(bytes_fn))
-               : nullptr;
-  MutexLock lock(readahead_mu_);
-  readahead_budget_ = std::move(holder);
-}
-
 uint32_t BufferManager::ReadAheadWindow() {
-  std::shared_ptr<const std::function<uint64_t()>> fn;
-  {
-    MutexLock lock(readahead_mu_);
-    fn = readahead_budget_;
-  }
+  const BudgetView budget = readahead_budget_.load(std::memory_order_acquire);
   uint32_t depth = config_.io_prefetch_depth;
-  if (fn == nullptr) return depth;
-  uint64_t frames = (*fn)() / config_.disk.page_size;
+  if (!budget) return depth;
+  uint64_t frames = budget.bytes() / config_.disk.page_size;
   // Floor of 2: one frame holds the page the caller is consuming, one
   // keeps the scan moving — a zero grant must throttle, never wedge.
   uint32_t window = uint32_t(std::min<uint64_t>(frames, depth));

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <future>
 #include <memory>
 #include <thread>
@@ -13,6 +12,7 @@
 #include "storage/disk.h"
 #include "storage/fault_injection.h"
 #include "util/aligned.h"
+#include "util/budget_view.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -170,15 +170,15 @@ class BufferManager {
   /// Cumulative recovery-action counters (callers diff snapshots).
   IoRecoveryStats recovery_stats() const;
 
-  /// Installs (or clears, with an empty function) a live byte budget for
+  /// Installs (or clears, with an empty view) a live byte budget for
   /// scan read-ahead: each scan's in-flight window is capped at
   /// budget / page_size frames (floor 2, so scans always make progress,
-  /// ceiling io_prefetch_depth). The scheduler's memory broker wires a
-  /// grant fraction in here so a revoked query also stops hoarding frame
-  /// memory. The function is called on the scanning thread per
-  /// NextPage(); it must be cheap and thread-safe.
-  void SetReadAheadBudget(std::function<uint64_t()> bytes_fn)
-      HJ_EXCLUDES(readahead_mu_);
+  /// ceiling io_prefetch_depth). A query wires its broker grant in here
+  /// so a revoked query also stops hoarding frame memory. Read once per
+  /// NextPage() on the scanning thread, without a lock.
+  void SetReadAheadBudget(BudgetView budget) {
+    readahead_budget_.store(budget, std::memory_order_release);
+  }
 
   /// Times a scan's read-ahead window was clamped below the configured
   /// depth by the budget (cumulative; callers diff snapshots).
@@ -225,7 +225,7 @@ class BufferManager {
 
   void WorkerLoop(DiskWorker* w);
   /// Frames a scan may keep in flight right now (see SetReadAheadBudget).
-  uint32_t ReadAheadWindow() HJ_EXCLUDES(readahead_mu_);
+  uint32_t ReadAheadWindow();
   Status ReadWithRetry(DiskWorker* w, const Request& req);
   Status WriteWithRetry(DiskWorker* w, const Request& req);
   /// Plain device read retried on transient errors only (no checksum) —
@@ -260,9 +260,7 @@ class BufferManager {
   std::atomic<uint64_t> bytes_written_{0};
   std::atomic<uint64_t> checksum_failures_{0};
   std::atomic<uint64_t> write_verify_failures_{0};
-  mutable Mutex readahead_mu_;
-  std::shared_ptr<const std::function<uint64_t()>> readahead_budget_
-      HJ_GUARDED_BY(readahead_mu_);
+  std::atomic<BudgetView> readahead_budget_{BudgetView()};
   std::atomic<uint64_t> readahead_throttles_{0};
 };
 

@@ -1,13 +1,15 @@
 // Tests for the cross-query hash-table cache: hit/miss/invalidate
 // correctness (cached-path output byte-identical to the uncached run for
 // every execution scheme), pin-count discipline under concurrent probes,
-// revoke-storm eviction ordering, and the broker's cache-first
-// revocation class. Runs under TSAN via the `threaded` label.
+// compile-time pin privacy, revoke-storm eviction ordering on a real
+// broker grant, and the broker's cache-first revocation class. Runs
+// under TSAN via the `threaded` label.
 
 #include <atomic>
 #include <cstring>
 #include <memory>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "cache/hash_table_cache.h"
@@ -17,6 +19,7 @@
 #include "mem/memory_model.h"
 #include "sched/join_scheduler.h"
 #include "sched/memory_broker.h"
+#include "util/budget_view.h"
 #include "workload/generator.h"
 #include "workload/replay.h"
 
@@ -63,6 +66,31 @@ bool OfferEntry(cache::HashTableCache* c, const cache::CacheKey& key,
   return c->Offer(key, std::move(build), std::move(ht), rebuild_cycles);
 }
 
+// Pins are the cache's business: code outside it holds a pin only
+// through the PinnedTable that Acquire() returns, so a leaked raw pin
+// (an entry no revoke can reclaim) does not compile.
+template <typename C>
+concept CanAcquire = requires(C& c, const cache::CacheKey& key) {
+  c.Acquire(key);
+};
+template <typename C>
+concept CanPin = requires(C& c, const cache::CacheKey& key) { c.Pin(key); };
+template <typename C>
+concept CanUnpin = requires(C& c, const cache::CachedTable* entry) {
+  c.Unpin(entry);
+};
+static_assert(CanAcquire<cache::HashTableCache> &&
+                  !CanPin<cache::HashTableCache> &&
+                  !CanUnpin<cache::HashTableCache>,
+              "Pin/Unpin must be private to HashTableCache");
+static_assert(!std::is_constructible_v<cache::PinnedTable,
+                                       cache::HashTableCache*,
+                                       const cache::CachedTable*>,
+              "only HashTableCache::Acquire may make a pinned guard");
+// A live budget is a pointer to an atomic, never a closure.
+static_assert(std::is_trivially_copyable_v<BudgetView>,
+              "BudgetView must stay a plain view");
+
 TEST(SchemaFingerprintTest, DistinguishesLayouts) {
   JoinWorkload a = SmallWorkload(1);
   WorkloadSpec wide;
@@ -79,7 +107,8 @@ TEST(HashTableCacheTest, HitMissInvalidateByteIdenticalAllSchemes) {
   for (Scheme scheme : AllSchemes()) {
     SCOPED_TRACE(SchemeName(scheme));
     JoinWorkload w = SmallWorkload(7);
-    cache::HashTableCache cache(64ull << 20);
+    const std::atomic<uint64_t> budget{64ull << 20};
+    cache::HashTableCache cache{BudgetView(&budget)};
     cache::CacheKey key{1, 1, cache::SchemaFingerprint(w.build.schema())};
 
     GraceConfig plain;
@@ -122,7 +151,8 @@ TEST(HashTableCacheTest, HitMissInvalidateByteIdenticalAllSchemes) {
 }
 
 TEST(HashTableCacheTest, OfferRejectsDuplicatesAndOversize) {
-  cache::HashTableCache cache(1ull << 20);
+  const std::atomic<uint64_t> budget{1ull << 20};
+  cache::HashTableCache cache{BudgetView(&budget)};
   cache::CacheKey key{3, 1, 0};
   ASSERT_TRUE(OfferEntry(&cache, key, 500, 1000));
   EXPECT_FALSE(OfferEntry(&cache, key, 500, 1000));  // duplicate
@@ -135,13 +165,15 @@ TEST(HashTableCacheTest, OfferRejectsDuplicatesAndOversize) {
 TEST(HashTableCacheTest, EvictionOrderIsLowestBenefitFirst) {
   // Three same-sized entries with increasing rebuild benefit; shrinking
   // to one entry's worth must evict the two cheapest, keeping C.
-  cache::HashTableCache cache(1ull << 30);
+  std::atomic<uint64_t> budget{1ull << 30};
+  cache::HashTableCache cache{BudgetView(&budget)};
   cache::CacheKey a{1, 1, 0}, b{2, 1, 0}, c{3, 1, 0};
   ASSERT_TRUE(OfferEntry(&cache, a, 1000, 1e3));
   ASSERT_TRUE(OfferEntry(&cache, b, 1000, 1e6));
   ASSERT_TRUE(OfferEntry(&cache, c, 1000, 1e9));
   const uint64_t occupancy = cache.stats().charged_bytes;
-  cache.OnRevoke(occupancy / 3 + 1);
+  budget.store(occupancy / 3 + 1);
+  cache.OnRevoke();
   EXPECT_EQ(cache.stats().evictions, 2u);
   EXPECT_GT(cache.stats().revoked_bytes, 0u);
   EXPECT_FALSE(cache.Acquire(a));
@@ -150,7 +182,8 @@ TEST(HashTableCacheTest, EvictionOrderIsLowestBenefitFirst) {
 }
 
 TEST(HashTableCacheTest, RevokeDefersEvictionOfPinnedEntries) {
-  cache::HashTableCache cache(1ull << 30);
+  std::atomic<uint64_t> budget{1ull << 30};
+  cache::HashTableCache cache{BudgetView(&budget)};
   cache::CacheKey key{9, 1, 0};
   ASSERT_TRUE(OfferEntry(&cache, key, 1000, 1e6));
   const uint64_t charged = cache.stats().charged_bytes;
@@ -158,7 +191,8 @@ TEST(HashTableCacheTest, RevokeDefersEvictionOfPinnedEntries) {
     cache::PinnedTable pin = cache.Acquire(key);
     ASSERT_TRUE(pin);
     // Revoke to zero: the pinned entry cannot go yet.
-    cache.OnRevoke(0);
+    budget.store(0);
+    cache.OnRevoke();
     EXPECT_EQ(cache.stats().entries, 1u);
     EXPECT_EQ(cache.stats().revoked_bytes, 0u);
     // Still probeable while pinned (reader finishes against old table).
@@ -169,58 +203,127 @@ TEST(HashTableCacheTest, RevokeDefersEvictionOfPinnedEntries) {
   EXPECT_EQ(cache.stats().revoked_bytes, charged);
 }
 
+// The two tests below land a cache call inside a revoke's window: the
+// broker has stored the grant's new size but not yet called OnRevoke.
+// The budget is a test-owned atomic so the window is exact.
+
 TEST(HashTableCacheTest, RevokeRacingUnpinStillCompletesDeferredShrink) {
-  // Regression: Unpin samples capacity via the closure BEFORE taking
-  // the cache lock. A revoke landing in that window must not be lost —
-  // the last Unpin has to finish the revoke's deferred shrink, not
-  // compare against the stale pre-revoke budget and falsely clear the
-  // pending flag. The closure fires OnRevoke(0) reentrantly on its
-  // first armed call, which lands the revoke exactly inside Unpin's
-  // sample window (the closure runs with no cache lock held).
-  cache::HashTableCache cache(1ull << 30);
+  // The last unpin falls inside the window, so it sees the cut before
+  // OnRevoke does. It must still finish the shrink and count it as
+  // revoked, and the late OnRevoke must find nothing left to do.
+  std::atomic<uint64_t> budget{1ull << 30};
+  cache::HashTableCache cache{BudgetView(&budget)};
   cache::CacheKey key{31, 1, 0};
   ASSERT_TRUE(OfferEntry(&cache, key, 1000, 1e6));
   const uint64_t charged = cache.stats().charged_bytes;
-  std::atomic<bool> armed{false};
-  cache.SetCapacityFn([&] {
-    if (armed.exchange(false)) cache.OnRevoke(0);
-    return uint64_t(1) << 30;  // stale pre-revoke budget
-  });
   {
     cache::PinnedTable pin = cache.Acquire(key);
     ASSERT_TRUE(pin);
-    armed = true;
-    // pin's destructor runs Unpin: the revoke fires mid-sample, defers
-    // (the entry is still pinned), and the clamp makes this same Unpin
-    // finish the shrink once the pin drops.
+    budget.store(0);  // the revoke is published ...
+    pin.Reset();      // ... the last unpin lands ...
   }
+  cache.OnRevoke();   // ... and only then the listener runs.
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.stats().revoked_bytes, charged);
   EXPECT_EQ(cache.stats().charged_bytes, 0u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
 TEST(HashTableCacheTest, RevokeRacingOfferIsNotAdmittedOverBudget) {
-  // Same window in Offer: an insert admitted against a pre-revoke
-  // sample would sit above the revoked grant with no pending flag left
-  // to correct it. The clamp must reject it.
-  cache::HashTableCache cache(1ull << 30);
-  std::atomic<bool> armed{false};
-  cache.SetCapacityFn([&] {
-    if (armed.exchange(false)) cache.OnRevoke(1);
-    return uint64_t(1) << 30;
-  });
-  armed = true;
+  // An offer inside the window reads the cut budget and is rejected.
+  std::atomic<uint64_t> budget{1ull << 30};
+  cache::HashTableCache cache{BudgetView(&budget)};
   cache::CacheKey key{32, 1, 0};
+  budget.store(1);
   EXPECT_FALSE(OfferEntry(&cache, key, 1000, 1e6));
+  cache.OnRevoke();
   EXPECT_EQ(cache.stats().charged_bytes, 0u);
   EXPECT_EQ(cache.stats().rejected_inserts, 1u);
+  EXPECT_EQ(cache.stats().revoked_bytes, 0u);
+
   // After the revoke settles, the (re-grown) live budget applies again.
-  EXPECT_TRUE(OfferEntry(&cache, key, 1000, 1e6));
+  budget.store(1ull << 30);
+  ASSERT_TRUE(OfferEntry(&cache, key, 1000, 1e6));
+  const uint64_t charged = cache.stats().charged_bytes;
+
+  // An offer admitted just before the window is undone by the shrink
+  // that follows it, so nothing stays above the cut.
+  budget.store(1);
+  cache.OnRevoke();
+  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().charged_bytes, 0u);
+  EXPECT_EQ(cache.stats().revoked_bytes, charged);
+}
+
+/// A kCache grant on `broker` with the cache wired to it the way
+/// JoinScheduler wires its own: the cache reads the grant's budget, and
+/// the grant's revoke listener calls OnRevoke.
+struct CacheOnGrant {
+  CacheOnGrant(MemoryBroker* broker, uint64_t min_bytes,
+               uint64_t desired_bytes)
+      : grant(broker
+                  ->Acquire(min_bytes, desired_bytes, /*timeout_seconds=*/0,
+                            GrantClass::kCache)
+                  .value()),
+        cache(grant->budget()) {
+    grant->SetRevokeListener([this](uint64_t) { cache.OnRevoke(); });
+  }
+
+  std::unique_ptr<MemoryGrant> grant;
+  cache::HashTableCache cache;
+};
+
+TEST(HashTableCacheTest, BrokerRevokeOfPinnedEntryLandsAtLastUnpin) {
+  // A normal admission revokes the cache's grant down to its minimum
+  // while the only entry is pinned. The shrink waits for the pin, lands
+  // at the last unpin as revoked bytes, and later offers are admitted
+  // only within the reduced grant.
+  constexpr uint64_t kBudget = 4ull << 20;
+  constexpr uint64_t kCacheMin = 32 * 1024;
+  MemoryBroker broker(kBudget);
+  CacheOnGrant c(&broker, kCacheMin, kBudget);
+  ASSERT_EQ(c.grant->bytes(), kBudget);
+
+  cache::CacheKey key{31, 1, 0};
+  ASSERT_TRUE(OfferEntry(&c.cache, key, 1000, 1e6));
+  const uint64_t charged = c.cache.stats().charged_bytes;
+  ASSERT_GT(charged, kCacheMin);
+
+  std::unique_ptr<MemoryGrant> normal;
+  {
+    cache::PinnedTable pin = c.cache.Acquire(key);
+    ASSERT_TRUE(pin);
+    auto normal_or = broker.Acquire(kBudget - kCacheMin,
+                                    kBudget - kCacheMin, 0);
+    ASSERT_TRUE(normal_or.ok()) << normal_or.status().ToString();
+    normal = std::move(normal_or).value();
+    EXPECT_EQ(c.grant->bytes(), kCacheMin);
+    EXPECT_EQ(broker.cache_revoked_bytes(), kBudget - kCacheMin);
+    // Pinned: the entry stays probeable and nothing is revoked yet.
+    EXPECT_EQ(c.cache.stats().entries, 1u);
+    EXPECT_EQ(c.cache.stats().revoked_bytes, 0u);
+    EXPECT_GT(pin.table().num_tuples(), 0u);
+  }
+  EXPECT_EQ(c.cache.stats().entries, 0u);
+  EXPECT_EQ(c.cache.stats().revoked_bytes, charged);
+  EXPECT_EQ(c.cache.stats().charged_bytes, 0u);
+
+  // The same table no longer fits the reduced grant; a small one does.
+  EXPECT_FALSE(OfferEntry(&c.cache, key, 1000, 1e6));
+  ASSERT_TRUE(OfferEntry(&c.cache, {32, 1, 0}, 100, 1e6));
+  EXPECT_LE(c.cache.stats().charged_bytes, c.grant->bytes());
+  EXPECT_EQ(c.cache.stats().rejected_inserts, 1u);
+
+  // Releasing the normal grant re-grows the cache's budget.
+  normal.reset();
+  EXPECT_EQ(c.grant->bytes(), kBudget);
+  EXPECT_TRUE(OfferEntry(&c.cache, key, 1000, 1e6));
 }
 
 TEST(HashTableCacheTest, PinDisciplineUnderConcurrentProbesAndUpdates) {
   JoinWorkload w = SmallWorkload(21);
-  cache::HashTableCache cache(256ull << 20);
+  const std::atomic<uint64_t> budget{256ull << 20};
+  cache::HashTableCache cache{BudgetView(&budget)};
   const uint64_t relation_id = 5;
   const uint64_t fp = cache::SchemaFingerprint(w.build.schema());
   std::atomic<uint64_t> version{1};
@@ -267,16 +370,27 @@ TEST(HashTableCacheTest, PinDisciplineUnderConcurrentProbesAndUpdates) {
 }
 
 TEST(HashTableCacheTest, DestructorChecksCleanShutdownAfterChurn) {
-  // Revoke storm against a live cache: concurrent Offer/Acquire/OnRevoke
-  // from several threads, then a normal destruction — TSAN validates the
-  // locking, the dtor validates no pin leaked.
-  cache::HashTableCache cache(8ull << 20);
+  // Revoke storm against a live cache: a revoker admits normal grants
+  // of changing sizes on the cache's broker (each admission revokes the
+  // kCache grant, each release re-grows it) while workers Offer and
+  // Acquire, then a normal destruction — TSAN validates the locking, the
+  // dtor validates no pin leaked.
+  constexpr uint64_t kBudget = 8ull << 20;
+  constexpr uint64_t kCacheMin = 64 * 1024;
+  MemoryBroker broker(kBudget);
+  CacheOnGrant c(&broker, kCacheMin, kBudget);
+  cache::HashTableCache& cache = c.cache;
   std::atomic<bool> stop{false};
+  std::unique_ptr<MemoryGrant> held;  // the revoker's current admission
   std::thread revoker([&] {
-    uint64_t cap = 8ull << 20;
-    while (!stop.load(std::memory_order_acquire)) {
-      cap = cap > (1ull << 18) ? cap / 2 : 8ull << 20;
-      cache.OnRevoke(cap);
+    // Leaves the cache 7, 6 and 4 MiB, then only its minimum — less than
+    // the workers keep resident — and stops only after that deepest cut.
+    const uint64_t kCuts[] = {1ull << 20, 2ull << 20, 4ull << 20,
+                              kBudget - kCacheMin};
+    for (size_t i = 0; !stop.load(std::memory_order_acquire) || i % 4 != 0;
+         ++i) {
+      held.reset();
+      held = broker.Acquire(kCuts[i % 4], kCuts[i % 4], 0).value();
     }
   });
   std::vector<std::thread> workers;
@@ -296,6 +410,10 @@ TEST(HashTableCacheTest, DestructorChecksCleanShutdownAfterChurn) {
   stop.store(true, std::memory_order_release);
   revoker.join();
   EXPECT_EQ(cache.stats().pinned_entries, 0u);
+  // The revoker still holds its deepest cut, and that revoke's shrink
+  // has landed.
+  EXPECT_EQ(c.grant->bytes(), kCacheMin);
+  EXPECT_LE(cache.stats().charged_bytes, c.grant->bytes());
 }
 
 TEST(MemoryBrokerTest, CacheClassRevokedBeforeNormalGrants) {

@@ -1,4 +1,6 @@
+#include <atomic>
 #include <cstring>
+#include <functional>
 
 #include "gtest/gtest.h"
 #include "join/grace_disk.h"
@@ -302,28 +304,28 @@ TEST(DiskGraceJoinTest, HybridResidencyEvictsVictimsAndStaysCorrect) {
 }
 
 TEST(DiskGraceJoinTest, HybridRevokeHintEvictsAtTheNextPageBoundary) {
-  // The budget poll keeps reporting plenty of memory, but partway
-  // through the join a "revoke" fires the installed listener with a much
-  // smaller size — the eager-hint path. The hint alone must tighten the
-  // residency target at the next page boundary, evict victims, and
-  // classify them as revoke-forced (the poll never showed the squeeze).
+  // The budget poll keeps reporting plenty of memory, but a revoke that
+  // fired before the join installed its listener reaches it through the
+  // installer's catch-up call (as MemoryGrant::SetRevokeListener makes
+  // it) with a size below one page — the eager-hint path. The hint
+  // alone must tighten the residency target at the next page boundary,
+  // evict a victim, and classify it as revoke-forced (the poll never
+  // showed the squeeze).
   WorkloadSpec spec;
   spec.num_build_tuples = 6000;
   spec.tuple_size = 100;
   JoinWorkload w = GenerateJoinWorkload(spec);
 
   std::function<void(uint64_t)> listener;
-  uint64_t polls = 0;
+  const std::atomic<uint64_t> polled{1024 * 1024};
   DiskJoinConfig cfg;
   cfg.num_partitions = 4;
   cfg.hybrid_residency = true;
   cfg.install_revoke_listener = [&](std::function<void(uint64_t)> fn) {
     listener = std::move(fn);
+    if (listener) listener(4 * 1024);
   };
-  cfg.dynamic_budget = [&]() -> uint64_t {
-    if (++polls == 50 && listener) listener(48 * 1024);
-    return 1024 * 1024;
-  };
+  cfg.dynamic_budget = BudgetView(&polled);
   auto r = RunJoin(cfg, w.build, w.probe);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().output_tuples, w.expected_matches);

@@ -161,46 +161,6 @@ TEST(HjlintPrefetchTest, IgnoresDeclarationsAndRanges) {
   EXPECT_TRUE(fs.empty());
 }
 
-// --- dropped-status --------------------------------------------------
-
-TEST(HjlintDroppedStatusTest, FlagsBareFlushWrites) {
-  auto fs = Lint("src/join/bad.cc",
-                "void F(BufferManager& bm) {\n"
-                "  bm.FlushWrites();\n"
-                "}\n");
-  ASSERT_TRUE(HasRule(fs, "dropped-status"));
-  EXPECT_EQ(fs[0].line, 2u);
-}
-
-TEST(HjlintDroppedStatusTest, FlagsBareNextPageThroughPointer) {
-  auto fs = Lint("src/join/bad.cc",
-                "void F(Scanner* scan) {\n"
-                "  scan->NextPage(&page);\n"
-                "}\n");
-  EXPECT_TRUE(HasRule(fs, "dropped-status"));
-}
-
-TEST(HjlintDroppedStatusTest, AcceptsConsumedStatus) {
-  auto fs = Lint("src/join/good.cc",
-                "Status F(BufferManager& bm, Scanner& scan) {\n"
-                "  Status st = bm.FlushWrites();\n"
-                "  HJ_RETURN_IF_ERROR(scan.NextPage(&page));\n"
-                "  if (!bm.FlushWrites().ok()) return st;\n"
-                "  return bm.FlushWrites();\n"
-                "}\n");
-  EXPECT_TRUE(fs.empty());
-}
-
-TEST(HjlintDroppedStatusTest, AcceptsVoidWritePageAsync) {
-  // WritePageAsync returns void by design (errors surface at
-  // FlushWrites); only the exact Status-returning names are watched.
-  auto fs = Lint("src/join/good.cc",
-                "void F(BufferManager& bm) {\n"
-                "  bm.WritePageAsync(file, p, page.data());\n"
-                "}\n");
-  EXPECT_TRUE(fs.empty());
-}
-
 // --- raw-mutex-primitive ---------------------------------------------
 
 TEST(HjlintRawMutexTest, FlagsStdMutexMemberUnderSrc) {
@@ -231,159 +191,6 @@ TEST(HjlintRawMutexTest, IgnoresFilesOutsideSrc) {
   // purpose); the annotated layer is mandatory for src/ only.
   auto fs = Lint("tests/sched_test.cc", "  std::mutex mu;\n");
   EXPECT_TRUE(fs.empty());
-}
-
-// --- recovery-ledger-discipline --------------------------------------
-
-TEST(HjlintRecoveryLedgerTest, FlagsActionWithoutRecord) {
-  // A ladder action with no RecordDegrade nearby: the degradation
-  // happens but the DiskJoinRecovery ledger never learns why.
-  auto fs = Lint("src/join/bad.cc",
-                "Status J(FileId build, FileId probe) {\n"
-                "  ReverseRoles(&build, &probe);\n"
-                "  return JoinInMemory(build, probe);\n"
-                "}\n");
-  ASSERT_TRUE(HasRule(fs, "recovery-ledger-discipline"));
-  EXPECT_EQ(fs[0].line, 2u);
-}
-
-TEST(HjlintRecoveryLedgerTest, FlagsDoubleRecordForOneAction) {
-  // Two records for one action: matching is one-to-one, so the second
-  // RecordDegrade is an orphan inflating the ledger.
-  auto fs = Lint("src/join/bad.cc",
-                "Status J(FileId build, FileId probe) {\n"
-                "  RecordDegrade(DegradeReason::kRoleReversal);\n"
-                "  RecordDegrade(DegradeReason::kRoleReversal);\n"
-                "  ReverseRoles(&build, &probe);\n"
-                "  return JoinInMemory(build, probe);\n"
-                "}\n");
-  ASSERT_EQ(fs.size(), 1u);
-  EXPECT_EQ(fs[0].rule, "recovery-ledger-discipline");
-  EXPECT_NE(fs[0].message.find("never happened"), std::string::npos);
-}
-
-TEST(HjlintRecoveryLedgerTest, FlagsOrphanRecord) {
-  auto fs = Lint("src/join/bad.cc",
-                "Status J(FileId build, FileId probe) {\n"
-                "  RecordDegrade(DegradeReason::kChunkedBuild);\n"
-                "  return JoinInMemory(build, probe);\n"
-                "}\n");
-  ASSERT_TRUE(HasRule(fs, "recovery-ledger-discipline"));
-  EXPECT_EQ(fs[0].line, 2u);
-}
-
-TEST(HjlintRecoveryLedgerTest, FlagsRecordTooFarFromAction) {
-  // The record exists but outside the +/-3 line window — both sides
-  // flag, so the pairing stays visually adjacent in real code.
-  auto fs = Lint("src/join/bad.cc",
-                "Status J(FileId build, FileId probe) {\n"
-                "  RecordDegrade(DegradeReason::kChunkedBuild);\n"
-                "  int a = 1;\n"
-                "  int b = 2;\n"
-                "  int c = 3;\n"
-                "  int d = 4;\n"
-                "  return JoinChunked(build, probe, matches);\n"
-                "}\n");
-  EXPECT_EQ(fs.size(), 2u);
-}
-
-TEST(HjlintRecoveryLedgerTest, AcceptsAdjacentPairsAndDefinitions) {
-  // The project idiom: record immediately before the action; `return
-  // Action(...)` is a call site, `Class::Action(` / `Status Action(`
-  // are not. The adjacent BNL/chunked cluster pairs greedily.
-  auto fs = Lint("src/join/good.cc",
-                "Status DiskGraceJoin::SpillVictim(PartitionResidency* res) {\n"
-                "  return Status::OK();\n"
-                "}\n"
-                "Status J(FileId build, FileId probe) {\n"
-                "  RecordDegrade(DegradeReason::kVictimSpill);\n"
-                "  HJ_RETURN_IF_ERROR(SpillVictim(&res));\n"
-                "  if (one_key) {\n"
-                "    RecordDegrade(DegradeReason::kBlockNestedLoop);\n"
-                "    return JoinBlockNestedLoop(build, probe, matches);\n"
-                "  }\n"
-                "  RecordDegrade(DegradeReason::kChunkedBuild);\n"
-                "  return JoinChunked(build, probe, matches);\n"
-                "}\n");
-  EXPECT_TRUE(fs.empty());
-}
-
-TEST(HjlintRecoveryLedgerTest, IgnoresFilesOutsideSrc) {
-  // Tests drive the ladder directly without touching the ledger.
-  auto fs = Lint("tests/grace_disk_test.cc",
-                "  ReverseRoles(&build, &probe);\n");
-  EXPECT_TRUE(fs.empty());
-}
-
-// --- cache-pin-discipline --------------------------------------------
-
-TEST(HjlintCachePinTest, FlagsPinWithoutUnpin) {
-  // The leaked pin: the entry can never be evicted, so a broker revoke
-  // shrinks the grant on paper while the bytes stay resident.
-  auto fs = Lint("src/join/bad.cc",
-                "void Probe(cache::HashTableCache* c, const CacheKey& k) {\n"
-                "  const CachedTable* e = c->Pin(k);\n"
-                "  if (e != nullptr) RunProbe(*e->table);\n"
-                "}\n");
-  ASSERT_TRUE(HasRule(fs, "cache-pin-discipline"));
-  EXPECT_EQ(fs[0].line, 2u);
-}
-
-TEST(HjlintCachePinTest, FlagsSecondPinWhenOnlyOneUnpin) {
-  // Two pins, one release: matching is one-to-one, the second Pin is
-  // the leak and carries the finding.
-  auto fs = Lint("src/join/bad.cc",
-                "void F(cache::HashTableCache* c, CacheKey a, CacheKey b) {\n"
-                "  const CachedTable* ea = c->Pin(a);\n"
-                "  const CachedTable* eb = c->Pin(b);\n"
-                "  c->Unpin(ea);\n"
-                "}\n");
-  ASSERT_EQ(fs.size(), 1u);
-  EXPECT_EQ(fs[0].rule, "cache-pin-discipline");
-  EXPECT_EQ(fs[0].line, 3u);
-}
-
-TEST(HjlintCachePinTest, AcceptsBalancedPinUnpin) {
-  auto fs = Lint("src/join/good.cc",
-                "void Probe(cache::HashTableCache* c, const CacheKey& k) {\n"
-                "  const CachedTable* e = c->Pin(k);\n"
-                "  if (e != nullptr) {\n"
-                "    RunProbe(*e->table);\n"
-                "    c->Unpin(e);\n"
-                "  }\n"
-                "}\n");
-  EXPECT_TRUE(fs.empty());
-}
-
-TEST(HjlintCachePinTest, AcceptsRaiiGuardAndAcquire) {
-  // The project idiom: Acquire() returns the PinnedTable guard, and a
-  // raw Pin adopted by a guard on the same line is guard-managed.
-  auto fs = Lint("src/join/good.cc",
-                "void Probe(cache::HashTableCache* c, const CacheKey& k) {\n"
-                "  cache::PinnedTable pin = c->Acquire(k);\n"
-                "  if (pin) RunProbe(pin.table());\n"
-                "}\n"
-                "void Adopt(cache::HashTableCache* c, const CacheKey& k) {\n"
-                "  cache::PinnedTable pin(c, c->Pin(k));\n"
-                "}\n");
-  EXPECT_TRUE(fs.empty());
-}
-
-TEST(HjlintCachePinTest, IgnoresDeclarationsAndExemptsTheCacheItself) {
-  // `const CachedTable* Pin(` is a declaration, not a call; and the
-  // defining files hold one side of the pair each by design.
-  auto fs = Lint("src/join/good.h",
-                "class Facade {\n"
-                "  const CachedTable* Pin(const CacheKey& key);\n"
-                "  void Unpin(const CachedTable* entry);\n"
-                "};\n");
-  EXPECT_TRUE(fs.empty());
-  auto exempt = Lint("src/cache/hash_table_cache.cc",
-                    "PinnedTable HashTableCache::Acquire(const CacheKey& k) "
-                    "{\n"
-                    "  return PinnedTable(this, Pin(k));\n"
-                    "}\n");
-  EXPECT_TRUE(exempt.empty());
 }
 
 // --- bench-schema-sync -----------------------------------------------
@@ -435,13 +242,13 @@ TEST(HjlintBenchSchemaTest, AcceptsMatchingSchemas) {
 
 TEST(HjlintReportTest, JsonShapeMatchesContract) {
   std::vector<Finding> fs = {
-      {"dropped-status", "src/a.cc", 7, "discarded"}};
+      {"raw-mutex-primitive", "src/a.cc", 7, "raw std::mutex"}};
   JsonValue doc = FindingsToJson(fs);
   ASSERT_TRUE(doc.is_object());
   EXPECT_EQ(doc.Find("count")->AsInt(), 1);
   const JsonValue* arr = doc.Find("findings");
   ASSERT_TRUE(arr != nullptr && arr->is_array());
-  EXPECT_EQ(arr->at(0).Find("rule")->AsString(), "dropped-status");
+  EXPECT_EQ(arr->at(0).Find("rule")->AsString(), "raw-mutex-primitive");
   EXPECT_EQ(arr->at(0).Find("file")->AsString(), "src/a.cc");
   EXPECT_EQ(arr->at(0).Find("line")->AsInt(), 7);
 }
@@ -459,9 +266,9 @@ TEST(HjlintTreeTest, RealSourceTreeIsClean) {
 
 TEST(HjlintTreeTest, RuleFilterRestrictsChecks) {
   // Only the requested rule runs: the raw-mutex fixture stays silent
-  // when linting for dropped-status.
+  // when linting for spp-ring-power-of-two.
   auto fs = LintFile("src/sched/bad.h", "  std::mutex mu_;\n",
-                     {"dropped-status"});
+                     {"spp-ring-power-of-two"});
   EXPECT_TRUE(fs.empty());
 }
 

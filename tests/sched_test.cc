@@ -319,14 +319,12 @@ TEST(DynamicBudgetTest, RevokeMidJoinForcesSpillAndIsCounted) {
   DiskJoinConfig cfg;
   cfg.num_partitions = 8;
   cfg.memory_budget = 4 * kMiB;  // static fallback, unused once wired
-  // A generous budget for the first sizing decisions, then a "revoke"
-  // to a budget smaller than any partition's build footprint.
-  std::atomic<int> calls{0};
-  std::atomic<uint64_t> live{4 * kMiB};
-  cfg.dynamic_budget = [&]() -> uint64_t {
-    if (calls.fetch_add(1) == 2) live.store(16 * kKiB);
-    return live.load();
-  };
+  // Admitted with a generous grant, then revoked — before the join's
+  // first sizing decision — to a budget smaller than any partition's
+  // build footprint.
+  const std::atomic<uint64_t> live{16 * kKiB};
+  cfg.dynamic_budget = BudgetView(&live);
+  cfg.initial_grant_bytes = 4 * kMiB;
   DiskGraceJoin join(&bm, cfg);
   auto b = join.StoreRelation(w.build);
   auto p = join.StoreRelation(w.probe);
@@ -347,14 +345,12 @@ TEST(DynamicBudgetTest, RegrowLetsBuildsRunInMemoryAndIsCounted) {
   BufferManager bm(FastDisks(2));
   DiskJoinConfig cfg;
   cfg.num_partitions = 8;
-  // Starved at first (everything spills), then re-grown: later builds
-  // run fully in memory although they exceed the trough budget.
-  std::atomic<int> calls{0};
-  std::atomic<uint64_t> live{16 * kKiB};
-  cfg.dynamic_budget = [&]() -> uint64_t {
-    if (calls.fetch_add(1) == 2) live.store(8 * kMiB);
-    return live.load();
-  };
+  // Admitted starved, then re-grown before the join's first sizing
+  // decision: builds run fully in memory although they exceed the
+  // trough budget.
+  const std::atomic<uint64_t> live{8 * kMiB};
+  cfg.dynamic_budget = BudgetView(&live);
+  cfg.initial_grant_bytes = 16 * kKiB;
   DiskGraceJoin join(&bm, cfg);
   auto b = join.StoreRelation(w.build);
   auto p = join.StoreRelation(w.probe);
@@ -383,7 +379,8 @@ TEST(ReadAheadBudgetTest, ThrottlesScanWindowWithoutChangingResults) {
     BufferManager bm(FastDisks(2));
     // Budget worth ~3 pages: the scan window must clamp (and count it)
     // while the join still produces identical results.
-    bm.SetReadAheadBudget([] { return uint64_t(3 * 8 * kKiB); });
+    const std::atomic<uint64_t> budget{3 * 8 * kKiB};
+    bm.SetReadAheadBudget(BudgetView(&budget));
     DiskGraceJoin join(&bm, 4);
     auto b = join.StoreRelation(w.build);
     auto p = join.StoreRelation(w.probe);

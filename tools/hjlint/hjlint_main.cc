@@ -16,9 +16,10 @@
 // that no longer fire (stale), fail the run.
 //
 // The rules are the invariants the compiler cannot see: prefetch-
-// pipeline structure (ring sizing, stage discipline), Status hygiene,
-// the annotated-mutex layer, and the whole-program concurrency rules
-// (lock-order cycles, callbacks under locks, atomic handoff orders).
+// pipeline structure (ring sizing, stage discipline), the
+// annotated-mutex layer, bench schema sync, and the whole-program
+// concurrency rules (lock-order cycles, callbacks under locks, atomic
+// handoff orders).
 // See tools/hjlint/lint.h and tools/hjlint/facts.h.
 
 #include <algorithm>

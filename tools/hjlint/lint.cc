@@ -310,93 +310,6 @@ void CheckPrefetchRule(const std::string& path,
 }
 
 // ---------------------------------------------------------------------
-// Rule: dropped-status
-//
-// [[nodiscard]] + -Werror=unused-result already enforce this in the
-// build; the lint rule keeps the invariant visible to code review (and
-// to editors without the project flags). A ReadPage/WritePage/
-// FlushWrites/NextPage call standing alone as a statement throws away
-// the Status that carries I/O failures.
-// ---------------------------------------------------------------------
-
-void CheckDroppedStatusRule(const std::string& path,
-                            const std::vector<std::string>& code_lines,
-                            std::vector<Finding>* findings) {
-  static const char* kStatusCalls[] = {"ReadPage", "WritePage",
-                                       "FlushWrites", "NextPage"};
-  std::string prev_code;  // last non-blank code line before the current
-  for (size_t i = 0; i < code_lines.size(); ++i) {
-    const std::string stripped = Strip(code_lines[i]);
-    if (stripped.empty()) continue;
-    std::string prev = prev_code;
-    prev_code = stripped;
-
-    // Only statement starts: the previous line must have ended a
-    // statement/block, otherwise we are mid-expression (assignment or
-    // argument continuation) and the value is consumed.
-    if (!prev.empty()) {
-      char t = prev.back();
-      if (t != ';' && t != '{' && t != '}' && t != ':') continue;
-    }
-
-    // The call chain must open the line: `obj.FlushWrites(`,
-    // `ptr->NextPage(`, or a bare `FlushWrites(`.
-    size_t pos = 0;
-    while (pos < stripped.size() &&
-           (IsIdentChar(stripped[pos]) || stripped[pos] == '.' ||
-            stripped[pos] == ':' ||
-            (stripped[pos] == '-' && pos + 1 < stripped.size() &&
-             stripped[pos + 1] == '>') ||
-            stripped[pos] == '>')) {
-      ++pos;
-    }
-    std::string head = stripped.substr(0, pos);
-    const char* which = nullptr;
-    for (const char* name : kStatusCalls) {
-      size_t at = head.rfind(name);
-      if (at != std::string::npos && at + std::strlen(name) == head.size() &&
-          (at == 0 || !IsIdentChar(head[at - 1]))) {
-        which = name;
-        break;
-      }
-    }
-    if (which == nullptr) continue;
-    size_t open = stripped.find_first_not_of(" \t", pos);
-    if (open == std::string::npos || stripped[open] != '(') continue;
-
-    // Find the matching close paren (joining continuation lines) and
-    // require the statement to end right there — `.ok()` or any other
-    // consumption after the close exonerates the call.
-    std::string span = stripped;
-    size_t extra = i + 1;
-    int depth = 0;
-    size_t close = std::string::npos;
-    for (size_t guard = 0; guard < 8; ++guard) {
-      for (size_t k = open; k < span.size(); ++k) {
-        if (span[k] == '(') ++depth;
-        if (span[k] == ')' && --depth == 0) {
-          close = k;
-          break;
-        }
-      }
-      if (close != std::string::npos || extra >= code_lines.size()) break;
-      span += ' ';
-      span += Strip(code_lines[extra++]);
-      depth = 0;
-    }
-    if (close == std::string::npos) continue;
-    size_t after = span.find_first_not_of(" \t", close + 1);
-    if (after != std::string::npos && span[after] == ';') {
-      findings->push_back(
-          {"dropped-status", path, uint32_t(i + 1),
-           std::string(which) +
-               "() returns a Status that this statement discards — "
-               "check it (or the I/O error vanishes)"});
-    }
-  }
-}
-
-// ---------------------------------------------------------------------
 // Rule: raw-mutex-primitive
 //
 // Thread-safety analysis only sees lock state through the annotated
@@ -442,255 +355,6 @@ void CheckRawMutexRule(const std::string& path,
                "Mutex/MutexLock/CondVar from util/mutex.h so "
                "-Wthread-safety can see it"});
       break;  // one per line
-    }
-  }
-}
-
-// ---------------------------------------------------------------------
-// Rule: recovery-ledger-discipline
-//
-// Every degradation action in the robust hybrid join — role reversal,
-// recursive split, chunked build, block nested loop, victim spill and
-// un-spill — must be accounted in the DiskJoinRecovery ledger through
-// exactly one adjacent RecordDegrade(...) call, the single accounting
-// chokepoint. An action without a record is an unexplained degradation
-// (the bench's per-reason classification silently undercounts); a
-// record without an action inflates the ledger. The rule pairs each
-// action call site with one RecordDegrade call within +/-3 lines inside
-// the same function segment, one-to-one, and flags both leftovers.
-// ---------------------------------------------------------------------
-
-/// True when the token at `p` (length `token_len`) in `line` is a call
-/// site: followed by '(' and not a declaration or definition. `return
-/// Foo(...)` and `HJ_RETURN_IF_ERROR(Foo(...))` are calls; `Status
-/// Foo(...)` (type token before the name) and `Class::Foo(...)` (the
-/// out-of-line definition) are not.
-bool IsLedgerCallSite(const std::string& line, size_t p, size_t token_len) {
-  size_t open = line.find_first_not_of(" \t", p + token_len);
-  if (open == std::string::npos || line[open] != '(') return false;
-  if (p == 0) return true;
-  size_t before = line.find_last_not_of(" \t", p - 1);
-  if (before == std::string::npos) return true;
-  char c = line[before];
-  if (c == ':') return false;  // `DiskGraceJoin::Foo(` — definition
-  if (IsIdentChar(c)) {
-    size_t wbeg = before + 1;
-    while (wbeg > 0 && IsIdentChar(line[wbeg - 1])) --wbeg;
-    return line.compare(wbeg, before + 1 - wbeg, "return") == 0;
-  }
-  return true;
-}
-
-void CheckRecoveryLedgerRule(const std::string& path,
-                             const std::vector<std::string>& code_lines,
-                             std::vector<Finding>* findings) {
-  if (!UnderSrc(path)) return;
-  static const char* kActions[] = {"ReverseRoles", "RecurseSplit",
-                                   "JoinChunked",  "JoinBlockNestedLoop",
-                                   "SpillVictim",  "UnspillPartition"};
-  constexpr size_t kWindow = 3;
-
-  size_t seg_begin = 0;
-  while (seg_begin < code_lines.size()) {
-    size_t seg_end = SegmentEnd(code_lines, seg_begin);
-
-    struct Site {
-      size_t line_idx;
-      const char* name;
-      bool matched = false;
-    };
-    std::vector<Site> actions;
-    std::vector<Site> records;
-    for (size_t i = seg_begin; i < seg_end; ++i) {
-      const std::string& line = code_lines[i];
-      for (const char* name : kActions) {
-        size_t p = FindWord(line, name);
-        if (p != std::string::npos &&
-            IsLedgerCallSite(line, p, std::strlen(name))) {
-          actions.push_back({i, name, false});
-        }
-      }
-      size_t p = FindWord(line, "RecordDegrade");
-      if (p != std::string::npos &&
-          IsLedgerCallSite(line, p, std::strlen("RecordDegrade"))) {
-        records.push_back({i, "RecordDegrade", false});
-      }
-    }
-
-    // One-to-one pairing: each action claims the nearest unclaimed
-    // record within the window (actions in source order).
-    for (Site& a : actions) {
-      Site* best = nullptr;
-      size_t best_dist = kWindow + 1;
-      for (Site& r : records) {
-        if (r.matched) continue;
-        size_t dist = a.line_idx > r.line_idx ? a.line_idx - r.line_idx
-                                              : r.line_idx - a.line_idx;
-        if (dist < best_dist) {
-          best_dist = dist;
-          best = &r;
-        }
-      }
-      if (best != nullptr) {
-        best->matched = true;
-        a.matched = true;
-      }
-    }
-    for (const Site& a : actions) {
-      if (a.matched) continue;
-      findings->push_back(
-          {"recovery-ledger-discipline", path, uint32_t(a.line_idx + 1),
-           std::string(a.name) +
-               "() degrades the join without an adjacent "
-               "RecordDegrade(...) — the DiskJoinRecovery ledger "
-               "undercounts and this degradation goes unexplained"});
-    }
-    for (const Site& r : records) {
-      if (r.matched) continue;
-      findings->push_back(
-          {"recovery-ledger-discipline", path, uint32_t(r.line_idx + 1),
-           "RecordDegrade(...) with no adjacent degradation action — "
-           "the ledger counts a degradation that never happened"});
-    }
-    seg_begin = seg_end + 1;
-  }
-}
-
-// ---------------------------------------------------------------------
-// Rule: cache-pin-discipline
-//
-// HashTableCache::Pin() hands back an entry with one pin held; the
-// caller owns releasing it. A leaked pin is worse than a leaked byte:
-// the pinned entry can never be evicted, so a broker revoke shrinks the
-// cache's grant on paper while the memory stays resident — the
-// revocation protocol's whole promise breaks. The project idiom is the
-// RAII guard (Acquire() returning PinnedTable), so join code normally
-// never spells Pin at all. This rule balances raw Pin() call sites
-// against Unpin() calls within each function segment: each Pin claims
-// one Unpin, and unclaimed Pins are flagged. A Pin adopted by a
-// PinnedTable constructed on the same line is guard-managed and exempt.
-// The cache's own files are exempt wholesale — the guard and the
-// accessors there legitimately hold one side of the pair each.
-// ---------------------------------------------------------------------
-
-bool CachePinExemptFile(const std::string& path) {
-  return path.find("cache/hash_table_cache") != std::string::npos;
-}
-
-void CheckCachePinRule(const std::string& path,
-                       const std::vector<std::string>& code_lines,
-                       std::vector<Finding>* findings) {
-  if (CachePinExemptFile(path)) return;
-  size_t seg_begin = 0;
-  while (seg_begin < code_lines.size()) {
-    size_t seg_end = SegmentEnd(code_lines, seg_begin);
-
-    std::vector<size_t> pin_sites;
-    size_t unpin_count = 0;
-    for (size_t i = seg_begin; i < seg_end; ++i) {
-      const std::string& line = code_lines[i];
-      for (size_t p = FindWord(line, "Pin"); p != std::string::npos;
-           p = FindWord(line, "Pin", p + 1)) {
-        if (!IsLedgerCallSite(line, p, 3)) continue;
-        // `const CachedTable* Pin(` — a declaration, not a call.
-        if (p > 0) {
-          size_t before = line.find_last_not_of(" \t", p - 1);
-          if (before != std::string::npos &&
-              (line[before] == '*' || line[before] == '&')) {
-            continue;
-          }
-        }
-        // A PinnedTable on the same line adopts the pin (RAII guard).
-        if (FindWord(line, "PinnedTable") != std::string::npos) continue;
-        pin_sites.push_back(i);
-      }
-      size_t u = FindWord(line, "Unpin");
-      if (u != std::string::npos && IsLedgerCallSite(line, u, 5)) {
-        ++unpin_count;
-      }
-    }
-
-    // Each Pin (source order) claims one Unpin; leftovers are leaks.
-    for (size_t k = unpin_count; k < pin_sites.size(); ++k) {
-      findings->push_back(
-          {"cache-pin-discipline", path, uint32_t(pin_sites[k] + 1),
-           "raw Pin() with no matching Unpin() in this scope — the pin "
-           "leaks, the entry becomes unevictable, and cache revocation "
-           "can never reclaim it; hold the pin in a PinnedTable "
-           "(Acquire()) instead"});
-    }
-    seg_begin = seg_end + 1;
-  }
-}
-
-// ---------------------------------------------------------------------
-// Rule: tuned-depth-handoff
-//
-// Kernels read G and D through the policy/tuner handoff
-// (KernelParams::EffectiveGroupSize/EffectiveDistance, fed by
-// bench::ResolveTuning or a live PrefetchTuner). A bench driver that
-// assigns an integer literal straight into `group_size` or
-// `prefetch_distance` bypasses that handoff — its records then claim a
-// tuned depth that was actually hardcoded. Bench drivers (.cc under
-// bench/) must take depths from ResolveTuning / PaperJoinDefaults /
-// PaperPartitionDefaults / SimTunedParams instead; sweeps assigning a
-// loop variable are fine (not a literal).
-// ---------------------------------------------------------------------
-
-bool UnderBenchCc(const std::string& path) {
-  std::string norm = path;
-  std::replace(norm.begin(), norm.end(), '\\', '/');
-  if (norm.size() < 3 || norm.compare(norm.size() - 3, 3, ".cc") != 0) {
-    return false;
-  }
-  return norm.rfind("bench/", 0) == 0 ||
-         norm.find("/bench/") != std::string::npos;
-}
-
-/// True when `s` is a bare integer literal (decimal/hex, digit
-/// separators, unsigned/long suffixes) — `19`, `4u`, `1'000`.
-bool IsIntLiteral(const std::string& s) {
-  if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0]))) {
-    return false;
-  }
-  for (char c : s) {
-    if (std::isxdigit(static_cast<unsigned char>(c)) || c == 'x' ||
-        c == 'X' || c == '\'' || c == 'u' || c == 'U' || c == 'l' ||
-        c == 'L') {
-      continue;
-    }
-    return false;
-  }
-  return true;
-}
-
-void CheckTunedDepthRule(const std::string& path,
-                         const std::vector<std::string>& code_lines,
-                         std::vector<Finding>* findings) {
-  if (!UnderBenchCc(path)) return;
-  static const char* kFields[] = {"group_size", "prefetch_distance"};
-  for (size_t i = 0; i < code_lines.size(); ++i) {
-    const std::string& line = code_lines[i];
-    for (const char* field : kFields) {
-      size_t p = FindWord(line, field);
-      if (p == std::string::npos) continue;
-      size_t after = line.find_first_not_of(" \t", p + std::strlen(field));
-      if (after == std::string::npos || line[after] != '=' ||
-          (after + 1 < line.size() && line[after + 1] == '=')) {
-        continue;
-      }
-      std::string rhs = Strip(line.substr(after + 1));
-      if (!rhs.empty() && rhs.back() == ';') {
-        rhs = Strip(rhs.substr(0, rhs.size() - 1));
-      }
-      if (!IsIntLiteral(rhs)) continue;
-      findings->push_back(
-          {"tuned-depth-handoff", path, uint32_t(i + 1),
-           std::string(field) + " = " + rhs +
-               " hardcodes a prefetch depth in a bench driver — take G/D "
-               "from bench::ResolveTuning (or the paper-default/sim "
-               "helpers) so the policy/tuner handoff stays the single "
-               "source of depths"});
     }
   }
 }
@@ -775,20 +439,8 @@ std::vector<Finding> LintFile(const std::string& path,
   if (RuleEnabled(rules, "prefetch-stage-discipline")) {
     CheckPrefetchRule(path, code_lines, &findings);
   }
-  if (RuleEnabled(rules, "dropped-status")) {
-    CheckDroppedStatusRule(path, code_lines, &findings);
-  }
   if (RuleEnabled(rules, "raw-mutex-primitive")) {
     CheckRawMutexRule(path, code_lines, &findings);
-  }
-  if (RuleEnabled(rules, "recovery-ledger-discipline")) {
-    CheckRecoveryLedgerRule(path, code_lines, &findings);
-  }
-  if (RuleEnabled(rules, "tuned-depth-handoff")) {
-    CheckTunedDepthRule(path, code_lines, &findings);
-  }
-  if (RuleEnabled(rules, "cache-pin-discipline")) {
-    CheckCachePinRule(path, code_lines, &findings);
   }
   return findings;
 }
@@ -949,10 +601,8 @@ JsonValue FindingsToJson(const std::vector<Finding>& findings) {
 const std::vector<std::string>& AllRules() {
   static const std::vector<std::string> kRules = {
       "spp-ring-power-of-two", "prefetch-stage-discipline",
-      "dropped-status", "raw-mutex-primitive",
-      "recovery-ledger-discipline", "tuned-depth-handoff",
-      "cache-pin-discipline", "bench-schema-sync",
-      "lock-order-cycle", "callback-under-lock",
+      "raw-mutex-primitive",   "bench-schema-sync",
+      "lock-order-cycle",      "callback-under-lock",
       "atomic-handoff-discipline"};
   return kRules;
 }

@@ -20,7 +20,10 @@ struct Finding {
 };
 
 /// Per-file rules, applied to one source file's contents. `path` is the
-/// path as given (relative paths stay relative in findings).
+/// path as given (relative paths stay relative in findings). Mistakes a
+/// type can refuse are left to the compiler: [[nodiscard]] Status with
+/// -Werror=unused-result, private cache pins, self-counting ladder
+/// rungs.
 ///
 /// Rules:
 ///  - spp-ring-power-of-two: a `ring = ...` state-ring size must be
@@ -31,30 +34,10 @@ struct Finding {
 ///    pipeline stage must not be dereferenced later in the same
 ///    function — the point of the stage split is that the dereference
 ///    happens a stage later, after the miss has been overlapped.
-///  - dropped-status: a ReadPage/WritePage/FlushWrites/NextPage call as
-///    a bare statement discards its Status (I/O errors vanish).
 ///  - raw-mutex-primitive: files under src/ must use the annotated
 ///    Mutex/MutexLock/CondVar wrappers (util/mutex.h), never the std
 ///    primitives directly, or thread-safety analysis has no capability
 ///    to track.
-///  - tuned-depth-handoff: bench drivers (.cc under bench/) must not
-///    assign integer literals into group_size/prefetch_distance — G and
-///    D come from bench::ResolveTuning (or the paper-default/sim
-///    helpers) so the kernels' policy/tuner handoff is the single
-///    source of depths. Sweeps assigning a loop variable are fine.
-///  - recovery-ledger-discipline: under src/, every degradation action
-///    of the robust hybrid join (ReverseRoles/RecurseSplit/JoinChunked/
-///    JoinBlockNestedLoop/SpillVictim/UnspillPartition call site) must
-///    pair one-to-one with a RecordDegrade(...) call within +/-3 lines,
-///    so the DiskJoinRecovery ledger explains every degradation and
-///    never counts one that did not happen.
-///  - cache-pin-discipline: every raw HashTableCache::Pin() call site
-///    must balance with an Unpin() in the same function segment (or be
-///    adopted by a PinnedTable guard on the same line). A leaked pin
-///    blocks eviction and revocation forever — the broker shrinks the
-///    cache's grant but the bytes never come back. The defining files
-///    (cache/hash_table_cache.*) are exempt; everyone else should be
-///    using Acquire().
 std::vector<Finding> LintFile(const std::string& path,
                               const std::string& contents,
                               const std::vector<std::string>& rules);
