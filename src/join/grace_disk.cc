@@ -181,7 +181,7 @@ void DiskGraceJoin::QueueWritePage(BufferManager::FileId file,
 Status DiskGraceJoin::VerifyPage(const uint8_t* page_bytes) const {
   if (!config_.page_checksums) return Status::OK();
   SlottedPage pg = SlottedPage::Attach(const_cast<uint8_t*>(page_bytes));
-  if (!pg.VerifyChecksum()) {
+  if (!pg.VerifyChecksum(page_size_)) {
     return Status::DataLoss(
         "slotted page failed end-to-end checksum verification");
   }

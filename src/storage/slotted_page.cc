@@ -34,8 +34,9 @@ void SlottedPage::StampChecksum() {
   mutable_header()->checksum = ComputeChecksum();
 }
 
-bool SlottedPage::VerifyChecksum() const {
-  return header()->checksum == ComputeChecksum();
+bool SlottedPage::VerifyChecksum(uint32_t frame_size) const {
+  return header()->page_size == frame_size &&
+         header()->checksum == ComputeChecksum();
 }
 
 uint32_t SlottedPage::FreeSpace() const {

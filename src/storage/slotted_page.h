@@ -77,10 +77,14 @@ class SlottedPage {
   /// mutation, right before the page is handed to storage.
   void StampChecksum();
 
-  /// True iff the stored checksum matches the page contents. Pages are
-  /// mutated in memory after Format/AddTuple without re-stamping, so only
-  /// call this on pages that round-tripped through storage.
-  bool VerifyChecksum() const;
+  /// True iff the header's page size equals `frame_size`, the size of
+  /// the buffer under this view, and the stored checksum matches the
+  /// page contents. The size is checked before anything is summed: a
+  /// page read back from storage cannot say how many bytes it owns.
+  /// Pages are mutated in memory after Format/AddTuple without
+  /// re-stamping, so only call this on pages that round-tripped through
+  /// storage.
+  bool VerifyChecksum(uint32_t frame_size) const;
 
   /// Address of the slot array entry (used by prefetching kernels).
   const Slot* GetSlot(int i) const {

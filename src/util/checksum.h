@@ -17,7 +17,24 @@ namespace hashjoin {
 /// the buffer manager stamps every page on write and verifies on read,
 /// turning torn pages and bit rot into detected (and usually retried)
 /// errors instead of silent corruption.
+///
+/// Kernel: PCLMULQDQ folding (Gopal et al., Intel 2009) when the CPU has
+/// PCLMUL and SSE4.1, checked once; else a byte table. Same values either
+/// way: the IEEE polynomial stays (not CRC32C), so stored CRCs hold.
 uint32_t Crc32(const void* data, size_t length, uint32_t seed = 0);
+
+namespace internal_checksum {
+
+/// The byte-at-a-time table path on its own.
+uint32_t Crc32Portable(const void* data, size_t length, uint32_t seed = 0);
+
+/// True when this CPU can run Crc32Clmul (what Crc32 dispatches on).
+bool ClmulSupported();
+
+/// The carry-less-multiply path on its own. Requires ClmulSupported().
+uint32_t Crc32Clmul(const void* data, size_t length, uint32_t seed = 0);
+
+}  // namespace internal_checksum
 
 }  // namespace hashjoin
 

@@ -1,3 +1,4 @@
+#include <cstddef>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -102,12 +103,12 @@ TEST(SlottedPageTest, ChecksumRoundTrips) {
   char t[32] = "some tuple bytes";
   page.AddTuple(t, 32, 0x1234);
   page.StampChecksum();
-  EXPECT_TRUE(page.VerifyChecksum());
+  EXPECT_TRUE(page.VerifyChecksum(1024));
   // Stamping must not change what is summed: re-stamp is a fixed point.
   uint32_t first = page.ComputeChecksum();
   page.StampChecksum();
   EXPECT_EQ(page.ComputeChecksum(), first);
-  EXPECT_TRUE(page.VerifyChecksum());
+  EXPECT_TRUE(page.VerifyChecksum(1024));
 }
 
 TEST(SlottedPageTest, ChecksumDetectsCorruption) {
@@ -116,15 +117,35 @@ TEST(SlottedPageTest, ChecksumDetectsCorruption) {
   char t[16] = {0};
   page.AddTuple(t, 16, 7);
   page.StampChecksum();
-  ASSERT_TRUE(page.VerifyChecksum());
+  ASSERT_TRUE(page.VerifyChecksum(1024));
   buf[600] ^= 0x01;  // single bit flip in the free area
-  EXPECT_FALSE(page.VerifyChecksum());
+  EXPECT_FALSE(page.VerifyChecksum(1024));
   buf[600] ^= 0x01;
-  EXPECT_TRUE(page.VerifyChecksum());
+  EXPECT_TRUE(page.VerifyChecksum(1024));
   // Mutating after the stamp (the footgun the API comment warns about)
   // is also caught.
   page.AddTuple(t, 16, 8);
-  EXPECT_FALSE(page.VerifyChecksum());
+  EXPECT_FALSE(page.VerifyChecksum(1024));
+}
+
+TEST(SlottedPageTest, ChecksumRejectsSizeFieldDisagreeingWithFrame) {
+  // A page read back from storage carries its own size field. Summing
+  // that many bytes would overrun the frame (4x) or wrap around (below
+  // the 12 header bytes before the checksum field), so verification
+  // must reject a size that disagrees with the frame before it sums.
+  constexpr uint32_t kFrame = 8192;
+  for (uint32_t bad_size : {0u, 11u, 4 * kFrame}) {
+    std::vector<uint8_t> buf(kFrame);
+    SlottedPage page = SlottedPage::Format(buf.data(), kFrame);
+    char t[24] = "tuple";
+    page.AddTuple(t, sizeof(t), 3);
+    page.StampChecksum();
+    ASSERT_TRUE(page.VerifyChecksum(kFrame));
+    EXPECT_FALSE(page.VerifyChecksum(kFrame / 2)) << "wrong frame";
+    std::memcpy(buf.data() + offsetof(SlottedPage::PageHeader, page_size),
+                &bad_size, sizeof(bad_size));
+    EXPECT_FALSE(page.VerifyChecksum(kFrame)) << bad_size;
+  }
 }
 
 TEST(SlottedPageTest, AllocTupleGivesWritablePointer) {

@@ -104,14 +104,74 @@ TEST(ChecksumTest, ChainingMatchesOneShot) {
 }
 
 TEST(ChecksumTest, SensitiveToSingleBitFlips) {
-  std::vector<uint8_t> buf(4096, 0xA5);
-  uint32_t base = Crc32(buf.data(), buf.size());
-  for (size_t bit : {size_t(0), size_t(9), size_t(4095 * 8 + 7)}) {
+  // Every single-bit error in an 8 KB page must change its CRC.
+  std::vector<uint8_t> buf(8192, 0xA5);
+  const uint32_t base = Crc32(buf.data(), buf.size());
+  size_t missed = 0;
+  for (size_t bit = 0; bit < buf.size() * 8; ++bit) {
     buf[bit / 8] ^= uint8_t(1u << (bit % 8));
-    EXPECT_NE(Crc32(buf.data(), buf.size()), base) << bit;
+    if (Crc32(buf.data(), buf.size()) == base) ++missed;
     buf[bit / 8] ^= uint8_t(1u << (bit % 8));
   }
+  EXPECT_EQ(missed, 0u);
   EXPECT_EQ(Crc32(buf.data(), buf.size()), base);
+}
+
+// CRC-32 one bit at a time, straight from the reflected polynomial: the
+// reference each kernel is checked against.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t length, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < length; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+using Crc32Fn = uint32_t (*)(const void*, size_t, uint32_t);
+
+// Compares `crc` with the bitwise reference: every length 0-9000, the
+// lengths around the kernel's 16- and 64-byte blocks at every start
+// offset 0-15, random seeds, and a chain split at every offset.
+void ExpectMatchesBitwise(Crc32Fn crc) {
+  Rng rng(2009);
+  std::vector<uint8_t> buf(9000 + 16);
+  for (uint8_t& b : buf) b = uint8_t(rng.Next());
+
+  for (size_t len = 0; len <= 9000; ++len) {
+    const size_t off = len % 16;
+    const uint32_t seed = uint32_t(rng.Next());
+    ASSERT_EQ(crc(buf.data() + off, len, seed),
+              BitwiseCrc32(buf.data() + off, len, seed))
+        << "len " << len << " off " << off;
+  }
+  for (size_t len : {15, 16, 63, 64, 65, 79, 80, 8191, 8192}) {
+    for (size_t off = 0; off < 16; ++off) {
+      for (uint32_t seed : {0u, uint32_t(rng.Next())}) {
+        ASSERT_EQ(crc(buf.data() + off, len, seed),
+                  BitwiseCrc32(buf.data() + off, len, seed))
+            << "len " << len << " off " << off << " seed " << seed;
+      }
+    }
+  }
+  const uint32_t whole = BitwiseCrc32(buf.data(), 200, 0);
+  for (size_t split = 0; split <= 200; ++split) {
+    const uint32_t head = crc(buf.data(), split, 0);
+    ASSERT_EQ(crc(buf.data() + split, 200 - split, head), whole) << split;
+  }
+}
+
+TEST(ChecksumTest, PortableKernelMatchesBitwiseReference) {
+  ExpectMatchesBitwise(internal_checksum::Crc32Portable);
+}
+
+TEST(ChecksumTest, ClmulKernelMatchesBitwiseReference) {
+  if (!internal_checksum::ClmulSupported()) {
+    GTEST_SKIP() << "CPU lacks PCLMULQDQ or SSE4.1";
+  }
+  ExpectMatchesBitwise(internal_checksum::Crc32Clmul);
 }
 
 TEST(RngTest, Deterministic) {

@@ -6,11 +6,11 @@
 #   tools/run_analysis_matrix.sh --jobs=8
 #
 # Each preset configures into build-<preset>/, builds, and runs its
-# labeled ctest subset (asan/ubsan -> faults|coro|tuning|cache|disk,
-# tsan -> threaded|sched|tuning|cache, analysis -> lint|bench-smoke,
-# debug -> everything). The script keeps going after a preset fails and
-# exits nonzero if ANY step failed, so a CI job reports the whole matrix
-# in one run.
+# labeled ctest subset (asan/ubsan -> faults|coro|tuning|cache|disk|
+# checksum, tsan -> threaded|sched|tuning|cache, analysis ->
+# lint|bench-smoke, debug -> everything). The script keeps going after
+# a preset fails and exits nonzero if ANY step failed, so a CI job
+# reports the whole matrix in one run.
 #
 # Sanitizer presets are for correctness only — never quote perf numbers
 # from them (EXPERIMENTS.md).
