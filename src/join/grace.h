@@ -424,7 +424,10 @@ JoinResult GraceHashJoin(MM& mm, const Relation& build,
   // A hit pins the cached table and probes the *unpartitioned* probe
   // relation directly: with one partition the partition pass is a pure
   // copy, so tuple order — and hence the output byte stream — is
-  // identical to the uncached path.
+  // identical to the uncached path. Only the partition pass memoizes
+  // hash codes in the slots (input relations may carry 0s there), so
+  // the hit computes them from the keys, as HybridHashJoin does for its
+  // unpartitioned input.
   const bool cache_eligible =
       config.table_cache != nullptr && num_parts == 1 &&
       config.cache_mode == GraceConfig::CacheMode::kNone &&
@@ -434,11 +437,12 @@ JoinResult GraceHashJoin(MM& mm, const Relation& build,
         config.table_cache->Acquire(config.cache_key);
     if (pinned) {
       result.cache_hit = true;
+      KernelParams params = config.join_params;
+      params.hash_mode = HashCodeMode::kCompute;
       result.join_phase = internal_grace::MeasurePhase(mm, [&] {
         result.output_tuples = ProbePartition(
             mm, config.join_scheme, probe, pinned.table(),
-            pinned.build().schema().fixed_size(), config.join_params,
-            out);
+            pinned.build().schema().fixed_size(), params, out);
       });
       result.join_phase.tuples_processed = probe.num_tuples();
       return result;

@@ -38,18 +38,21 @@ BufferManager::BufferManager(const BufferManagerConfig& config)
     }
     disks_.push_back(std::move(w));
   }
+  {
+    MutexLock lock(files_mu_);
+    next_free_page_.assign(config_.num_disks, 0);
+  }
   for (auto& w : disks_) {
     w->thread = std::thread([this, worker = w.get()] { WorkerLoop(worker); });
   }
 }
 
 BufferManager::~BufferManager() {
+  // Each worker serves what is still queued, then exits.
   for (auto& w : disks_) {
-    auto stop = std::make_unique<Request>();
-    stop->type = Request::Type::kStop;
     {
       MutexLock lock(w->mu);
-      w->queue.push_back(std::move(stop));
+      w->stopping = true;
     }
     w->cv.NotifyOne();
   }
@@ -70,7 +73,7 @@ Status BufferManager::ReadWithRetry(DiskWorker* w, const Request& req) {
   for (uint32_t attempt = 0; attempt < config_.retry.max_attempts;
        ++attempt) {
     bytes_read_.fetch_add(config_.disk.page_size, std::memory_order_relaxed);
-    last = w->disk->ReadPage(req.disk_page, req.read_dst);
+    last = w->disk->ReadPage(req.disk_page, req.read->buffer.get());
     if (!last.ok()) {
       if (last.code() != StatusCode::kIOError) return last;  // permanent
       if (attempt + 1 < config_.retry.max_attempts) {
@@ -79,8 +82,8 @@ Status BufferManager::ReadWithRetry(DiskWorker* w, const Request& req) {
       }
       continue;
     }
-    if (req.has_crc &&
-        Crc32(req.read_dst, config_.disk.page_size) != req.expected_crc) {
+    if (req.has_crc && Crc32(req.read->buffer.get(),
+                             config_.disk.page_size) != req.expected_crc) {
       checksum_failures_.fetch_add(1, std::memory_order_relaxed);
       last = Status::DataLoss("page checksum mismatch");
       if (attempt + 1 < config_.retry.max_attempts) {
@@ -148,39 +151,60 @@ Status BufferManager::WriteWithRetry(DiskWorker* w, const Request& req) {
 }
 
 void BufferManager::WorkerLoop(DiskWorker* w) {
+  std::vector<Request> batch;
   for (;;) {
-    std::unique_ptr<Request> req;
     {
       MutexLock lock(w->mu);
-      while (w->queue.empty()) w->cv.Wait(lock);
-      req = std::move(w->queue.front());
-      w->queue.pop_front();
+      while (w->queue.empty() && !w->stopping) {
+        w->idle = true;
+        w->cv.Wait(lock);
+      }
+      w->idle = false;
+      if (w->queue.empty()) return;  // stopping, and every request served
+      // Take the whole queue: one wake-up serves every queued request.
+      batch.swap(w->queue);
     }
-    switch (req->type) {
-      case Request::Type::kStop:
-        return;
-      case Request::Type::kRead:
-        req->done.set_value(ReadWithRetry(w, *req));
-        break;
-      case Request::Type::kWrite: {
-        Status s = WriteWithRetry(w, *req);
-        if (!s.ok()) {
-          MutexLock lock(writes_mu_);
-          if (first_write_error_.ok()) first_write_error_ = s;
-        }
-        req->done.set_value(std::move(s));
-        uint64_t left = pending_writes_.fetch_sub(1) - 1;
-        if (left == 0) {
-          // Taking writes_mu_ before notifying orders this decrement
-          // with FlushWrites' predicate check — without it the notify
-          // could fire between that check and the wait.
-          MutexLock lock(writes_mu_);
-          writes_cv_.NotifyAll();
-        }
-        break;
+    for (Request& req : batch) {
+      if (req.read != nullptr) {
+        req.read->status = ReadWithRetry(w, req);
+        // The frame may be freed as soon as it reads filled.
+        req.read->filled.store(true, std::memory_order_release);
+        w->reads_done.fetch_add(1, std::memory_order_release);
+        w->reads_done.notify_all();
+      } else {
+        RetireWrite(WriteWithRetry(w, req));
       }
     }
+    batch.clear();
   }
+}
+
+void BufferManager::RetireWrite(Status s) {
+  if (!s.ok()) {
+    MutexLock lock(writes_mu_);
+    if (first_write_error_.ok()) first_write_error_ = std::move(s);
+  }
+  if (pending_writes_.fetch_sub(1) == 1) {
+    // Taking writes_mu_ before notifying orders this decrement with
+    // FlushWrites' predicate check — without it the notify could fire
+    // between that check and the wait.
+    MutexLock lock(writes_mu_);
+    writes_cv_.NotifyAll();
+  }
+}
+
+void BufferManager::Submit(DiskWorker* w, Request* reqs, size_t n,
+                           size_t wake_at) {
+  bool wake = false;
+  {
+    MutexLock lock(w->mu);
+    for (size_t i = 0; i < n; ++i) w->queue.push_back(std::move(reqs[i]));
+    if (w->idle && w->queue.size() >= wake_at) {
+      w->idle = false;  // posted: later submissions need not notify
+      wake = true;
+    }
+  }
+  if (wake) w->cv.NotifyOne();
 }
 
 BufferManager::FileId BufferManager::CreateFile() {
@@ -196,45 +220,37 @@ uint64_t BufferManager::FileNumPages(FileId file) const {
 
 void BufferManager::WritePageAsync(FileId file, uint64_t page_index,
                                    const void* data) {
-  uint32_t disk_id = DiskOf(file, page_index);
-  DiskWorker* w = disks_[disk_id].get();
-  auto req = std::make_unique<Request>();
-  req->type = Request::Type::kWrite;
+  const uint32_t disk_id = DiskOf(file, page_index);
+  Request req;
   void* copy = AlignedAlloc(config_.disk.page_size, kCacheLineSize);
   std::memcpy(copy, data, config_.disk.page_size);
-  req->write_data = AlignedBuffer<uint8_t>(static_cast<uint8_t*>(copy));
+  req.write_data = AlignedBuffer<uint8_t>(static_cast<uint8_t*>(copy));
   if (config_.checksum_pages) {
-    req->expected_crc = Crc32(req->write_data.get(), config_.disk.page_size);
-    req->has_crc = true;
+    req.expected_crc = Crc32(req.write_data.get(), config_.disk.page_size);
+    req.has_crc = true;
   }
   {
     MutexLock lock(files_mu_);
     FileMeta& meta = files_[file];
     if (page_index < meta.pages.size()) {
-      req->disk_page = meta.pages[page_index].disk_page;
-      meta.pages[page_index].crc = req->expected_crc;
+      req.disk_page = meta.pages[page_index].disk_page;
+      meta.pages[page_index].crc = req.expected_crc;
     } else {
       HJ_CHECK(page_index == meta.pages.size())
           << "file pages must be written densely";
-      MutexLock wlock(w->mu);
-      PagePlacement placement;
-      placement.disk = disk_id;
-      placement.disk_page = w->next_free_page++;
-      placement.crc = req->expected_crc;
-      req->disk_page = placement.disk_page;
-      meta.pages.push_back(placement);
+      req.disk_page = next_free_page_[disk_id]++;
+      meta.pages.push_back(PagePlacement{req.disk_page, req.expected_crc});
     }
   }
   pending_writes_.fetch_add(1);
-  {
-    MutexLock lock(w->mu);
-    w->queue.push_back(std::move(req));
-  }
-  w->cv.NotifyOne();
+  // Write-behind: an idle worker sleeps until a stripe unit of requests
+  // has queued (or a flush, a scan or shutdown wakes it).
+  Submit(disks_[disk_id].get(), &req, 1, config_.stripe_unit_pages);
 }
 
 Status BufferManager::FlushWrites() {
   WallTimer wait;
+  for (auto& w : disks_) Submit(w.get(), nullptr, 0, 1);
   MutexLock lock(writes_mu_);
   while (pending_writes_.load() != 0) writes_cv_.Wait(lock);
   main_stall_ns_.fetch_add(wait.ElapsedNanos());
@@ -243,32 +259,57 @@ Status BufferManager::FlushWrites() {
   return s;
 }
 
-std::future<Status> BufferManager::EnqueueRead(FileId file,
-                                               uint64_t page_index,
-                                               uint8_t* dst) {
-  uint32_t disk_id;
-  auto req = std::make_unique<Request>();
-  req->type = Request::Type::kRead;
-  req->read_dst = dst;
+void BufferManager::SubmitReads(FileId file, uint64_t begin, uint64_t end,
+                                ReadFrame* frames, uint32_t num_frames,
+                                std::vector<Request>* batch) {
+  // Stripe runs go round-robin over the disks, so the disk of `begin`'s
+  // run plus i holds runs i, i + num_disks, ... Building the requests
+  // disk by disk in that order, each disk's in page order, makes every
+  // disk's share one contiguous submission, the first disk needed first.
+  const uint64_t unit = config_.stripe_unit_pages;
+  const uint64_t num_disks = disks_.size();
+  batch->clear();
   {
     MutexLock lock(files_mu_);
     const FileMeta& meta = files_[file];
-    HJ_CHECK(page_index < meta.pages.size()) << "read past end of file";
-    disk_id = meta.pages[page_index].disk;
-    req->disk_page = meta.pages[page_index].disk_page;
-    if (config_.checksum_pages) {
-      req->expected_crc = meta.pages[page_index].crc;
-      req->has_crc = true;
+    HJ_CHECK(end <= meta.pages.size()) << "read past end of file";
+    for (uint64_t i = 0; i < num_disks; ++i) {
+      for (uint64_t run = begin / unit + i; run * unit < end;
+           run += num_disks) {
+        const uint32_t d = DiskOf(file, run * unit);
+        const uint64_t run_end = std::min(end, (run + 1) * unit);
+        for (uint64_t p = std::max(begin, run * unit); p < run_end; ++p) {
+          Request req;
+          req.disk_page = meta.pages[p].disk_page;
+          if (config_.checksum_pages) {
+            req.expected_crc = meta.pages[p].crc;
+            req.has_crc = true;
+          }
+          req.read = &frames[p % num_frames];
+          req.read->filled.store(false, std::memory_order_relaxed);
+          req.read->disk = d;
+          batch->push_back(std::move(req));
+        }
+      }
     }
   }
-  std::future<Status> fut = req->done.get_future();
-  DiskWorker* w = disks_[disk_id].get();
-  {
-    MutexLock lock(w->mu);
-    w->queue.push_back(std::move(req));
+  for (size_t at = 0; at < batch->size();) {
+    const uint32_t d = (*batch)[at].read->disk;
+    size_t n = 1;
+    while (at + n < batch->size() && (*batch)[at + n].read->disk == d) ++n;
+    Submit(disks_[d].get(), batch->data() + at, n, 1);
+    at += n;
   }
-  w->cv.NotifyOne();
-  return fut;
+  batch->clear();
+}
+
+void BufferManager::AwaitRead(const ReadFrame& f) {
+  DiskWorker* w = disks_[f.disk].get();
+  uint32_t seen = w->reads_done.load(std::memory_order_acquire);
+  while (!f.filled.load(std::memory_order_acquire)) {
+    w->reads_done.wait(seen, std::memory_order_acquire);
+    seen = w->reads_done.load(std::memory_order_acquire);
+  }
 }
 
 std::vector<double> BufferManager::DiskBusySeconds() const {
@@ -318,48 +359,50 @@ uint64_t BufferManager::FileBytes(FileId file) const {
 }
 
 BufferManager::Scanner::Scanner(BufferManager* bm, FileId file)
-    : bm_(bm), file_(file), num_pages_(bm->FileNumPages(file)) {
-  frames_.resize(bm_->config_.io_prefetch_depth);
-  for (auto& f : frames_) {
+    : bm_(bm),
+      file_(file),
+      num_pages_(bm->FileNumPages(file)),
+      num_frames_(bm->config_.io_prefetch_depth),
+      frames_(std::make_unique<ReadFrame[]>(num_frames_)) {
+  for (uint32_t i = 0; i < num_frames_; ++i) {
     void* raw = AlignedAlloc(bm_->config_.disk.page_size, kCacheLineSize);
-    f.buffer = AlignedBuffer<uint8_t>(static_cast<uint8_t*>(raw));
+    frames_[i].buffer = AlignedBuffer<uint8_t>(static_cast<uint8_t*>(raw));
   }
   IssueReadAhead();
 }
 
 BufferManager::Scanner::~Scanner() {
-  for (auto& f : frames_) {
-    if (f.ready.valid()) f.ready.wait();
-  }
+  if (frames_ == nullptr) return;  // moved from
+  for (uint32_t i = 0; i < num_frames_; ++i) bm_->AwaitRead(frames_[i]);
 }
 
 void BufferManager::Scanner::IssueReadAhead() {
   // Leave one frame un-reissued: the page most recently handed to the
   // caller must stay valid until the next NextPage() call. The live
   // window re-shrinks under a broker budget (frames_ stays allocated at
-  // full depth; only the in-flight count contracts).
-  uint64_t window = bm_->ReadAheadWindow();
-  while (next_to_issue_ < num_pages_ &&
-         next_to_issue_ + 1 < next_to_return_ + window) {
-    Frame& f = frames_[next_to_issue_ % frames_.size()];
-    f.ready = bm_->EnqueueRead(file_, next_to_issue_, f.buffer.get());
-    ++next_to_issue_;
-  }
+  // full depth; only the in-flight count contracts). Refilling only once
+  // half the live window has drained makes each refill one submission —
+  // one lock and at most one wake-up — per disk.
+  const uint64_t live = bm_->ReadAheadWindow() - 1;
+  const uint64_t in_flight = next_to_issue_ - next_to_return_;
+  if (next_to_issue_ >= num_pages_ || in_flight > live / 2) return;
+  const uint64_t end = std::min(num_pages_, next_to_return_ + live);
+  bm_->SubmitReads(file_, next_to_issue_, end, frames_.get(), num_frames_,
+                   &batch_);
+  next_to_issue_ = end;
 }
 
 Status BufferManager::Scanner::NextPage(const uint8_t** page) {
   *page = nullptr;
   if (next_to_return_ >= num_pages_) return Status::OK();
-  Frame& f = frames_[next_to_return_ % frames_.size()];
-  // Only genuine not-ready waits count as main-thread I/O stall; a
-  // ready future's get() is bookkeeping, not I/O.
-  if (f.ready.wait_for(std::chrono::seconds(0)) !=
-      std::future_status::ready) {
+  ReadFrame& f = frames_[next_to_return_ % num_frames_];
+  // Only genuine not-ready waits count as main-thread I/O stall.
+  if (!f.filled.load(std::memory_order_acquire)) {
     WallTimer wait;
-    f.ready.wait();
+    bm_->AwaitRead(f);
     bm_->main_stall_ns_.fetch_add(wait.ElapsedNanos());
   }
-  HJ_RETURN_IF_ERROR(f.ready.get());
+  HJ_RETURN_IF_ERROR(f.status);
   ++next_to_return_;
   IssueReadAhead();
   *page = f.buffer.get();

@@ -3,8 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -80,6 +78,14 @@ struct BufferManagerConfig {
 /// disks allow. Tracks the Figure-9 measurements: per-disk busy time and
 /// the main thread's time blocked waiting for workers.
 ///
+/// Hand-offs are batched so a spilling query does not pay the kernel per
+/// page (DESIGN.md §6): requests queue by value, a worker drains its
+/// whole queue per wake-up, a write wakes an idle worker only once
+/// stripe_unit_pages requests are queued (FlushWrites, a scan's read
+/// batch and shutdown always wake it), and a read completes into a
+/// status and a ready flag in the scan's frame. Each disk serves its
+/// queue in FIFO order, so a read sees every write queued before it.
+///
 /// Fault tolerance: every page gets a CRC32 on write; reads verify it.
 /// Transient device errors and checksum mismatches are retried with
 /// bounded exponential backoff on the owning worker thread; only
@@ -87,6 +93,9 @@ struct BufferManagerConfig {
 /// corruption) to the caller — reads via Scanner::NextPage, writes via
 /// FlushWrites.
 class BufferManager {
+  struct ReadFrame;
+  struct Request;
+
  public:
   using FileId = uint32_t;
 
@@ -124,7 +133,7 @@ class BufferManager {
    public:
     Scanner(BufferManager* bm, FileId file);
 
-    /// Drains in-flight read-ahead requests: a scan abandoned mid-file
+    /// Waits out in-flight read-ahead requests: a scan abandoned mid-file
     /// (e.g. after an I/O error) must not free frame buffers a disk
     /// worker is still writing into.
     ~Scanner();
@@ -138,6 +147,7 @@ class BufferManager {
     Status NextPage(const uint8_t** page);
 
    private:
+    /// Refills the read-ahead window once half of it has drained.
     void IssueReadAhead();
 
     BufferManager* bm_;
@@ -145,11 +155,9 @@ class BufferManager {
     uint64_t num_pages_;
     uint64_t next_to_issue_ = 0;
     uint64_t next_to_return_ = 0;
-    struct Frame {
-      AlignedBuffer<uint8_t> buffer;
-      std::future<Status> ready;
-    };
-    std::vector<Frame> frames_;  // ring of io_prefetch_depth frames
+    uint32_t num_frames_;
+    std::unique_ptr<ReadFrame[]> frames_;  // ring of io_prefetch_depth
+    std::vector<Request> batch_;  // one refill's reads, reused
   };
 
   Scanner OpenScan(FileId file) { return Scanner(this, file); }
@@ -190,14 +198,25 @@ class BufferManager {
   const BufferManagerConfig& config() const { return config_; }
 
  private:
+  /// A scan's read-ahead frame. The disk worker fills `buffer`, stores
+  /// the read's outcome in `status`, then publishes both by setting the
+  /// ready flag `filled` (release); the scanner reads them once it sees
+  /// `filled` (acquire). A frame with no read in flight is filled.
+  struct ReadFrame {
+    AlignedBuffer<uint8_t> buffer;
+    Status status;
+    std::atomic<bool> filled{true};
+    uint32_t disk = 0;  // serves the read in flight; scanner-owned
+  };
+
+  /// One disk operation, queued by value: a read into `read` when that
+  /// is set, else a write of `write_data`.
   struct Request {
-    enum class Type { kRead, kWrite, kStop } type = Type::kStop;
     uint64_t disk_page = 0;
-    uint8_t* read_dst = nullptr;             // kRead
-    AlignedBuffer<uint8_t> write_data;       // kWrite (owned copy)
+    ReadFrame* read = nullptr;
+    AlignedBuffer<uint8_t> write_data;  // owned copy of the page
     uint32_t expected_crc = 0;
     bool has_crc = false;
-    std::promise<Status> done;
   };
 
   struct DiskWorker {
@@ -205,16 +224,20 @@ class BufferManager {
     std::thread thread;
     Mutex mu;
     CondVar cv;
-    std::deque<std::unique_ptr<Request>> queue HJ_GUARDED_BY(mu);
-    /// Simple sequential allocator.
-    uint64_t next_free_page HJ_GUARDED_BY(mu) = 0;
+    std::vector<Request> queue HJ_GUARDED_BY(mu);
+    /// The worker waits on cv for work, and no wake-up is posted.
+    bool idle HJ_GUARDED_BY(mu) = false;
+    /// Set at destruction: the worker exits once its queue is empty.
+    bool stopping HJ_GUARDED_BY(mu) = false;
+    /// Bumped after every read this worker completes; a scanner whose
+    /// frame is not filled waits for it to change.
+    std::atomic<uint32_t> reads_done{0};
     /// Write-verify read-back buffer; touched only by the owning worker
     /// thread, never concurrently (set up before the thread starts).
     AlignedBuffer<uint8_t> verify_scratch;
   };
 
   struct PagePlacement {
-    uint32_t disk = 0;
     uint64_t disk_page = 0;
     uint32_t crc = 0;
   };
@@ -232,9 +255,20 @@ class BufferManager {
   /// the write-verify read-back, which compares CRCs itself.
   Status RawReadWithRetry(DiskWorker* w, uint64_t disk_page, uint8_t* dst);
   void Backoff(uint32_t attempt);
+  /// Records a finished write; wakes FlushWrites after the last one.
+  void RetireWrite(Status s) HJ_EXCLUDES(writes_mu_);
 
-  std::future<Status> EnqueueRead(FileId file, uint64_t page_index,
-                                  uint8_t* dst) HJ_EXCLUDES(files_mu_);
+  /// Appends `n` requests (moved from `reqs`) to `w`'s queue and wakes
+  /// the worker if it is idle and its queue holds at least `wake_at`.
+  void Submit(DiskWorker* w, Request* reqs, size_t n, size_t wake_at);
+  /// Queues reads of file pages [begin, end) into `frames` (page p into
+  /// frame p % num_frames), one submission per disk. `batch` is scratch.
+  void SubmitReads(FileId file, uint64_t begin, uint64_t end,
+                   ReadFrame* frames, uint32_t num_frames,
+                   std::vector<Request>* batch) HJ_EXCLUDES(files_mu_);
+  /// Blocks until `f` is filled.
+  void AwaitRead(const ReadFrame& f);
+
   /// Stripe placement, staggered by file id so that small files (e.g.
   /// hundreds of partition outputs) spread over all disks instead of
   /// piling their first stripes onto disk 0.
@@ -245,10 +279,12 @@ class BufferManager {
 
   BufferManagerConfig config_;
   std::vector<std::unique_ptr<DiskWorker>> disks_;
-  /// Lock order: files_mu_ before a DiskWorker's mu (WritePageAsync
-  /// allocates a placement under both). No other pair nests.
+  /// Never held together with a DiskWorker's mu: placements are made
+  /// under files_mu_, and requests queued after it is released.
   mutable Mutex files_mu_;
   std::vector<FileMeta> files_ HJ_GUARDED_BY(files_mu_);
+  /// Per disk, the next unused disk page (a sequential allocator).
+  std::vector<uint64_t> next_free_page_ HJ_GUARDED_BY(files_mu_);
   std::atomic<int64_t> main_stall_ns_{0};
   std::atomic<uint64_t> pending_writes_{0};
   Mutex writes_mu_;

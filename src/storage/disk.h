@@ -58,32 +58,47 @@ struct DiskConfig {
 /// This substitutes for the paper's raw SCSI partitions: Figure 9 needs
 /// only the relative bandwidth of disks vs. the CPU, not real platters
 /// (see DESIGN.md §3). Thread-safe for a single owning worker thread.
+///
+/// Page frames are recycled: a destroyed disk hands its frames to a
+/// process-wide free list kept per page size, and a growing disk takes
+/// frames from that list before it allocates. A disk per query thus
+/// reuses the previous query's memory instead of faulting in fresh pages
+/// and returning them to the OS at teardown. The list receives only
+/// frames that disks allocated, so it never holds more frames than were
+/// live at once. No read can see a recycled frame's old bytes: a read
+/// past the disk's own pages is kOutOfRange, a write fills its whole
+/// frame, and a frame that a sparse write skips over is zeroed.
 class SimulatedDisk {
  public:
   explicit SimulatedDisk(const DiskConfig& config);
+  /// Returns every page frame to the free list.
+  ~SimulatedDisk();
 
-  /// Grows the disk to at least `num_pages` pages.
-  void Reserve(uint64_t num_pages);
+  SimulatedDisk(const SimulatedDisk&) = delete;
+  SimulatedDisk& operator=(const SimulatedDisk&) = delete;
 
   /// Blocking page read into dst (page_size bytes); sleeps to model the
   /// transfer time.
   Status ReadPage(uint64_t page, void* dst);
 
-  /// Blocking page write from src; sleeps to model the transfer time.
+  /// Blocking page write from src, growing the disk to `page + 1` pages
+  /// when it is shorter; sleeps to model the transfer time.
   Status WritePage(uint64_t page, const void* src);
 
-  uint64_t num_pages() const { return num_pages_; }
+  uint64_t num_pages() const { return store_.size(); }
   const DiskConfig& config() const { return config_; }
 
   /// Total seconds this disk spent transferring (its utilization).
   double busy_seconds() const { return double(busy_us_) * 1e-6; }
 
+  /// Frames of `page_size` bytes waiting in the free list.
+  static uint64_t FreeFrames(uint32_t page_size);
+
  private:
   void ChargeTransfer();
 
   DiskConfig config_;
-  uint64_t num_pages_ = 0;
-  std::vector<AlignedBuffer<uint8_t>> store_;  // one buffer per page
+  std::vector<AlignedBuffer<uint8_t>> store_;  // one frame per page
   uint64_t busy_us_ = 0;
   double page_transfer_us_ = 0;
   // Pacer state: the disk's virtual clock runs `page_transfer_us_` ahead

@@ -38,8 +38,6 @@ class FaultInjectingDisk {
   /// faults independently but reproducibly.
   FaultInjectingDisk(const DiskConfig& config, uint64_t seed_salt = 0);
 
-  void Reserve(uint64_t num_pages) { disk_.Reserve(num_pages); }
-
   Status ReadPage(uint64_t page, void* dst);
   Status WritePage(uint64_t page, const void* src);
 

@@ -150,6 +150,41 @@ TEST(HashTableCacheTest, HitMissInvalidateByteIdenticalAllSchemes) {
   }
 }
 
+// Relation::Append leaves each slot's hash code at 0; only the partition
+// pass memoizes real ones. A hit probes the unpartitioned probe side, so
+// it must hash the keys rather than trust those slots.
+TEST(HashTableCacheTest, HitOnInputsWithoutMemoizedHashesMatchesMiss) {
+  const Schema schema = Schema::KeyPayload(64);
+  Relation build(schema);
+  Relation probe(schema);
+  std::vector<uint8_t> tuple(schema.fixed_size(), 0x5c);
+  for (uint32_t key = 0; key < 5000; ++key) {
+    std::memcpy(tuple.data(), &key, sizeof(key));
+    build.Append(tuple.data(), uint16_t(tuple.size()));
+    if (key % 2 == 0) probe.Append(tuple.data(), uint16_t(tuple.size()));
+  }
+  for (Scheme scheme : AllSchemes()) {
+    SCOPED_TRACE(SchemeName(scheme));
+    const std::atomic<uint64_t> budget{64ull << 20};
+    cache::HashTableCache cache{BudgetView(&budget)};
+    GraceConfig plain;
+    plain.join_scheme = scheme;
+    GraceConfig cached = plain;
+    cached.table_cache = &cache;
+    cached.cache_key = {1, 1, cache::SchemaFingerprint(schema)};
+
+    RealMemory mm;
+    JoinResult uncached = GraceHashJoin(mm, build, probe, plain, nullptr);
+    EXPECT_EQ(uncached.output_tuples, 2500u);
+    JoinResult miss = GraceHashJoin(mm, build, probe, cached, nullptr);
+    EXPECT_FALSE(miss.cache_hit);
+    EXPECT_EQ(miss.output_tuples, 2500u);
+    JoinResult hit = GraceHashJoin(mm, build, probe, cached, nullptr);
+    ASSERT_TRUE(hit.cache_hit);
+    EXPECT_EQ(hit.output_tuples, 2500u);
+  }
+}
+
 TEST(HashTableCacheTest, OfferRejectsDuplicatesAndOversize) {
   const std::atomic<uint64_t> budget{1ull << 20};
   cache::HashTableCache cache{BudgetView(&budget)};

@@ -1,6 +1,9 @@
+#include <chrono>
 #include <cstddef>
 #include <cstring>
+#include <memory>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -270,6 +273,67 @@ TEST(SimulatedDiskTest, TracksBusyTime) {
   EXPECT_GT(disk.busy_seconds(), 0.0);
 }
 
+// Frames of destroyed disks are recycled, and the free list only ever
+// receives frames some disk allocated: it never holds more than were
+// live at once. The page size is used by no other test, so the list
+// starts empty.
+TEST(SimulatedDiskTest, FreeListNeverHoldsMoreThanThePeakLiveFrames) {
+  DiskConfig cfg;
+  cfg.bandwidth_mb_per_s = 10000;
+  cfg.request_latency_us = 0;
+  cfg.page_size = 2048;
+  std::vector<uint8_t> page(cfg.page_size, 0x31);
+  auto disk_of = [&](uint64_t pages) {
+    auto d = std::make_unique<SimulatedDisk>(cfg);
+    for (uint64_t p = 0; p < pages; ++p) {
+      EXPECT_TRUE(d->WritePage(p, page.data()).ok());
+    }
+    return d;
+  };
+  ASSERT_EQ(SimulatedDisk::FreeFrames(cfg.page_size), 0u);
+  auto a = disk_of(10);
+  auto b = disk_of(5);  // 15 live
+  a.reset();
+  EXPECT_EQ(SimulatedDisk::FreeFrames(cfg.page_size), 10u);
+  auto c = disk_of(12);  // takes all 10, allocates 2: 17 live, the peak
+  EXPECT_EQ(SimulatedDisk::FreeFrames(cfg.page_size), 0u);
+  b.reset();
+  c.reset();
+  EXPECT_EQ(SimulatedDisk::FreeFrames(cfg.page_size), 17u);
+  for (uint64_t pages : {3u, 17u, 9u}) {
+    disk_of(pages).reset();
+    EXPECT_EQ(SimulatedDisk::FreeFrames(cfg.page_size), 17u);
+  }
+}
+
+TEST(SimulatedDiskTest, RecycledFramesExposeNoOldBytes) {
+  DiskConfig cfg;
+  cfg.bandwidth_mb_per_s = 10000;
+  cfg.request_latency_us = 0;
+  cfg.page_size = 1024;
+  std::vector<uint8_t> old_bytes(cfg.page_size, 0xee);
+  {
+    SimulatedDisk first(cfg);
+    for (uint64_t p = 0; p < 4; ++p) {
+      ASSERT_TRUE(first.WritePage(p, old_bytes.data()).ok());
+    }
+  }
+  ASSERT_EQ(SimulatedDisk::FreeFrames(cfg.page_size), 4u);
+  SimulatedDisk disk(cfg);
+  std::vector<uint8_t> buf(cfg.page_size);
+  // Nothing written yet: every page is past the end.
+  EXPECT_EQ(disk.ReadPage(0, buf.data()).code(), StatusCode::kOutOfRange);
+  // A sparse write zeroes the recycled frames it skips.
+  std::vector<uint8_t> page(cfg.page_size, 0x42);
+  ASSERT_TRUE(disk.WritePage(2, page.data()).ok());
+  EXPECT_EQ(SimulatedDisk::FreeFrames(cfg.page_size), 1u);
+  ASSERT_TRUE(disk.ReadPage(0, buf.data()).ok());
+  EXPECT_EQ(buf, std::vector<uint8_t>(cfg.page_size, 0));
+  ASSERT_TRUE(disk.ReadPage(2, buf.data()).ok());
+  EXPECT_EQ(buf, page);
+  EXPECT_EQ(disk.ReadPage(3, buf.data()).code(), StatusCode::kOutOfRange);
+}
+
 class BufferManagerTest : public ::testing::Test {
  protected:
   BufferManagerConfig FastConfig(uint32_t disks) {
@@ -365,6 +429,136 @@ TEST_F(BufferManagerTest, TracksMainStall) {
   }
   EXPECT_GT(bm.main_stall_seconds(), 0.0);
   EXPECT_GT(bm.max_disk_busy_seconds(), 0.0);
+}
+
+// Fewer writes than a stripe unit never wake an idle worker on their
+// own; FlushWrites must (without that wake-up it waits forever).
+TEST_F(BufferManagerTest, FlushWakesWorkerForLessThanAStripeOfWrites) {
+  BufferManagerConfig cfg = FastConfig(2);
+  BufferManager bm(cfg);
+  auto file = bm.CreateFile();
+  std::vector<uint8_t> page(cfg.disk.page_size);
+  ASSERT_LT(3u, cfg.stripe_unit_pages);
+  // Let both workers start and go idle first.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  for (uint32_t p = 0; p < 3; ++p) {
+    std::memset(page.data(), int(p + 7), page.size());
+    bm.WritePageAsync(file, p, page.data());
+  }
+  ASSERT_TRUE(bm.FlushWrites().ok());
+  EXPECT_EQ(bm.recovery_stats().bytes_written, 3u * cfg.disk.page_size);
+  auto scan = bm.OpenScan(file);
+  for (uint32_t p = 0; p < 3; ++p) {
+    const uint8_t* got = MustNext(scan);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got[0], uint8_t(p + 7));
+    EXPECT_EQ(got[cfg.disk.page_size - 1], uint8_t(p + 7));
+  }
+  EXPECT_EQ(MustNext(scan), nullptr);
+}
+
+// A scan's reads queue behind the file's own queued writes on each
+// disk, so it sees them without a FlushWrites.
+TEST_F(BufferManagerTest, ScanOfQueuedWritesReadsTheirBytes) {
+  for (uint32_t n : {3u, 11u}) {  // below and above a stripe unit
+    SCOPED_TRACE(n);
+    BufferManagerConfig cfg = FastConfig(2);
+    BufferManager bm(cfg);
+    auto file = bm.CreateFile();
+    std::vector<uint8_t> page(cfg.disk.page_size);
+    // Idle workers leave writes below a stripe unit queued.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    for (uint32_t p = 0; p < n; ++p) {
+      std::memset(page.data(), int(p + 1), page.size());
+      bm.WritePageAsync(file, p, page.data());
+    }
+    auto scan = bm.OpenScan(file);
+    for (uint32_t p = 0; p < n; ++p) {
+      const uint8_t* got = MustNext(scan);
+      ASSERT_NE(got, nullptr);
+      std::memset(page.data(), int(p + 1), page.size());
+      EXPECT_EQ(std::memcmp(got, page.data(), page.size()), 0) << p;
+    }
+    EXPECT_EQ(MustNext(scan), nullptr);
+    EXPECT_TRUE(bm.FlushWrites().ok());
+  }
+}
+
+// The destructor lets each worker serve its queue, so writes still
+// queued (below a stripe unit, worker asleep) reach the disk, whose
+// frames then land in the free list. The page size is this test's own.
+TEST_F(BufferManagerTest, DestroyedWithQueuedWritesServesThemAndReturns) {
+  BufferManagerConfig cfg = FastConfig(1);
+  cfg.disk.page_size = 3072;
+  ASSERT_EQ(SimulatedDisk::FreeFrames(cfg.disk.page_size), 0u);
+  {
+    BufferManager bm(cfg);
+    auto file = bm.CreateFile();
+    std::vector<uint8_t> page(cfg.disk.page_size, 0x6b);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));  // idle
+    for (uint32_t p = 0; p < 3; ++p) bm.WritePageAsync(file, p, page.data());
+  }
+  EXPECT_EQ(SimulatedDisk::FreeFrames(cfg.disk.page_size), 3u);
+}
+
+TEST_F(BufferManagerTest, ScannerDestroyedMidFileWaitsOutItsReads) {
+  BufferManagerConfig cfg = FastConfig(2);
+  cfg.disk.bandwidth_mb_per_s = 20;  // ~0.4 ms a page: reads stay queued
+  cfg.io_prefetch_depth = 16;
+  BufferManager bm(cfg);
+  auto file = bm.CreateFile();
+  std::vector<uint8_t> page(cfg.disk.page_size);
+  const uint32_t n = 40;
+  for (uint32_t p = 0; p < n; ++p) {
+    std::memset(page.data(), int(p), page.size());
+    bm.WritePageAsync(file, p, page.data());
+  }
+  ASSERT_TRUE(bm.FlushWrites().ok());
+  {
+    auto scan = bm.OpenScan(file);
+    const uint8_t* got = MustNext(scan);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got[0], 0);
+  }  // abandoned with reads in flight
+  auto scan = bm.OpenScan(file);
+  uint32_t count = 0;
+  while (const uint8_t* got = MustNext(scan)) {
+    EXPECT_EQ(got[0], uint8_t(count));
+    ++count;
+  }
+  EXPECT_EQ(count, n);
+}
+
+// A BufferManager whose disks draw the previous one's frames reads back
+// only what it wrote itself.
+TEST_F(BufferManagerTest, RecycledFramesHoldOnlyTheNewManagersBytes) {
+  BufferManagerConfig cfg = FastConfig(1);
+  cfg.disk.page_size = 4096;
+  {
+    BufferManager first(cfg);
+    auto file = first.CreateFile();
+    std::vector<uint8_t> page(cfg.disk.page_size, 0xaa);
+    for (uint32_t p = 0; p < 8; ++p) first.WritePageAsync(file, p, page.data());
+    ASSERT_TRUE(first.FlushWrites().ok());
+  }
+  ASSERT_EQ(SimulatedDisk::FreeFrames(cfg.disk.page_size), 8u);
+  BufferManager second(cfg);
+  auto file = second.CreateFile();
+  std::vector<uint8_t> page(cfg.disk.page_size);
+  for (uint32_t p = 0; p < 5; ++p) {
+    std::iota(page.begin(), page.end(), uint8_t(p));
+    second.WritePageAsync(file, p, page.data());
+  }
+  ASSERT_TRUE(second.FlushWrites().ok());
+  EXPECT_EQ(SimulatedDisk::FreeFrames(cfg.disk.page_size), 3u);
+  auto scan = second.OpenScan(file);
+  for (uint32_t p = 0; p < 5; ++p) {
+    const uint8_t* got = MustNext(scan);
+    ASSERT_NE(got, nullptr);
+    std::iota(page.begin(), page.end(), uint8_t(p));
+    EXPECT_EQ(std::memcmp(got, page.data(), page.size()), 0) << p;
+  }
+  EXPECT_EQ(MustNext(scan), nullptr);
 }
 
 TEST_F(BufferManagerTest, ScriptedReadFaultIsRetriedTransparently) {
