@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_blocks.h"
 #include "join/grace.h"
 #include "model/cost_model.h"
 #include "mem/memory_model.h"
@@ -234,35 +235,6 @@ inline model::CodeCosts PartitionCodeCosts() {
        2 * def.cost_tuple_copy_per_line}};
 }
 
-/// Simulator counters in the shared BENCH_*.json record schema, so sim
-/// and real-hardware runs diff with the same tooling.
-inline JsonValue SimStatsToJson(const sim::SimStats& s) {
-  JsonValue o = JsonValue::Object();
-  o.Set("total_cycles", s.TotalCycles());
-  o.Set("busy_cycles", s.busy_cycles);
-  o.Set("dcache_stall_cycles", s.dcache_stall_cycles);
-  o.Set("dtlb_stall_cycles", s.dtlb_stall_cycles);
-  o.Set("other_stall_cycles", s.other_stall_cycles);
-  o.Set("l1_hits", s.l1_hits);
-  o.Set("l2_hits", s.l2_hits);
-  o.Set("full_misses", s.full_misses);
-  o.Set("prefetch_hidden", s.prefetch_hidden);
-  o.Set("prefetch_partial", s.prefetch_partial);
-  o.Set("tlb_misses", s.tlb_misses);
-  o.Set("prefetches_issued", s.prefetches_issued);
-  o.Set("prefetch_evicted_before_use", s.prefetch_evicted_before_use);
-  o.Set("branch_mispredicts", s.branch_mispredicts);
-  return o;
-}
-
-inline JsonValue SimRunToJson(const SimRun& r) {
-  JsonValue o = JsonValue::Object();
-  o.Set("wall_seconds", r.wall_seconds);
-  o.Set("outputs", r.outputs);
-  o.Set("sim", SimStatsToJson(r.stats));
-  return o;
-}
-
 // ---------------------------------------------------------------------------
 // Shared G/D tuning resolution (--tune=off|static|online). One resolver
 // for every bench driver: drivers must not hardcode depths or carry
@@ -287,14 +259,10 @@ inline const char* TuneModeName(TuneMode m) {
   return "off";
 }
 
-/// Parses `--tune=off|static|online`, honoring the older `--auto-tune`
-/// spelling as an alias for `--tune=static`. Unknown values are fatal.
+/// Parses `--tune=off|static|online` (default off). Unknown values are
+/// fatal.
 inline TuneMode TuneModeFromFlags(const FlagParser& flags) {
-  std::string value = flags.GetString("tune", "");
-  if (value.empty() || value == "true") {
-    return flags.GetBool("auto-tune", false) ? TuneMode::kStatic
-                                             : TuneMode::kOff;
-  }
+  std::string value = flags.GetString("tune", "off");
   if (value == "off") return TuneMode::kOff;
   if (value == "static") return TuneMode::kStatic;
   if (value == "online") return TuneMode::kOnline;
@@ -409,24 +377,6 @@ inline tune::TunerConfig TunerConfigFromResolution(
   cfg.stages_k = costs.k();
   cfg.max_outstanding = r.calibration.max_outstanding;
   return cfg;
-}
-
-/// Serialized tuner trajectory for the bench records: one entry per
-/// batch with the depth held and the cost observed, so sweeps can plot
-/// online convergence against the offline best.
-inline JsonValue TunerTrajectoryJson(const tune::PrefetchTuner& tuner) {
-  JsonValue arr = JsonValue::Array();
-  for (const tune::TunerSample& s : tuner.trajectory()) {
-    JsonValue o = JsonValue::Object();
-    o.Set("batch", s.batch);
-    o.Set("depth", s.depth);
-    o.Set("G", s.group_size);
-    o.Set("D", s.prefetch_distance);
-    o.Set("cycles_per_tuple", s.cycles_per_tuple);
-    o.Set("misses_per_tuple", s.misses_per_tuple);
-    arr.Append(std::move(o));
-  }
-  return arr;
 }
 
 }  // namespace bench

@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_blocks.h"
 #include "hash/hash_table.h"
 #include "join/grace_disk.h"
 #include "perf/bench_reporter.h"
@@ -107,96 +108,31 @@ StatusOr<uint64_t> RunQuery(QueryContext& ctx, const QuerySpec& spec,
   return r.output_tuples;
 }
 
-double Percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  size_t idx = size_t(p * double(v.size() - 1) + 0.5);
-  return v[std::min(idx, v.size() - 1)];
-}
-
-JsonValue WallObject(double seconds) {
-  JsonValue wall = JsonValue::Object();
-  wall.Set("median", seconds);
-  wall.Set("min", seconds);
-  wall.Set("mean", seconds);
-  return wall;
-}
-
-void FinishRawRecord(JsonValue* rec) {
-  rec->Set("trials", 1);
-  rec->Set("warmup", 0);
-  rec->Set("counters", JsonValue());
-  rec->Set("counters_unavailable",
-           "per-query wall time is measured by the service, not the "
-           "trial harness");
-}
-
-JsonValue RecoveryObject(const DiskJoinRecovery& r) {
-  JsonValue recovery = JsonValue::Object();
-  recovery.Set("revoke_spills", r.revoke_spills);
-  recovery.Set("regrant_unspills", r.regrant_unspills);
-  recovery.Set("recursive_splits", r.recursive_splits);
-  recovery.Set("chunked_fallbacks", r.chunked_fallbacks);
-  recovery.Set("role_reversals", r.role_reversals);
-  recovery.Set("bnl_fallbacks", r.bnl_fallbacks);
-  recovery.Set("victim_spills", r.victim_spills);
-  recovery.Set("victim_unspills", r.victim_unspills);
-  return recovery;
-}
-
-/// Every over-budget partition pair resolved through exactly one ladder
-/// rung, so these counts classify all degradations — there is no
-/// "bailed out unexplained" bucket.
-JsonValue DegradationObject(const DiskJoinRecovery& r) {
-  JsonValue deg = JsonValue::Object();
-  deg.Set("role_reversal", r.role_reversals);
-  deg.Set("recursive_split", r.recursive_splits);
-  deg.Set("chunked_build", r.chunked_fallbacks);
-  deg.Set("block_nested_loop", r.bnl_fallbacks);
-  deg.Set("victim_spill", r.victim_spills);
-  deg.Set("victim_unspill", r.victim_unspills);
-  return deg;
-}
-
-/// Per-level split summaries: key-hash balance (histogram condensed to
-/// max-bin fraction + occupied bins — the raw 64 bins stay internal) and
-/// realized spill cost per partitioning level.
-JsonValue SpillLevelsArray(const std::vector<SpillLevelStats>& levels) {
-  JsonValue arr = JsonValue::Array();
-  for (const SpillLevelStats& lv : levels) {
-    JsonValue o = JsonValue::Object();
-    o.Set("level", lv.level);
-    o.Set("partitions_written", lv.partitions_written);
-    o.Set("tuples", lv.tuples);
-    o.Set("bytes_written", lv.bytes_written);
-    o.Set("partition_seconds", lv.partition_seconds);
-    o.Set("max_bin_fraction", lv.MaxBinFraction());
-    o.Set("nonzero_bins", lv.NonzeroBins());
-    arr.Append(std::move(o));
-  }
-  return arr;
-}
-
-/// The broker's cache-grant ledger: bytes revoked from the kCache class
-/// and the count of normal-grant revokes that happened while cache
-/// surplus remained — the acceptance invariant is that the latter is 0
-/// (cached tables always go first).
-JsonValue CacheLedgerObject(const MemoryBroker& broker) {
-  JsonValue c = JsonValue::Object();
-  c.Set("broker_revoked_bytes", broker.cache_revoked_bytes());
-  c.Set("normal_revokes_with_cache_surplus",
-        broker.normal_revokes_with_cache_surplus());
-  return c;
-}
-
-JsonValue IoObject(const IoRecoveryStats& io) {
-  JsonValue out = JsonValue::Object();
-  out.Set("read_retries", io.read_retries);
-  out.Set("write_retries", io.write_retries);
-  out.Set("injected_faults", io.injected_faults);
-  out.Set("bytes_read", io.bytes_read);
-  out.Set("bytes_written", io.bytes_written);
-  return out;
+/// One query's record: the service-measured envelope, the outcome and
+/// the query's stats blocks.
+JsonValue& AddQueryRecord(perf::BenchReporter* reporter,
+                          const std::string& name, const QueryStats& qs,
+                          const QuerySpec& spec) {
+  JsonValue config = JsonValue::Object();
+  config.Set("build_tuples", spec.workload->build.num_tuples());
+  config.Set("probe_tuples", spec.workload->probe.num_tuples());
+  config.Set("tuple_size", kTupleSize);
+  config.Set("priority", qs.priority);
+  config.Set("min_grant_bytes", spec.min_grant);
+  config.Set("desired_grant_bytes", spec.desired_grant);
+  config.Set("num_partitions", spec.num_partitions);
+  JsonValue& rec = reporter->AddMeasuredRecord(
+      name, std::move(config), qs.run_seconds, bench::kServiceTimed);
+  rec.Set("status", qs.status.ok() ? "ok" : qs.status.ToString());
+  rec.Set("queue_seconds", qs.queue_seconds);
+  rec.Set("outputs", qs.output_tuples);
+  rec.Set("verified", qs.output_tuples == spec.workload->expected_matches);
+  bench::kGrantBlock.Set(&rec, qs.grant);
+  bench::kRecoveryBlock.Set(&rec, qs.recovery);
+  bench::kIoRecoveryBlock.Set(&rec, qs.io);
+  rec.Set("total_io_bytes", qs.io.bytes_read + qs.io.bytes_written);
+  bench::kSpillLevelsBlock.Set(&rec, qs.spill_levels);
+  return rec;
 }
 
 /// --revoke-storm: rapid admit/revoke cycles at 2x memory
@@ -284,14 +220,7 @@ int RunRevokeStorm(const FlagParser& flags, bool smoke) {
         qs.status.ok() && qs.output_tuples == spec->workload->expected_matches;
     if (!correct) ++bad_counts;
     total_io_bytes += qs.io.bytes_read + qs.io.bytes_written;
-    deg.revoke_spills += qs.recovery.revoke_spills;
-    deg.regrant_unspills += qs.recovery.regrant_unspills;
-    deg.recursive_splits += qs.recovery.recursive_splits;
-    deg.chunked_fallbacks += qs.recovery.chunked_fallbacks;
-    deg.role_reversals += qs.recovery.role_reversals;
-    deg.bnl_fallbacks += qs.recovery.bnl_fallbacks;
-    deg.victim_spills += qs.recovery.victim_spills;
-    deg.victim_unspills += qs.recovery.victim_unspills;
+    fields::Add(deg, qs.recovery);
     run_seconds.push_back(qs.run_seconds);
     queue_seconds.push_back(qs.queue_seconds);
     std::printf("%-10s %-8s %9.4f %9.4f %12llu %7llu %7llu %7llu %7llu "
@@ -299,7 +228,7 @@ int RunRevokeStorm(const FlagParser& flags, bool smoke) {
                 qs.name.c_str(), qs.status.ok() ? "ok" : "FAILED",
                 qs.queue_seconds, qs.run_seconds,
                 (unsigned long long)qs.output_tuples,
-                (unsigned long long)qs.grant_revokes,
+                (unsigned long long)qs.grant.revokes,
                 (unsigned long long)qs.recovery.victim_spills,
                 (unsigned long long)qs.recovery.victim_unspills,
                 (unsigned long long)qs.recovery.role_reversals,
@@ -360,38 +289,9 @@ int RunRevokeStorm(const FlagParser& flags, bool smoke) {
         if (s.name == qs.name) spec = &s;
       }
       if (spec == nullptr) continue;
-      JsonValue rec = JsonValue::Object();
-      rec.Set("name", "storm/" + qs.name);
-      JsonValue config = JsonValue::Object();
-      config.Set("build_tuples", spec->workload->build.num_tuples());
-      config.Set("probe_tuples", spec->workload->probe.num_tuples());
-      config.Set("min_grant_bytes", spec->min_grant);
-      config.Set("desired_grant_bytes", spec->desired_grant);
-      rec.Set("config", std::move(config));
-      rec.Set("wall_seconds", WallObject(qs.run_seconds));
-      FinishRawRecord(&rec);
-      rec.Set("status", qs.status.ok() ? "ok" : qs.status.ToString());
-      rec.Set("queue_seconds", qs.queue_seconds);
-      rec.Set("outputs", qs.output_tuples);
-      rec.Set("verified",
-              qs.output_tuples == spec->workload->expected_matches);
-      JsonValue grant = JsonValue::Object();
-      grant.Set("initial_bytes", qs.grant_initial_bytes);
-      grant.Set("low_bytes", qs.grant_low_bytes);
-      grant.Set("final_bytes", qs.grant_final_bytes);
-      grant.Set("revokes", qs.grant_revokes);
-      grant.Set("regrows", qs.grant_regrows);
-      rec.Set("grant", std::move(grant));
-      rec.Set("recovery", RecoveryObject(qs.recovery));
-      rec.Set("degradation_reason", DegradationObject(qs.recovery));
-      rec.Set("io_recovery", IoObject(qs.io));
-      rec.Set("total_io_bytes", qs.io.bytes_read + qs.io.bytes_written);
-      rec.Set("spill_levels", SpillLevelsArray(qs.spill_levels));
-      reporter.AddRawRecord(std::move(rec));
+      AddQueryRecord(&reporter, "storm/" + qs.name, qs, *spec);
     }
 
-    JsonValue rec = JsonValue::Object();
-    rec.Set("name", "storm");
     JsonValue config = JsonValue::Object();
     config.Set("queries", num_queries);
     config.Set("mem_budget", mem_budget);
@@ -399,37 +299,25 @@ int RunRevokeStorm(const FlagParser& flags, bool smoke) {
     config.Set("max_concurrent", sched_cfg.max_concurrent);
     config.Set("pool_threads", sched_cfg.pool_threads);
     config.Set("cache_bytes", sched_cfg.cache_bytes);
-    rec.Set("config", std::move(config));
-    rec.Set("wall_seconds", WallObject(stats.makespan_seconds));
-    FinishRawRecord(&rec);
+    JsonValue& rec = reporter.AddMeasuredRecord(
+        "storm", std::move(config), stats.makespan_seconds,
+        bench::kServiceTimed);
     rec.Set("completed", stats.completed);
     rec.Set("failed", stats.failed);
     rec.Set("broker_revokes", sched.broker().total_revokes());
     rec.Set("broker_regrows", sched.broker().total_regrows());
-    rec.Set("cache", CacheLedgerObject(sched.broker()));
-    rec.Set("degradation_reason", DegradationObject(deg));
+    cache::CacheStats cache_stats;
+    if (sched.table_cache() != nullptr) {
+      cache_stats = sched.table_cache()->stats();
+    }
+    bench::kCacheBlock.Set(&rec, cache_stats, sched.broker().cache_ledger());
+    bench::kRecoveryBlock.Set(&rec, deg);
     rec.Set("total_io_bytes", total_io_bytes);
     rec.Set("verified", service_ok);
-    JsonValue tail = JsonValue::Object();
-    tail.Set("run_p50", Percentile(run_seconds, 0.5));
-    tail.Set("run_p95", Percentile(run_seconds, 0.95));
-    tail.Set("run_p99", Percentile(run_seconds, 0.99));
-    tail.Set("run_max", Percentile(run_seconds, 1.0));
-    tail.Set("queue_p50", Percentile(queue_seconds, 0.5));
-    tail.Set("queue_p95", Percentile(queue_seconds, 0.95));
-    tail.Set("queue_p99", Percentile(queue_seconds, 0.99));
-    tail.Set("queue_max", Percentile(queue_seconds, 1.0));
-    rec.Set("tail_latency", std::move(tail));
-    reporter.AddRawRecord(std::move(rec));
+    perf::kTailLatencyBlock.Set(
+        &rec, perf::TailLatency::Of(run_seconds, queue_seconds));
 
-    Status st = reporter.Write();
-    if (!st.ok()) {
-      std::fprintf(stderr, "failed to write %s: %s\n",
-                   reporter.output_path().c_str(), st.ToString().c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s (%zu records)\n", reporter.output_path().c_str(),
-                reporter.doc().Find("records")->size());
+    if (!reporter.WriteAndReport()) return 1;
   }
   return service_ok ? 0 : 1;
 }
@@ -558,8 +446,8 @@ int main(int argc, char** argv) {
   std::printf("%-10s %-8s %9s %9s %12s %9s %7s %7s %7s %9s\n", "query",
               "status", "queue_s", "run_s", "output", "seq_s", "grant0",
               "grantL", "revokes", "rv_spills");
-  uint64_t total_revoke_spills = 0, total_unspills = 0, bad_counts = 0;
-  uint64_t total_io_bytes = 0;
+  uint64_t bad_counts = 0, total_io_bytes = 0;
+  DiskJoinRecovery recovery;  // summed across queries
   std::vector<double> run_seconds, queue_seconds;
   for (const QueryStats& qs : stats.queries) {
     const QuerySpec* spec = nullptr;
@@ -570,8 +458,7 @@ int main(int argc, char** argv) {
     bool correct =
         qs.status.ok() && qs.output_tuples == spec->workload->expected_matches;
     if (!correct) ++bad_counts;
-    total_revoke_spills += qs.recovery.revoke_spills;
-    total_unspills += qs.recovery.regrant_unspills;
+    fields::Add(recovery, qs.recovery);
     total_io_bytes += qs.io.bytes_read + qs.io.bytes_written;
     run_seconds.push_back(qs.run_seconds);
     queue_seconds.push_back(qs.queue_seconds);
@@ -580,9 +467,9 @@ int main(int argc, char** argv) {
                 qs.name.c_str(), qs.status.ok() ? "ok" : "FAILED",
                 qs.queue_seconds, qs.run_seconds,
                 (unsigned long long)qs.output_tuples, spec->seq_seconds,
-                (unsigned long long)(qs.grant_initial_bytes / 1024),
-                (unsigned long long)(qs.grant_low_bytes / 1024),
-                (unsigned long long)qs.grant_revokes,
+                (unsigned long long)(qs.grant.initial_bytes / 1024),
+                (unsigned long long)(qs.grant.low_bytes / 1024),
+                (unsigned long long)qs.grant.revokes,
                 (unsigned long long)qs.recovery.revoke_spills,
                 correct ? "" : "  << WRONG COUNT");
   }
@@ -596,19 +483,19 @@ int main(int argc, char** argv) {
               "revoke-forced spills, %llu re-grant un-spills\n",
               (unsigned long long)sched.broker().total_revokes(),
               (unsigned long long)sched.broker().total_regrows(),
-              (unsigned long long)total_revoke_spills,
-              (unsigned long long)total_unspills);
+              (unsigned long long)recovery.revoke_spills,
+              (unsigned long long)recovery.regrant_unspills);
   std::printf("overload burst: %d accepted, %d rejected (backpressure)\n",
               overload_accepted, overload_rejected);
+  const perf::TailLatency tail = perf::TailLatency::Of(run_seconds,
+                                                       queue_seconds);
   std::printf("latency: run p50=%.4fs p95=%.4fs max=%.4fs; queue "
               "p50=%.4fs p95=%.4fs max=%.4fs\n",
-              Percentile(run_seconds, 0.5), Percentile(run_seconds, 0.95),
-              Percentile(run_seconds, 1.0), Percentile(queue_seconds, 0.5),
-              Percentile(queue_seconds, 0.95),
-              Percentile(queue_seconds, 1.0));
+              tail.run_p50, tail.run_p95, tail.run_max, tail.queue_p50,
+              tail.queue_p95, tail.queue_max);
 
   bool service_ok = bad_counts == 0 && stats.failed == 0;
-  if (total_revoke_spills == 0) {
+  if (recovery.revoke_spills == 0) {
     std::printf("WARNING: no revoke-forced spill observed — raise "
                 "--queries or lower --mem-budget\n");
   }
@@ -635,43 +522,11 @@ int main(int argc, char** argv) {
         if (s.name == qs.name) spec = &s;
       }
       if (spec == nullptr) continue;
-      JsonValue rec = JsonValue::Object();
-      rec.Set("name", "query/" + qs.name);
-      JsonValue config = JsonValue::Object();
-      config.Set("build_tuples", spec->workload->build.num_tuples());
-      config.Set("probe_tuples", spec->workload->probe.num_tuples());
-      config.Set("tuple_size", kTupleSize);
-      config.Set("priority", qs.priority);
-      config.Set("min_grant_bytes", spec->min_grant);
-      config.Set("desired_grant_bytes", spec->desired_grant);
-      config.Set("num_partitions", spec->num_partitions);
-      rec.Set("config", std::move(config));
-      rec.Set("wall_seconds", WallObject(qs.run_seconds));
-      FinishRawRecord(&rec);
-      rec.Set("status", qs.status.ok() ? "ok" : qs.status.ToString());
-      rec.Set("queue_seconds", qs.queue_seconds);
+      JsonValue& rec = AddQueryRecord(&reporter, "query/" + qs.name, qs, *spec);
       rec.Set("sequential_seconds", spec->seq_seconds);
-      rec.Set("outputs", qs.output_tuples);
-      rec.Set("verified",
-              qs.output_tuples == spec->workload->expected_matches);
-      JsonValue grant = JsonValue::Object();
-      grant.Set("initial_bytes", qs.grant_initial_bytes);
-      grant.Set("low_bytes", qs.grant_low_bytes);
-      grant.Set("final_bytes", qs.grant_final_bytes);
-      grant.Set("revokes", qs.grant_revokes);
-      grant.Set("regrows", qs.grant_regrows);
-      rec.Set("grant", std::move(grant));
-      rec.Set("recovery", RecoveryObject(qs.recovery));
-      rec.Set("degradation_reason", DegradationObject(qs.recovery));
-      rec.Set("io_recovery", IoObject(qs.io));
-      rec.Set("total_io_bytes", qs.io.bytes_read + qs.io.bytes_written);
       rec.Set("readahead_throttles", qs.readahead_throttles);
-      rec.Set("spill_levels", SpillLevelsArray(qs.spill_levels));
-      reporter.AddRawRecord(std::move(rec));
     }
 
-    JsonValue rec = JsonValue::Object();
-    rec.Set("name", "service");
     JsonValue config = JsonValue::Object();
     config.Set("queries", num_queries);
     config.Set("mem_budget", mem_budget);
@@ -679,39 +534,21 @@ int main(int argc, char** argv) {
     config.Set("pool_threads", sched_cfg.pool_threads);
     config.Set("max_queue", sched_cfg.max_queue);
     config.Set("overload", overload);
-    rec.Set("config", std::move(config));
-    rec.Set("wall_seconds", WallObject(stats.makespan_seconds));
-    FinishRawRecord(&rec);
+    JsonValue& rec = reporter.AddMeasuredRecord(
+        "service", std::move(config), stats.makespan_seconds,
+        bench::kServiceTimed);
     rec.Set("submitted", stats.submitted);
     rec.Set("rejected", stats.rejected);
     rec.Set("completed", stats.completed);
     rec.Set("failed", stats.failed);
-    rec.Set("revoke_spills", total_revoke_spills);
-    rec.Set("regrant_unspills", total_unspills);
+    bench::kRecoveryBlock.Set(&rec, recovery);
     rec.Set("broker_revokes", sched.broker().total_revokes());
     rec.Set("broker_regrows", sched.broker().total_regrows());
     rec.Set("total_io_bytes", total_io_bytes);
     rec.Set("verified", service_ok);
-    JsonValue tail = JsonValue::Object();
-    tail.Set("run_p50", Percentile(run_seconds, 0.5));
-    tail.Set("run_p95", Percentile(run_seconds, 0.95));
-    tail.Set("run_p99", Percentile(run_seconds, 0.99));
-    tail.Set("run_max", Percentile(run_seconds, 1.0));
-    tail.Set("queue_p50", Percentile(queue_seconds, 0.5));
-    tail.Set("queue_p95", Percentile(queue_seconds, 0.95));
-    tail.Set("queue_p99", Percentile(queue_seconds, 0.99));
-    tail.Set("queue_max", Percentile(queue_seconds, 1.0));
-    rec.Set("tail_latency", std::move(tail));
-    reporter.AddRawRecord(std::move(rec));
+    perf::kTailLatencyBlock.Set(&rec, tail);
 
-    Status st = reporter.Write();
-    if (!st.ok()) {
-      std::fprintf(stderr, "failed to write %s: %s\n",
-                   reporter.output_path().c_str(), st.ToString().c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s (%zu records)\n", reporter.output_path().c_str(),
-                reporter.doc().Find("records")->size());
+    if (!reporter.WriteAndReport()) return 1;
   }
   return service_ok ? 0 : 1;
 }

@@ -4,20 +4,39 @@
 // disks are added, the per-disk I/O time drops and total elapsed time
 // flattens: the join becomes CPU-bound (the paper sees this at ~4 disks
 // with 68MB/s SCSI disks on a 550MHz Pentium III).
+//
+//   fig09_cpu_bound [--mb=16] [--max_disks=6] [--disk_mb_s=1200]
+//                   [--disk_lat_us=4] [--smoke] [--json[=path]]
+//
+// --smoke runs the small size (--mb=2 --max_disks=2); --json writes
+// BENCH_fig09.json, one record per disk count with each phase's
+// DiskPhaseStats.
 
 #include <cstdio>
 
 #include "bench_common.h"
 #include "join/grace_disk.h"
+#include "perf/bench_reporter.h"
 #include "storage/buffer_manager.h"
 
 using namespace hashjoin;
 using namespace hashjoin::bench;
 
+namespace {
+
+void PrintPhase(const DiskPhaseStats& p) {
+  std::printf(" %8.4fs %8.4fs %7.4fs %5.1f%%", p.elapsed_seconds,
+              p.max_disk_seconds, p.main_wait_seconds,
+              100.0 * p.MainWaitFraction());
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   FlagParser flags;
   flags.Parse(argc, argv);
-  uint64_t build_mb = uint64_t(flags.GetInt("mb", 16));
+  const bool smoke = flags.Has("smoke");
+  uint64_t build_mb = uint64_t(flags.GetInt("mb", smoke ? 2 : 16));
   // The paper's machine partitioned at ~25MB/s per CPU against 68MB/s
   // disks (ratio ~1:2.7 per disk). A modern core partitions RAM-resident
   // pages orders of magnitude faster, so the default disk bandwidth is
@@ -25,7 +44,19 @@ int main(int argc, char** argv) {
   // is actually about. Override with --disk_mb_s / --disk_lat_us.
   double disk_mb_s = flags.GetDouble("disk_mb_s", 1200.0);
   uint32_t disk_lat_us = uint32_t(flags.GetInt("disk_lat_us", 4));
-  uint32_t max_disks = uint32_t(flags.GetInt("max_disks", 6));
+  uint32_t max_disks = uint32_t(flags.GetInt("max_disks", smoke ? 2 : 6));
+
+  std::unique_ptr<perf::BenchReporter> reporter;
+  if (flags.Has("json")) {
+    perf::BenchReporter::Options opt;
+    opt.bench_name = "fig09";
+    std::string path = flags.GetString("json", "");
+    if (!path.empty() && path != "true") opt.output_path = path;
+    opt.trials = 1;
+    opt.warmup = 0;
+    opt.collect_counters = false;  // the phases time themselves
+    reporter = std::make_unique<perf::BenchReporter>(std::move(opt));
+  }
 
   WorkloadSpec spec;
   spec.tuple_size = 100;
@@ -38,10 +69,11 @@ int main(int argc, char** argv) {
       "%.0fMB/s disks, 31 partitions) ===\n\n",
       (unsigned long long)build_mb, (unsigned long long)(build_mb * 2),
       disk_mb_s);
-  std::printf("%-6s | %28s | %28s\n", "", "partition phase (build rel)",
+  std::printf("%-6s |%36s |%36s\n", "", "partition phase (build rel)",
               "join phase (all partitions)");
-  std::printf("%-6s | %9s %9s %8s | %9s %9s %8s\n", "disks", "elapsed",
-              "workerIO", "mainwait", "elapsed", "workerIO", "mainwait");
+  std::printf("%-6s | %9s %9s %8s %6s | %9s %9s %8s %6s\n", "disks",
+              "elapsed", "workerIO", "mainwait", "wait%", "elapsed",
+              "workerIO", "mainwait", "wait%");
 
   for (uint32_t ndisks = 1; ndisks <= max_disks; ++ndisks) {
     BufferManagerConfig cfg;
@@ -75,17 +107,35 @@ int main(int argc, char** argv) {
                    (unsigned long long)w.expected_matches);
       return 1;
     }
-    std::printf("%-6u | %8.2fs %8.2fs %7.2fs | %8.2fs %8.2fs %7.2fs\n",
-                ndisks, r.partition_phase.elapsed_seconds,
-                r.partition_phase.max_disk_seconds,
-                r.partition_phase.main_wait_seconds,
-                r.join_phase.elapsed_seconds,
-                r.join_phase.max_disk_seconds,
-                r.join_phase.main_wait_seconds);
+    std::printf("%-6u |", ndisks);
+    PrintPhase(r.partition_phase);
+    std::printf(" |");
+    PrintPhase(r.join_phase);
+    std::printf("\n");
+
+    if (reporter) {
+      JsonValue config = JsonValue::Object();
+      config.Set("disks", ndisks);
+      config.Set("build_mb", build_mb);
+      config.Set("disk_mb_s", disk_mb_s);
+      config.Set("disk_lat_us", disk_lat_us);
+      config.Set("partitions", r.num_partitions);
+      JsonValue& rec = reporter->AddMeasuredRecord(
+          "disks=" + std::to_string(ndisks), std::move(config),
+          r.partition_phase.elapsed_seconds +
+              r.probe_partition_phase.elapsed_seconds +
+              r.join_phase.elapsed_seconds,
+          "the disk join times its own phases");
+      rec.Set("outputs", r.output_tuples);
+      kPartitionPhaseBlock.Set(&rec, r.partition_phase);
+      kProbePartitionPhaseBlock.Set(&rec, r.probe_partition_phase);
+      kJoinPhaseBlock.Set(&rec, r.join_phase);
+    }
   }
 
   std::printf(
       "\npaper: elapsed time flattens and main-thread wait drops below "
       "10%% at >=4 disks -> hash join is CPU-bound\n");
+  if (reporter && !reporter->WriteAndReport()) return 1;
   return 0;
 }

@@ -65,7 +65,7 @@ void RunRow(const std::string& section, const std::string& x_name,
           std::move(config), run);
       rec.Set("outputs", r.outputs);
       rec.Set("verified", r.outputs == expect);
-      rec.Set("sim", SimStatsToJson(r.stats));
+      kSimBlock.Set(&rec, r.stats);
     } else {
       run();
     }
@@ -146,16 +146,6 @@ int main(int argc, char** argv) {
       "\npaper: group 2.4-2.9X, swp 2.1-2.7X, simple 1.1-1.2X over "
       "baseline\n");
 
-  if (reporter) {
-    Status st = reporter->Write();
-    if (!st.ok()) {
-      std::fprintf(stderr, "failed to write %s: %s\n",
-                   reporter->output_path().c_str(), st.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote %s (%zu records)\n",
-                reporter->output_path().c_str(),
-                reporter->doc().Find("records")->size());
-  }
+  if (reporter && !reporter->WriteAndReport()) return 1;
   return 0;
 }

@@ -55,8 +55,6 @@ JsonValue& AddSweepRecord(perf::BenchReporter* reporter,
                           Scheme scheme, const KernelParams& params,
                           double wall_seconds, const char* counters_note,
                           uint64_t probe_tuples) {
-  JsonValue rec = JsonValue::Object();
-  rec.Set("name", name);
   JsonValue config = JsonValue::Object();
   config.Set("phase", phase);
   config.Set("scheme", SchemeName(scheme));
@@ -64,17 +62,8 @@ JsonValue& AddSweepRecord(perf::BenchReporter* reporter,
   config.Set("D", params.prefetch_distance);
   config.Set("threads", 1);
   config.Set("probe_tuples", probe_tuples);
-  rec.Set("config", std::move(config));
-  rec.Set("trials", 1);
-  rec.Set("warmup", 0);
-  JsonValue wall = JsonValue::Object();
-  wall.Set("median", wall_seconds);
-  wall.Set("min", wall_seconds);
-  wall.Set("mean", wall_seconds);
-  rec.Set("wall_seconds", std::move(wall));
-  rec.Set("counters", JsonValue());
-  rec.Set("counters_unavailable", counters_note);
-  return reporter->AddRawRecord(std::move(rec));
+  return reporter->AddMeasuredRecord(name, std::move(config), wall_seconds,
+                                     counters_note);
 }
 
 // ---------------------------------------------------------------------------
@@ -250,8 +239,6 @@ int RunRealSweep(const FlagParser& flags) {
       } else {
         bp.group_size = best.depth;
       }
-      JsonValue rec = JsonValue::Object();
-      rec.Set("name", std::string("offline_best/") + SchemeName(scheme));
       JsonValue config = JsonValue::Object();
       config.Set("phase", "offline_best");
       config.Set("scheme", SchemeName(scheme));
@@ -259,36 +246,16 @@ int RunRealSweep(const FlagParser& flags) {
       config.Set("D", bp.prefetch_distance);
       config.Set("threads", 1);
       config.Set("probe_tuples", w.probe.num_tuples());
-      rec.Set("config", std::move(config));
-      rec.Set("trials", trials);
-      rec.Set("warmup", 0);
-      JsonValue wall = JsonValue::Object();
-      const double secs =
-          best.ns_per_tuple * double(w.probe.num_tuples()) / 1e9;
-      wall.Set("median", secs);
-      wall.Set("min", secs);
-      wall.Set("mean", secs);
-      rec.Set("wall_seconds", std::move(wall));
-      rec.Set("counters", JsonValue());
-      rec.Set("counters_unavailable",
-              "offline sweep records best-of-N wall time");
+      JsonValue& rec = reporter->AddMeasuredRecord(
+          std::string("offline_best/") + SchemeName(scheme), std::move(config),
+          best.ns_per_tuple * double(w.probe.num_tuples()) / 1e9,
+          "offline sweep records best-of-N wall time", trials);
       rec.Set("best_ns_per_tuple", best.ns_per_tuple);
       rec.Set("best_cycles_per_tuple", best_cpt);
-      reporter->AddRawRecord(std::move(rec));
     }
   }
 
-  if (reporter) {
-    Status st = reporter->Write();
-    if (!st.ok()) {
-      std::fprintf(stderr, "failed to write %s: %s\n",
-                   reporter->output_path().c_str(), st.ToString().c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s (%zu records)\n",
-                reporter->output_path().c_str(),
-                reporter->doc().Find("records")->size());
-  }
+  if (reporter && !reporter->WriteAndReport()) return 1;
   return rc;
 }
 
@@ -397,16 +364,6 @@ int main(int argc, char** argv) {
       "\npaper: concave curves; optima G=19, D=1 at T=150, shifting right "
       "at T=1000; swp stays flat as T grows\n");
 
-  if (reporter) {
-    Status st = reporter->Write();
-    if (!st.ok()) {
-      std::fprintf(stderr, "failed to write %s: %s\n",
-                   reporter->output_path().c_str(), st.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote %s (%zu records)\n",
-                reporter->output_path().c_str(),
-                reporter->doc().Find("records")->size());
-  }
+  if (reporter && !reporter->WriteAndReport()) return 1;
   return 0;
 }

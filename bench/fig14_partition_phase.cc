@@ -65,7 +65,7 @@ SimRun RunCell(const FigureCtx& ctx, const std::string& section,
         std::move(config), run);
     rec.Set("outputs", r.outputs);
     rec.Set("verified", r.outputs == input.num_tuples());
-    rec.Set("sim", SimStatsToJson(r.stats));
+    kSimBlock.Set(&rec, r.stats);
   } else {
     run();
   }
@@ -151,16 +151,6 @@ int main(int argc, char** argv) {
       "then deteriorates; group/swp win beyond; combined achieves "
       "1.9-2.6X overall\n");
 
-  if (reporter) {
-    Status st = reporter->Write();
-    if (!st.ok()) {
-      std::fprintf(stderr, "failed to write %s: %s\n",
-                   reporter->output_path().c_str(), st.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote %s (%zu records)\n",
-                reporter->output_path().c_str(),
-                reporter->doc().Find("records")->size());
-  }
+  if (reporter && !reporter->WriteAndReport()) return 1;
   return 0;
 }

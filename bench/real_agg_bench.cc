@@ -5,8 +5,8 @@
 
 // --json[=path] switches to the machine-readable harness (see
 // src/perf/bench_reporter.h), writing BENCH_real_agg.json; --smoke
-// shrinks the fact table for ctest; --tune=static (alias: --auto-tune)
-// calibrates T/Tnext plus the LFB ceiling and picks G and D from the
+// shrinks the fact table for ctest; --tune=static calibrates
+// T/Tnext plus the LFB ceiling and picks G and D from the
 // models via the shared bench::ResolveTuning resolver.
 
 #include <benchmark/benchmark.h>
@@ -192,16 +192,7 @@ int RunJsonHarness(const FlagParser& flags) {
     }
   }
 
-  Status st = reporter.Write();
-  if (!st.ok()) {
-    std::fprintf(stderr, "failed to write %s: %s\n",
-                 reporter.output_path().c_str(), st.ToString().c_str());
-    return 1;
-  }
-  std::printf("wrote %s (%zu records, counters %s)\n",
-              reporter.output_path().c_str(),
-              reporter.doc().Find("records")->size(),
-              reporter.counters_available() ? "available" : "unavailable");
+  if (!reporter.WriteAndReport()) return 1;
   return 0;
 }
 
@@ -224,7 +215,7 @@ int main(int argc, char** argv) {
   }
 
   const char* repo_flags[] = {"--smoke", "--trials", "--warmup",
-                              "--tune", "--auto-tune", "--scheme"};
+                              "--tune", "--scheme"};
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
     std::string a = argv[i];

@@ -28,8 +28,7 @@
 // paper defaults, static calibrates T/Tnext/max_outstanding on this
 // host and applies Theorems 1+2 with the LFB clamp, and online
 // additionally runs the per-batch PrefetchTuner feedback loop and
-// records its trajectory. --auto-tune is the legacy alias for
-// --tune=static.
+// records its trajectory.
 
 #include <benchmark/benchmark.h>
 
@@ -222,10 +221,10 @@ void DiskGraceJoinBench(benchmark::State& state, bool checksums,
       state.SkipWithError("bad disk join result");
       break;
     }
-    injected += r.value().recovery.injected_faults;
-    retries +=
-        r.value().recovery.read_retries + r.value().recovery.write_retries;
-    verify_fixes += r.value().recovery.write_verify_failures;
+    const IoRecoveryStats& io = r.value().recovery.io;
+    injected += io.injected_faults;
+    retries += io.read_retries + io.write_retries;
+    verify_fixes += io.write_verify_failures;
     benchmark::DoNotOptimize(r.value().output_tuples);
   }
   state.SetItemsProcessed(int64_t(state.iterations()) *
@@ -359,8 +358,6 @@ void RunOnlineJoinSection(perf::BenchReporter* reporter,
       }
     }
 
-    JsonValue rec = JsonValue::Object();
-    rec.Set("name", std::string("online/") + SchemeName(scheme));
     JsonValue config = JsonValue::Object();
     config.Set("phase", "online");
     config.Set("scheme", SchemeName(scheme));
@@ -372,17 +369,9 @@ void RunOnlineJoinSection(perf::BenchReporter* reporter,
     config.Set("probe_tuples", w.probe.num_tuples());
     config.Set("working_set_bytes", working_set);
     config.Set("batches", uint64_t(num_batches));
-    rec.Set("config", std::move(config));
-    rec.Set("trials", 1);
-    rec.Set("warmup", 0);
-    JsonValue wall_obj = JsonValue::Object();
-    wall_obj.Set("median", wall);
-    wall_obj.Set("min", wall);
-    wall_obj.Set("mean", wall);
-    rec.Set("wall_seconds", std::move(wall_obj));
-    rec.Set("counters", JsonValue());
-    rec.Set("counters_unavailable",
-            "per-batch counter windows feed the online tuner");
+    JsonValue& rec = reporter->AddMeasuredRecord(
+        std::string("online/") + SchemeName(scheme), std::move(config), wall,
+        "per-batch counter windows feed the online tuner");
     rec.Set("outputs", outputs);
     rec.Set("verified", ok);
     rec.Set("tuning", tuning.ToJson());
@@ -399,9 +388,8 @@ void RunOnlineJoinSection(perf::BenchReporter* reporter,
     tj.Set("cycles_per_tuple",
            total_tuples > 0 ? total_cycles / double(total_tuples) : 0.0);
     tj.Set("converged_cycles_per_tuple", converged_cost);
-    tj.Set("trajectory", bench::TunerTrajectoryJson(tuner));
+    bench::kTrajectoryBlock.Set(&tj, tuner.trajectory());
     rec.Set("tuner", std::move(tj));
-    reporter->AddRawRecord(std::move(rec));
   }
 }
 
@@ -576,29 +564,11 @@ int RunJsonHarness(const FlagParser& flags) {
           });
       rec.Set("outputs", outputs);
       rec.Set("verified", ok);
-      JsonValue io = JsonValue::Object();
-      io.Set("read_retries", recovery.read_retries);
-      io.Set("write_retries", recovery.write_retries);
-      io.Set("checksum_failures", recovery.checksum_failures);
-      io.Set("write_verify_failures", recovery.write_verify_failures);
-      io.Set("injected_faults", recovery.injected_faults);
-      io.Set("recursive_splits", recovery.recursive_splits);
-      io.Set("chunked_fallbacks", recovery.chunked_fallbacks);
-      io.Set("deepest_recursion", recovery.deepest_recursion);
-      rec.Set("io_recovery", std::move(io));
+      bench::kRecoveryBlock.Set(&rec, recovery);
     }
   }
 
-  Status st = reporter.Write();
-  if (!st.ok()) {
-    std::fprintf(stderr, "failed to write %s: %s\n",
-                 reporter.output_path().c_str(), st.ToString().c_str());
-    return 1;
-  }
-  std::printf("wrote %s (%zu records, counters %s)\n",
-              reporter.output_path().c_str(),
-              reporter.doc().Find("records")->size(),
-              reporter.counters_available() ? "available" : "unavailable");
+  if (!reporter.WriteAndReport()) return 1;
   return 0;
 }
 
@@ -624,7 +594,7 @@ int main(int argc, char** argv) {
   uint64_t fault_seed = uint64_t(flags.GetInt("fault-seed", 0x5EED));
 
   const char* repo_flags[] = {"--threads", "--fault-rate", "--fault-seed",
-                              "--scheme",  "--tune",       "--auto-tune"};
+                              "--scheme", "--tune"};
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
     std::string a = argv[i];

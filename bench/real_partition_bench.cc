@@ -15,8 +15,8 @@
 // src/perf/bench_reporter.h): warm-up + trials per configuration with
 // hardware counters when available, written to
 // BENCH_real_partition.json. --smoke shrinks the input for ctest;
-// --tune=static (alias: --auto-tune) calibrates T/Tnext plus the LFB
-// ceiling and picks G and D via the shared bench::ResolveTuning.
+// --tune=static calibrates T/Tnext plus the LFB ceiling
+// and picks G and D via the shared bench::ResolveTuning.
 
 #include <benchmark/benchmark.h>
 
@@ -251,16 +251,7 @@ int RunJsonHarness(const FlagParser& flags) {
     }
   }
 
-  Status st = reporter.Write();
-  if (!st.ok()) {
-    std::fprintf(stderr, "failed to write %s: %s\n",
-                 reporter.output_path().c_str(), st.ToString().c_str());
-    return 1;
-  }
-  std::printf("wrote %s (%zu records, counters %s)\n",
-              reporter.output_path().c_str(),
-              reporter.doc().Find("records")->size(),
-              reporter.counters_available() ? "available" : "unavailable");
+  if (!reporter.WriteAndReport()) return 1;
   return 0;
 }
 
@@ -284,7 +275,7 @@ int main(int argc, char** argv) {
   uint64_t fault_seed = uint64_t(flags.GetInt("fault-seed", 0x5EED));
 
   const char* repo_flags[] = {"--fault-rate", "--fault-seed", "--scheme",
-                              "--tune", "--auto-tune"};
+                              "--tune"};
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
     std::string a = argv[i];

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_blocks.h"
 #include "cache/hash_table_cache.h"
 #include "hash/hash_table.h"
 #include "join/grace.h"
@@ -56,53 +57,6 @@ struct ReplayJob {
   uint64_t expected_matches = 0;
   cache::CacheKey key;
 };
-
-double Percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  size_t idx = size_t(p * double(v.size() - 1) + 0.5);
-  return v[std::min(idx, v.size() - 1)];
-}
-
-JsonValue WallObject(double seconds) {
-  JsonValue wall = JsonValue::Object();
-  wall.Set("median", seconds);
-  wall.Set("min", seconds);
-  wall.Set("mean", seconds);
-  return wall;
-}
-
-void FinishRawRecord(JsonValue* rec) {
-  rec->Set("trials", 1);
-  rec->Set("warmup", 0);
-  rec->Set("counters", JsonValue());
-  rec->Set("counters_unavailable",
-           "per-query wall time is measured by the service, not the "
-           "trial harness");
-}
-
-/// The cache metrics object every record variant carries — zeros with
-/// --reuse=off so the JSON schema (and the smoke fixture's --require
-/// list) is identical in both modes.
-JsonValue CacheObject(const cache::CacheStats& cs,
-                      uint64_t broker_cache_revoked,
-                      uint64_t normal_revokes_with_surplus) {
-  JsonValue c = JsonValue::Object();
-  c.Set("hit_rate", cs.HitRate());
-  c.Set("hits", cs.hits);
-  c.Set("misses", cs.misses);
-  c.Set("lookups", cs.lookups);
-  c.Set("inserts", cs.inserts);
-  c.Set("rejected_inserts", cs.rejected_inserts);
-  c.Set("evictions", cs.evictions);
-  c.Set("invalidations", cs.invalidations);
-  c.Set("revoked_bytes", cs.revoked_bytes);
-  c.Set("charged_bytes", cs.charged_bytes);
-  c.Set("entries", cs.entries);
-  c.Set("broker_revoked_bytes", broker_cache_revoked);
-  c.Set("normal_revokes_with_cache_surplus", normal_revokes_with_surplus);
-  return c;
-}
 
 }  // namespace
 
@@ -251,12 +205,14 @@ int main(int argc, char** argv) {
                           stats.completed == spec.num_queries;
   const double throughput =
       replay_seconds > 0 ? double(stats.completed) / replay_seconds : 0;
+  const perf::TailLatency tail =
+      perf::TailLatency::Of(run_seconds, queue_seconds);
 
+  // Zeros with --reuse=off, so the JSON schema (and the smoke fixture's
+  // --require list) is identical in both modes.
   cache::CacheStats cs;
   if (table_cache != nullptr) cs = table_cache->stats();
-  const uint64_t broker_cache_revoked = sched.broker().cache_revoked_bytes();
-  const uint64_t normal_with_surplus =
-      sched.broker().normal_revokes_with_cache_surplus();
+  const CacheLedger ledger = sched.broker().cache_ledger();
 
   std::printf("%-6s %8s %6s %8s\n", "table", "queries", "hits", "hit%");
   for (uint32_t t = 0; t < spec.num_tables; ++t) {
@@ -270,8 +226,7 @@ int main(int argc, char** argv) {
       "\nservice: %llu completed, %llu failed; %.4fs wall; "
       "%.1f queries/s; run p50=%.4fs p99=%.4fs\n",
       (unsigned long long)stats.completed, (unsigned long long)stats.failed,
-      replay_seconds, throughput, Percentile(run_seconds, 0.5),
-      Percentile(run_seconds, 0.99));
+      replay_seconds, throughput, tail.run_p50, tail.run_p99);
   std::printf(
       "cache: %.1f%% hit rate (%llu/%llu), %llu inserts, %llu evictions, "
       "%llu invalidated, %.1f KiB revoked (broker: %.1f KiB); updates=%llu\n",
@@ -280,19 +235,19 @@ int main(int argc, char** argv) {
       (unsigned long long)cs.evictions,
       (unsigned long long)cs.invalidations,
       double(cs.revoked_bytes) / 1024.0,
-      double(broker_cache_revoked) / 1024.0,
+      double(ledger.broker_revoked_bytes) / 1024.0,
       (unsigned long long)catalog.total_updates());
-  if (normal_with_surplus != 0) {
+  if (ledger.normal_revokes_with_cache_surplus != 0) {
     std::printf("FAILURE: %llu normal-grant revokes happened while the "
                 "cache still held revocable surplus\n",
-                (unsigned long long)normal_with_surplus);
+                (unsigned long long)ledger.normal_revokes_with_cache_surplus);
   }
   if (!service_ok) {
     std::printf("FAILURE: %llu queries wrong or failed\n",
                 (unsigned long long)(bad_counts + stats.failed));
   }
 
-  const bool ok = service_ok && normal_with_surplus == 0;
+  const bool ok = service_ok && ledger.normal_revokes_with_cache_surplus == 0;
 
   if (flags.Has("json")) {
     perf::BenchReporter::Options opt;
@@ -306,22 +261,17 @@ int main(int argc, char** argv) {
 
     for (uint32_t t = 0; t < spec.num_tables; ++t) {
       if (table_queries[t] == 0) continue;
-      JsonValue rec = JsonValue::Object();
-      rec.Set("name", "table/" + std::to_string(t));
       JsonValue config = JsonValue::Object();
       config.Set("reuse", reuse ? "on" : "off");
       config.Set("table", t);
       config.Set("build_tuples", spec.build_tuples_per_table);
-      rec.Set("config", std::move(config));
-      rec.Set("wall_seconds", WallObject(0));
-      FinishRawRecord(&rec);
+      JsonValue& rec = reporter.AddMeasuredRecord(
+          "table/" + std::to_string(t), std::move(config), 0,
+          bench::kServiceTimed);
       rec.Set("queries", table_queries[t]);
       rec.Set("hits", table_hits[t]);
-      reporter.AddRawRecord(std::move(rec));
     }
 
-    JsonValue rec = JsonValue::Object();
-    rec.Set("name", "reuse");
     JsonValue config = JsonValue::Object();
     config.Set("reuse", reuse ? "on" : "off");
     config.Set("tables", spec.num_tables);
@@ -334,37 +284,18 @@ int main(int argc, char** argv) {
     config.Set("mem_budget", mem_budget);
     config.Set("cache_bytes", reuse ? cache_bytes : 0);
     config.Set("max_concurrent", sched_cfg.max_concurrent);
-    rec.Set("config", std::move(config));
-    rec.Set("wall_seconds", WallObject(replay_seconds));
-    FinishRawRecord(&rec);
+    JsonValue& rec = reporter.AddMeasuredRecord(
+        "reuse", std::move(config), replay_seconds, bench::kServiceTimed);
     rec.Set("completed", stats.completed);
     rec.Set("failed", stats.failed);
     rec.Set("throughput_qps", throughput);
     rec.Set("updates", catalog.total_updates());
     rec.Set("invalidated_entries", invalidated_entries);
-    rec.Set("cache",
-            CacheObject(cs, broker_cache_revoked, normal_with_surplus));
-    JsonValue tail = JsonValue::Object();
-    tail.Set("run_p50", Percentile(run_seconds, 0.5));
-    tail.Set("run_p95", Percentile(run_seconds, 0.95));
-    tail.Set("run_p99", Percentile(run_seconds, 0.99));
-    tail.Set("run_max", Percentile(run_seconds, 1.0));
-    tail.Set("queue_p50", Percentile(queue_seconds, 0.5));
-    tail.Set("queue_p95", Percentile(queue_seconds, 0.95));
-    tail.Set("queue_p99", Percentile(queue_seconds, 0.99));
-    tail.Set("queue_max", Percentile(queue_seconds, 1.0));
-    rec.Set("tail_latency", std::move(tail));
+    bench::kCacheBlock.Set(&rec, cs, ledger);
+    perf::kTailLatencyBlock.Set(&rec, tail);
     rec.Set("verified", ok);
-    reporter.AddRawRecord(std::move(rec));
 
-    Status st = reporter.Write();
-    if (!st.ok()) {
-      std::fprintf(stderr, "failed to write %s: %s\n",
-                   reporter.output_path().c_str(), st.ToString().c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s (%zu records)\n", reporter.output_path().c_str(),
-                reporter.doc().Find("records")->size());
+    if (!reporter.WriteAndReport()) return 1;
   }
   return ok ? 0 : 1;
 }

@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
             std::move(config), run_build);
         rec.Set("outputs", built);
         rec.Set("verified", built == build.num_tuples());
-        rec.Set("sim", SimStatsToJson(stats));
+        kSimBlock.Set(&rec, stats);
       } else {
         run_build();
       }
@@ -145,8 +145,6 @@ int main(int argc, char** argv) {
       "join-phase window\n");
 
   if (reporter) {
-    JsonValue rec = JsonValue::Object();
-    rec.Set("name", "grace_morsel/theta=0.99");
     JsonValue config = JsonValue::Object();
     config.Set("phase", "grace_full");
     config.Set("scheme", SchemeName(GraceConfig{}.join_scheme));
@@ -156,34 +154,14 @@ int main(int argc, char** argv) {
     config.Set("theta", 0.99);
     config.Set("build_tuples", build.num_tuples());
     config.Set("probe_tuples", probe.num_tuples());
-    rec.Set("config", std::move(config));
-    rec.Set("trials", 1);
-    rec.Set("warmup", 0);
-    JsonValue wall = JsonValue::Object();
-    wall.Set("median", r.join_phase.wall_seconds);
-    wall.Set("min", r.join_phase.wall_seconds);
-    wall.Set("mean", r.join_phase.wall_seconds);
-    rec.Set("wall_seconds", std::move(wall));
-    rec.Set("counters", JsonValue());
-    rec.Set("counters_unavailable", "simulated run (cycles are exact)");
+    JsonValue& rec = reporter->AddMeasuredRecord(
+        "grace_morsel/theta=0.99", std::move(config),
+        r.join_phase.wall_seconds, "simulated run (cycles are exact)");
     rec.Set("outputs", r.output_tuples);
-    rec.Set("sim", SimStatsToJson(r.join_phase.sim));
-    JsonValue per_thread = JsonValue::Array();
-    for (const auto& t : r.per_thread_join_sim) {
-      per_thread.Append(SimStatsToJson(t));
-    }
-    rec.Set("per_thread_sim", std::move(per_thread));
-    reporter->AddRawRecord(std::move(rec));
+    kSimBlock.Set(&rec, r.join_phase.sim);
+    kPerThreadSimBlock.Set(&rec, r.per_thread_join_sim);
 
-    Status st = reporter->Write();
-    if (!st.ok()) {
-      std::fprintf(stderr, "failed to write %s: %s\n",
-                   reporter->output_path().c_str(), st.ToString().c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s (%zu records)\n",
-                reporter->output_path().c_str(),
-                reporter->doc().Find("records")->size());
+    if (!reporter->WriteAndReport()) return 1;
   }
   return 0;
 }

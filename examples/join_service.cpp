@@ -163,9 +163,9 @@ int main(int argc, char** argv) {
                 q.name.c_str(),
                 q.status.ok() ? "ok" : StatusCodeToString(q.status.code()),
                 (unsigned long long)q.output_tuples, verified ? "yes" : "NO",
-                Human(q.grant_initial_bytes).c_str(),
-                Human(q.grant_low_bytes).c_str(),
-                (unsigned long long)q.grant_revokes,
+                Human(q.grant.initial_bytes).c_str(),
+                Human(q.grant.low_bytes).c_str(),
+                (unsigned long long)q.grant.revokes,
                 (unsigned long long)q.recovery.revoke_spills);
   }
 

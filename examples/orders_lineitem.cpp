@@ -120,7 +120,8 @@ int main(int argc, char** argv) {
     ProbePartition(mm, s, lineitem, ht, orders_schema.fixed_size(),
                    params, &out);
     sim::SimStats st = simulator.stats();
-    std::printf("[sim] %-9s %s\n", SchemeName(s), st.ToString().c_str());
+    std::printf("[sim] %-9s %s\n", SchemeName(s),
+                fields::ToJson(st).Dump(0).c_str());
   }
   return 0;
 }

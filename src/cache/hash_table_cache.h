@@ -10,6 +10,7 @@
 #include "storage/relation.h"
 #include "storage/schema.h"
 #include "util/budget_view.h"
+#include "util/fields.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -89,6 +90,22 @@ struct CacheStats {
 
   double HitRate() const {
     return lookups == 0 ? 0.0 : double(hits) / double(lookups);
+  }
+
+  template <class V>
+  static constexpr void VisitFields(V& v) {
+    v("hit_rate", &CacheStats::HitRate);
+    v("lookups", &CacheStats::lookups);
+    v("hits", &CacheStats::hits);
+    v("misses", &CacheStats::misses);
+    v("inserts", &CacheStats::inserts);
+    v("rejected_inserts", &CacheStats::rejected_inserts);
+    v("evictions", &CacheStats::evictions);
+    v("invalidations", &CacheStats::invalidations);
+    v("revoked_bytes", &CacheStats::revoked_bytes);
+    v("charged_bytes", &CacheStats::charged_bytes, fields::Kind::kLevel);
+    v("entries", &CacheStats::entries, fields::Kind::kLevel);
+    v("pinned_entries", &CacheStats::pinned_entries, fields::Kind::kLevel);
   }
 };
 

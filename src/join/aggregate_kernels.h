@@ -254,10 +254,9 @@ void AggregateSwp(MM& mm, const Relation& input, uint32_t value_offset,
                   HashAggTable* agg, uint32_t prefetch_distance) {
   const auto& cfg = mm.config();
   const uint64_t d = std::max(1u, prefetch_distance);
-  const uint64_t ring = NextPowerOfTwo(2 * d + 1);
-  const uint64_t mask = ring - 1;
+  const PipelineRing ring(2, d);  // stages at j, j - d and j - 2d
   TupleCursor cursor(input);
-  std::vector<AggPipelineState> states(ring);
+  std::vector<AggPipelineState> states(ring.size);
   HashTable& ht = agg->table();
 
   uint64_t n = UINT64_MAX;
@@ -265,7 +264,7 @@ void AggregateSwp(MM& mm, const Relation& input, uint32_t value_offset,
   for (uint64_t j = 0;; ++j) {
     mm.Busy(cfg.cost_stage_overhead_spp);
     if (j < n) {
-      if (AggStage0(mm, cursor, states[j & mask], value_offset, ht,
+      if (AggStage0(mm, cursor, states[ring.Slot(j)], value_offset, ht,
                     /*prefetch=*/true)) {
         ++issued;
       } else {
@@ -274,13 +273,13 @@ void AggregateSwp(MM& mm, const Relation& input, uint32_t value_offset,
     }
     if (j >= d && j - d < n) {
       mm.Busy(cfg.cost_stage_overhead_spp);
-      AggPipelineState& st = states[(j - d) & mask];
+      AggPipelineState& st = states[ring.Slot(j - d)];
       st.state = AggVisitBucket(mm, agg, st.hash, st.key);
       mm.Prefetch(st.state, sizeof(AggState));
     }
     if (j >= 2 * d && j - 2 * d < n) {
       mm.Busy(cfg.cost_stage_overhead_spp);
-      AggUpdate(mm, states[(j - 2 * d) & mask]);
+      AggUpdate(mm, states[ring.Slot(j - 2 * d)]);
     }
     if (n != UINT64_MAX && j >= 2 * d && j - 2 * d + 1 >= n) break;
   }

@@ -281,9 +281,8 @@ void BuildSwp(MM& mm, const Relation& build, HashTable* ht,
   constexpr uint32_t kStages = 2;  // k = 2 dependent references
   BuildContext<MM> ctx(&mm, ht, build, params.hash_mode);
   const auto& cfg = mm.config();
-  const uint64_t ring = NextPowerOfTwo(kStages * d + 1);
-  const uint64_t mask = ring - 1;
-  std::vector<BuildState> states(ring);
+  const PipelineRing ring(kStages, d);
+  std::vector<BuildState> states(ring.size);
 
   auto drain_waiters = [&](BuildState& owner_state) {
     int32_t w = owner_state.waiting_head;
@@ -302,7 +301,7 @@ void BuildSwp(MM& mm, const Relation& build, HashTable* ht,
   for (uint64_t j = 0;; ++j) {
     mm.Busy(cfg.cost_stage_overhead_spp);
     if (j < n) {
-      BuildState& st = states[j & mask];
+      BuildState& st = states[ring.Slot(j)];
       if (BuildStage0(ctx, st, /*prefetch=*/true)) {
         ++issued;
       } else {
@@ -311,7 +310,7 @@ void BuildSwp(MM& mm, const Relation& build, HashTable* ht,
     }
     if (j >= d && j - d < n) {
       mm.Busy(cfg.cost_stage_overhead_spp);
-      uint64_t e = (j - d) & mask;
+      uint64_t e = ring.Slot(j - d);
       BuildState& st = states[e];
       uint32_t tag = uint32_t(e) + 1;
       if (!BuildStage1(ctx, st, /*prefetch=*/true, tag)) {
@@ -323,7 +322,7 @@ void BuildSwp(MM& mm, const Relation& build, HashTable* ht,
     }
     if (j >= 2 * d && j - 2 * d < n) {
       mm.Busy(cfg.cost_stage_overhead_spp);
-      BuildState& st = states[(j - 2 * d) & mask];
+      BuildState& st = states[ring.Slot(j - 2 * d)];
       bool had_append = st.append_pending;
       BuildStage2(ctx, st);
       if (had_append || st.waiting_head >= 0) drain_waiters(st);

@@ -957,8 +957,7 @@ StatusOr<DiskJoinResult> DiskGraceJoin::Join(BufferManager::FileId build,
   // a grant revoked during the partition phase would never register as
   // "once larger" and its spills would misclassify as plain skew.
   EffectiveBudget();
-  const IoRecoveryStats io_before = bm_->recovery_stats();
-  const DiskJoinRecovery tally_before = tally_;
+  const DiskJoinRecovery before = Ledger();
   const std::vector<SpillLevelStats> levels_before = level_tally_;
   // One fan-out decision for both relations (pairs must align), made
   // from the build side's observed statistics — StoreRelation sampled
@@ -978,48 +977,14 @@ StatusOr<DiskJoinResult> DiskGraceJoin::Join(BufferManager::FileId build,
         result.output_tuples,
         JoinPartitions(build_parts, probe_parts, &result.join_phase));
   }
-  const IoRecoveryStats io_after = bm_->recovery_stats();
-  result.recovery.read_retries = io_after.read_retries - io_before.read_retries;
-  result.recovery.write_retries =
-      io_after.write_retries - io_before.write_retries;
-  result.recovery.checksum_failures =
-      io_after.checksum_failures - io_before.checksum_failures;
-  result.recovery.write_verify_failures =
-      io_after.write_verify_failures - io_before.write_verify_failures;
-  result.recovery.injected_faults =
-      io_after.injected_faults - io_before.injected_faults;
-  result.recovery.recursive_splits =
-      tally_.recursive_splits - tally_before.recursive_splits;
-  result.recovery.chunked_fallbacks =
-      tally_.chunked_fallbacks - tally_before.chunked_fallbacks;
-  result.recovery.deepest_recursion = tally_.deepest_recursion;
-  result.recovery.max_build_bytes = tally_.max_build_bytes;
-  result.recovery.revoke_spills =
-      tally_.revoke_spills - tally_before.revoke_spills;
-  result.recovery.regrant_unspills =
-      tally_.regrant_unspills - tally_before.regrant_unspills;
-  result.recovery.role_reversals =
-      tally_.role_reversals - tally_before.role_reversals;
-  result.recovery.bnl_fallbacks =
-      tally_.bnl_fallbacks - tally_before.bnl_fallbacks;
-  result.recovery.victim_spills =
-      tally_.victim_spills - tally_before.victim_spills;
-  result.recovery.victim_unspills =
-      tally_.victim_unspills - tally_before.victim_unspills;
+  result.recovery = fields::Diff(Ledger(), before);
   // Per-level split statistics, diffed like the recovery tally so each
   // Join() reports only its own partitioning work.
   for (size_t l = 0; l < level_tally_.size(); ++l) {
-    SpillLevelStats diff = level_tally_[l];
-    if (l < levels_before.size()) {
-      const SpillLevelStats& before = levels_before[l];
-      diff.partitions_written -= before.partitions_written;
-      diff.tuples -= before.tuples;
-      diff.bytes_written -= before.bytes_written;
-      diff.partition_seconds -= before.partition_seconds;
-      for (uint32_t b = 0; b < SpillLevelStats::kHistBins; ++b) {
-        diff.hist[b] -= before.hist[b];
-      }
-    }
+    const SpillLevelStats diff =
+        l < levels_before.size()
+            ? fields::Diff(level_tally_[l], levels_before[l])
+            : level_tally_[l];
     if (diff.tuples != 0 || diff.partitions_written != 0) {
       result.spill_levels.push_back(diff);
     }

@@ -13,6 +13,7 @@
 #include "storage/buffer_manager.h"
 #include "storage/relation.h"
 #include "util/budget_view.h"
+#include "util/fields.h"
 #include "util/status.h"
 
 namespace hashjoin {
@@ -24,6 +25,19 @@ struct DiskPhaseStats {
   double elapsed_seconds = 0;
   double max_disk_seconds = 0;
   double main_wait_seconds = 0;
+
+  /// Share of the elapsed time the main thread spent blocked on I/O.
+  double MainWaitFraction() const {
+    return elapsed_seconds > 0 ? main_wait_seconds / elapsed_seconds : 0.0;
+  }
+
+  template <class V>
+  static constexpr void VisitFields(V& v) {
+    v("elapsed_seconds", &DiskPhaseStats::elapsed_seconds);
+    v("max_disk_seconds", &DiskPhaseStats::max_disk_seconds);
+    v("main_wait_seconds", &DiskPhaseStats::main_wait_seconds);
+    v("main_wait_fraction", &DiskPhaseStats::MainWaitFraction);
+  }
 };
 
 /// What one recursion level of the partition pass actually did: the
@@ -63,6 +77,19 @@ struct SpillLevelStats {
     uint32_t n = 0;
     for (uint64_t b : hist) n += b != 0 ? 1 : 0;
     return n;
+  }
+
+  /// The raw bins stay internal; JSON carries their two summaries.
+  template <class V>
+  static constexpr void VisitFields(V& v) {
+    v("level", &SpillLevelStats::level, fields::Kind::kLevel);
+    v("partitions_written", &SpillLevelStats::partitions_written);
+    v("tuples", &SpillLevelStats::tuples);
+    v("bytes_written", &SpillLevelStats::bytes_written);
+    v("partition_seconds", &SpillLevelStats::partition_seconds);
+    v("hist", &SpillLevelStats::hist, fields::Kind::kInternal);
+    v("max_bin_fraction", &SpillLevelStats::MaxBinFraction);
+    v("nonzero_bins", &SpillLevelStats::NonzeroBins);
   }
 };
 
@@ -164,17 +191,15 @@ struct DiskJoinConfig {
 };
 
 /// Recovery actions taken during one Join() call; all zero on a clean,
-/// well-balanced run. The I/O counters are diffs of the buffer manager's
-/// cumulative stats; the skew counters are tallied by the join itself.
-/// Every rung of the degradation ladder is a DiskGraceJoin member that
-/// increments exactly one of the reason counters below, so the counters
-/// fully classify *why* a join degraded.
+/// well-balanced run. `io` is the diff of the buffer manager's
+/// cumulative stats over the call; the skew counters are tallied by the
+/// join itself. Every rung of the degradation ladder is a DiskGraceJoin
+/// member that increments exactly one of the reason counters below, so
+/// the counters fully classify *why* a join degraded.
 struct DiskJoinRecovery {
-  uint64_t read_retries = 0;
-  uint64_t write_retries = 0;
-  uint64_t checksum_failures = 0;
-  uint64_t write_verify_failures = 0;
-  uint64_t injected_faults = 0;
+  /// Retries, checksum and write-verify failures, injected faults and
+  /// transfer volume of the call.
+  IoRecoveryStats io;
   /// Build partitions that exceeded the budget and were split again.
   uint64_t recursive_splits = 0;
   /// Oversized partitions joined with the chunked multipass build after
@@ -207,6 +232,23 @@ struct DiskJoinRecovery {
   /// Spilled hybrid partitions re-admitted (inverse spill order) after
   /// the budget re-grew.
   uint64_t victim_unspills = 0;
+
+  template <class V>
+  static constexpr void VisitFields(V& v) {
+    v("io", &DiskJoinRecovery::io);
+    v("recursive_splits", &DiskJoinRecovery::recursive_splits);
+    v("chunked_fallbacks", &DiskJoinRecovery::chunked_fallbacks);
+    v("deepest_recursion", &DiskJoinRecovery::deepest_recursion,
+      fields::Kind::kLevel);
+    v("max_build_bytes", &DiskJoinRecovery::max_build_bytes,
+      fields::Kind::kLevel);
+    v("revoke_spills", &DiskJoinRecovery::revoke_spills);
+    v("regrant_unspills", &DiskJoinRecovery::regrant_unspills);
+    v("role_reversals", &DiskJoinRecovery::role_reversals);
+    v("bnl_fallbacks", &DiskJoinRecovery::bnl_fallbacks);
+    v("victim_spills", &DiskJoinRecovery::victim_spills);
+    v("victim_unspills", &DiskJoinRecovery::victim_unspills);
+  }
 };
 
 /// Result of a full disk-backed join.
@@ -406,11 +448,19 @@ class DiskGraceJoin {
 
   void NoteBuildBytes(uint64_t pages, uint64_t tuples);
 
+  /// The cumulative tally with the buffer manager's cumulative I/O
+  /// stats; Join() diffs two of these into DiskJoinResult::recovery.
+  DiskJoinRecovery Ledger() const {
+    DiskJoinRecovery ledger = tally_;
+    ledger.io = bm_->recovery_stats();
+    return ledger;
+  }
+
   BufferManager* bm_;
   DiskJoinConfig config_;
   uint32_t page_size_;
   std::unordered_map<BufferManager::FileId, FileStats> file_stats_;
-  DiskJoinRecovery tally_;  // cumulative skew/recovery tallies
+  DiskJoinRecovery tally_;  // cumulative skew/recovery tallies (io unused)
   /// Cumulative per-level split statistics, indexed by recursion level;
   /// Join() diffs a snapshot into DiskJoinResult::spill_levels.
   std::vector<SpillLevelStats> level_tally_;

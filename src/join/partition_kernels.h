@@ -369,9 +369,8 @@ void PartitionSwp(MM& mm, const Relation& input, PartitionSinkSet* sinks,
   PartitionContext<MM> ctx(&mm, sinks, num_partitions, input,
                            hash_divisor, range);
   const auto& cfg = mm.config();
-  const uint64_t ring = NextPowerOfTwo(kStages * d + 1);
-  const uint64_t mask = ring - 1;
-  std::vector<PartitionState> states(ring);
+  const PipelineRing ring(kStages, d);
+  std::vector<PartitionState> states(ring.size);
 
   auto drain_waiters = [&](PartitionSink* sink) {
     while (sink->pending == 0 && sink->waiting_head >= 0) {
@@ -390,7 +389,7 @@ void PartitionSwp(MM& mm, const Relation& input, PartitionSinkSet* sinks,
       // Stage-0 slot overhead: charged only while tuples are still being
       // issued, so the pipeline drain does not inflate short inputs.
       mm.Busy(cfg.cost_stage_overhead_spp);
-      PartitionState& st = states[j & mask];
+      PartitionState& st = states[ring.Slot(j)];
       if (PartitionStage0(ctx, st, /*prefetch=*/true,
                           /*prefetch_input_pages=*/true)) {
         ++issued;
@@ -400,7 +399,7 @@ void PartitionSwp(MM& mm, const Relation& input, PartitionSinkSet* sinks,
     }
     if (j >= d && j - d < n) {
       mm.Busy(cfg.cost_stage_overhead_spp);
-      uint64_t e = (j - d) & mask;
+      uint64_t e = ring.Slot(j - d);
       PartitionState& st = states[e];
       if (!PartitionStage1(ctx, st, /*prefetch=*/true)) {
         if (st.sink->pending == 0) {
@@ -416,7 +415,7 @@ void PartitionSwp(MM& mm, const Relation& input, PartitionSinkSet* sinks,
     }
     if (j >= 2 * d && j - 2 * d < n) {
       mm.Busy(cfg.cost_stage_overhead_spp);
-      PartitionState& st = states[(j - 2 * d) & mask];
+      PartitionState& st = states[ring.Slot(j - 2 * d)];
       PartitionSink* sink = st.sink;
       PartitionStage2(ctx, st);
       if (sink != nullptr) drain_waiters(sink);

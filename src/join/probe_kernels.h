@@ -399,9 +399,8 @@ uint64_t ProbeSwp(MM& mm, const Relation& probe, const HashTable& ht,
                        probe.schema().fixed_size(), probe, out,
                        params);
   const auto& cfg = mm.config();
-  const uint64_t ring = NextPowerOfTwo(kStages * d + 1);
-  const uint64_t mask = ring - 1;
-  std::vector<ProbeState> states(ring);
+  const PipelineRing ring(kStages, d);
+  std::vector<ProbeState> states(ring.size);
 
   uint64_t n = UINT64_MAX;  // learned when the input runs out
   uint64_t issued = 0;
@@ -410,7 +409,7 @@ uint64_t ProbeSwp(MM& mm, const Relation& probe, const HashTable& ht,
       // Stage-0 slot overhead: charged only while tuples are still being
       // issued, so the pipeline drain does not inflate short inputs.
       mm.Busy(cfg.cost_stage_overhead_spp);
-      ProbeState& st = states[j & mask];
+      ProbeState& st = states[ring.Slot(j)];
       if (ProbeStage0(ctx, st, /*prefetch=*/true)) {
         ++issued;
       } else {
@@ -419,15 +418,15 @@ uint64_t ProbeSwp(MM& mm, const Relation& probe, const HashTable& ht,
     }
     if (j >= d && j - d < n) {
       mm.Busy(cfg.cost_stage_overhead_spp);
-      ProbeStage1(ctx, states[(j - d) & mask], true);
+      ProbeStage1(ctx, states[ring.Slot(j - d)], true);
     }
     if (j >= 2 * d && j - 2 * d < n) {
       mm.Busy(cfg.cost_stage_overhead_spp);
-      ProbeStage2(ctx, states[(j - 2 * d) & mask], true);
+      ProbeStage2(ctx, states[ring.Slot(j - 2 * d)], true);
     }
     if (j >= 3 * d && j - 3 * d < n) {
       mm.Busy(cfg.cost_stage_overhead_spp);
-      ProbeStage3(ctx, states[(j - 3 * d) & mask]);
+      ProbeStage3(ctx, states[ring.Slot(j - 3 * d)]);
     }
     // Drain window ends at the actual issued count: the last real tuple
     // (n-1) finishes stage 3 at j = n - 1 + 3D, and an empty input needs

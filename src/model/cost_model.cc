@@ -102,7 +102,7 @@ uint32_t SwpPrefetchModel::MinDistance(const CodeCosts& costs,
 }
 
 uint32_t SwpPrefetchModel::StateArraySize(uint32_t k, uint32_t distance) {
-  return uint32_t(NextPowerOfTwo(uint64_t(k) * distance + 1));
+  return uint32_t(PipelineRing(k, distance).size);
 }
 
 uint64_t SwpPrefetchModel::CriticalPathCycles(const CodeCosts& costs,

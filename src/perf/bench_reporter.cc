@@ -1,8 +1,10 @@
 #include "perf/bench_reporter.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdio>
+#include <optional>
 #include <thread>
+#include <type_traits>
 
 #include "util/logging.h"
 #include "util/timer.h"
@@ -19,17 +21,82 @@ double Median(std::vector<double> v) {
   return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
 }
 
-std::optional<uint64_t> MedianCounter(
-    const std::vector<std::optional<uint64_t>>& per_trial) {
-  std::vector<double> present;
-  for (const auto& v : per_trial) {
-    if (v.has_value()) present.push_back(double(*v));
+/// The trials' reading: each counter's median over the trials that
+/// measured it, `scaled` when any trial was, the smallest running
+/// fraction. Returns false when no counter was measured at all.
+bool MedianOfTrials(const std::vector<CounterValues>& trials,
+                    CounterValues* out) {
+  bool any_measured = false;
+  auto visit = [&](const char*, auto member,
+                   fields::Kind = fields::Kind::kCounter) {
+    using M = fields::MemberType<decltype(member)>;
+    if constexpr (std::is_same_v<M, std::optional<uint64_t>>) {
+      std::vector<double> measured;
+      for (const CounterValues& t : trials) {
+        if ((t.*member).has_value()) measured.push_back(double(*(t.*member)));
+      }
+      if (!measured.empty()) {
+        out->*member = uint64_t(Median(std::move(measured)));
+        any_measured = true;
+      }
+    }
+  };
+  CounterValues::VisitFields(visit);
+  for (const CounterValues& t : trials) {
+    out->scaled |= t.scaled;
+    out->running_fraction = std::min(out->running_fraction, t.running_fraction);
   }
-  if (present.empty()) return std::nullopt;
-  return uint64_t(Median(std::move(present)));
+  return any_measured;
+}
+
+JsonValue WallJson(const std::vector<double>& wall) {
+  JsonValue obj = JsonValue::Object();
+  obj.Set("median", Median(wall));
+  obj.Set("min", *std::min_element(wall.begin(), wall.end()));
+  double mean = 0;
+  for (double s : wall) mean += s;
+  obj.Set("mean", mean / double(wall.size()));
+  JsonValue all = JsonValue::Array();
+  for (double s : wall) all.Append(s);
+  obj.Set("all", std::move(all));
+  return obj;
+}
+
+JsonValue RecordEnvelope(const std::string& name, JsonValue config,
+                         int trials, int warmup,
+                         const std::vector<double>& wall) {
+  JsonValue record = JsonValue::Object();
+  record.Set("name", name);
+  record.Set("config", std::move(config));
+  record.Set("trials", int64_t(trials));
+  record.Set("warmup", int64_t(warmup));
+  record.Set("wall_seconds", WallJson(wall));
+  return record;
+}
+
+void SetCountersUnavailable(JsonValue* record, std::string why) {
+  record->Set("counters", JsonValue());
+  record->Set("counters_unavailable", std::move(why));
+}
+
+/// Nearest-rank percentile of `v` (0 when empty); p in [0, 1].
+double Percentile(std::vector<double> v, double p) {
+  if (v.empty()) return 0;
+  std::sort(v.begin(), v.end());
+  size_t idx = size_t(p * double(v.size() - 1) + 0.5);
+  return v[std::min(idx, v.size() - 1)];
 }
 
 }  // namespace
+
+TailLatency TailLatency::Of(const std::vector<double>& run_seconds,
+                            const std::vector<double>& queue_seconds) {
+  const std::vector<double>& r = run_seconds;
+  const std::vector<double>& q = queue_seconds;
+  return {Percentile(r, 0.5), Percentile(r, 0.95), Percentile(r, 0.99),
+          Percentile(r, 1.0), Percentile(q, 0.5),  Percentile(q, 0.95),
+          Percentile(q, 0.99), Percentile(q, 1.0)};
+}
 
 BenchReporter::BenchReporter(Options options)
     : options_(std::move(options)) {
@@ -82,14 +149,8 @@ JsonValue& BenchReporter::AddRecord(const std::string& name,
 
   std::vector<double> wall;
   wall.reserve(size_t(options_.trials));
-  const char* counter_names[] = {"cycles",      "instructions",
-                                 "l1d_misses",  "llc_misses",
-                                 "dtlb_misses", "branch_misses"};
-  std::vector<std::vector<std::optional<uint64_t>>> counter_trials(6);
-  bool any_scaled = false;
-  double min_running_fraction = 1.0;
+  std::vector<CounterValues> counter_trials;
   const bool use_counters = counters_available();
-
   for (int t = 0; t < options_.trials; ++t) {
     if (setup) setup();
     WallTimer timer;
@@ -97,76 +158,55 @@ JsonValue& BenchReporter::AddRecord(const std::string& name,
     body();
     if (use_counters) counters_.Stop();
     wall.push_back(timer.ElapsedSeconds());
-    if (use_counters) {
-      const CounterValues& v = counters_.values();
-      const std::optional<uint64_t>* slots[] = {
-          &v.cycles,      &v.instructions, &v.l1d_misses,
-          &v.llc_misses,  &v.dtlb_misses,  &v.branch_misses};
-      for (int i = 0; i < 6; ++i) counter_trials[i].push_back(*slots[i]);
-      any_scaled |= v.scaled;
-      min_running_fraction =
-          std::min(min_running_fraction, v.running_fraction);
-    }
+    if (use_counters) counter_trials.push_back(counters_.values());
   }
 
-  JsonValue record = JsonValue::Object();
-  record.Set("name", name);
-  record.Set("config", std::move(config));
-  record.Set("trials", int64_t(options_.trials));
-  record.Set("warmup", int64_t(options_.warmup));
-
-  JsonValue wall_obj = JsonValue::Object();
-  wall_obj.Set("median", Median(wall));
-  wall_obj.Set("min", *std::min_element(wall.begin(), wall.end()));
-  double mean = 0;
-  for (double s : wall) mean += s;
-  wall_obj.Set("mean", mean / double(wall.size()));
-  JsonValue all = JsonValue::Array();
-  for (double s : wall) all.Append(s);
-  wall_obj.Set("all", std::move(all));
-  record.Set("wall_seconds", std::move(wall_obj));
-
-  if (use_counters) {
-    JsonValue c = JsonValue::Object();
-    bool any_present = false;
-    for (int i = 0; i < 6; ++i) {
-      auto median = MedianCounter(counter_trials[i]);
-      any_present |= median.has_value();
-      c.Set(counter_names[i],
-            median.has_value() ? JsonValue(*median) : JsonValue());
-    }
-    if (any_present) {
-      const JsonValue* cyc = c.Find("cycles");
-      const JsonValue* ins = c.Find("instructions");
-      if (cyc != nullptr && ins != nullptr && !cyc->is_null() &&
-          !ins->is_null() && cyc->AsInt() > 0) {
-        c.Set("ipc", double(ins->AsInt()) / double(cyc->AsInt()));
-      }
-      c.Set("scaled", any_scaled);
-      c.Set("running_fraction", min_running_fraction);
-      record.Set("counters", std::move(c));
-    } else {
-      record.Set("counters", JsonValue());
-      record.Set("counters_unavailable",
-                 "counter group never scheduled on a PMU");
-    }
+  JsonValue record = RecordEnvelope(name, std::move(config), options_.trials,
+                                    options_.warmup, wall);
+  CounterValues median;
+  if (!use_counters) {
+    SetCountersUnavailable(&record, options_.collect_counters
+                                        ? counters_.unavailable_reason()
+                                        : "disabled by caller");
+  } else if (!MedianOfTrials(counter_trials, &median)) {
+    SetCountersUnavailable(&record, "counter group never scheduled on a PMU");
   } else {
-    record.Set("counters", JsonValue());
-    record.Set("counters_unavailable",
-               options_.collect_counters ? counters_.unavailable_reason()
-                                         : "disabled by caller");
+    kCountersBlock.Set(&record, median);
   }
-
-  return AddRawRecord(std::move(record));
+  return Append(std::move(record));
 }
 
-JsonValue& BenchReporter::AddRawRecord(JsonValue record) {
+JsonValue& BenchReporter::AddMeasuredRecord(const std::string& name,
+                                            JsonValue config,
+                                            double wall_seconds,
+                                            const std::string& why,
+                                            int trials) {
+  JsonValue record =
+      RecordEnvelope(name, std::move(config), trials, 0, {wall_seconds});
+  SetCountersUnavailable(&record, why);
+  return Append(std::move(record));
+}
+
+JsonValue& BenchReporter::Append(JsonValue record) {
   JsonValue* records = doc_.FindMutable("records");
   HJ_CHECK(records != nullptr);
   return records->Append(std::move(record));
 }
 
 Status BenchReporter::Write() const { return WriteJsonFile(output_path_, doc_); }
+
+bool BenchReporter::WriteAndReport() const {
+  Status st = Write();
+  if (!st.ok()) {
+    std::fprintf(stderr, "failed to write %s: %s\n", output_path_.c_str(),
+                 st.ToString().c_str());
+    return false;
+  }
+  std::printf("wrote %s (%zu records, counters %s)\n", output_path_.c_str(),
+              doc_.Find("records")->size(),
+              counters_available() ? "available" : "unavailable");
+  return true;
+}
 
 }  // namespace perf
 }  // namespace hashjoin

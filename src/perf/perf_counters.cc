@@ -24,25 +24,6 @@ std::optional<double> CounterValues::Ipc() const {
   return double(*instructions) / double(*cycles);
 }
 
-JsonValue CounterValues::ToJson() const {
-  JsonValue o = JsonValue::Object();
-  auto put = [&](const char* name, const std::optional<uint64_t>& v) {
-    o.Set(name, v.has_value() ? JsonValue(*v) : JsonValue());
-  };
-  put("cycles", cycles);
-  put("instructions", instructions);
-  put("l1d_misses", l1d_misses);
-  put("llc_misses", llc_misses);
-  put("dtlb_misses", dtlb_misses);
-  put("branch_misses", branch_misses);
-  put("stalled_cycles", stalled_cycles);
-  auto ipc = Ipc();
-  o.Set("ipc", ipc.has_value() ? JsonValue(*ipc) : JsonValue());
-  o.Set("scaled", scaled);
-  o.Set("running_fraction", running_fraction);
-  return o;
-}
-
 struct PerfCounters::Event {
   const char* name;
   int fd = -1;

@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "util/json_writer.h"
+#include "util/fields.h"
 
 namespace hashjoin {
 namespace perf {
@@ -32,10 +32,24 @@ struct CounterValues {
   /// Instructions per cycle, when both counters were measured.
   std::optional<double> Ipc() const;
 
-  /// {"cycles": N, ..., "scaled": bool} with `null` for absent counters,
-  /// so the emitted JSON distinguishes "not measured" from 0 — the
-  /// Ailamaki-style breakdown consumers need that distinction.
-  JsonValue ToJson() const;
+  /// An absent counter is written as null, so the JSON distinguishes
+  /// "not measured" from 0 — the Ailamaki-style breakdown consumers
+  /// need that distinction.
+  template <class V>
+  static constexpr void VisitFields(V& v) {
+    v("cycles", &CounterValues::cycles);
+    v("instructions", &CounterValues::instructions);
+    v("l1d_misses", &CounterValues::l1d_misses);
+    v("llc_misses", &CounterValues::llc_misses);
+    v("dtlb_misses", &CounterValues::dtlb_misses);
+    v("branch_misses", &CounterValues::branch_misses);
+    v("stalled_cycles", &CounterValues::stalled_cycles);
+    v("ipc", &CounterValues::Ipc);
+    v("scaled", &CounterValues::scaled);
+    v("running_fraction", &CounterValues::running_fraction);
+    v("time_enabled_ns", &CounterValues::time_enabled_ns,
+      fields::Kind::kInternal);
+  }
 };
 
 /// Grouped perf_event_open reader for the paper's measurement set

@@ -171,11 +171,7 @@ void JoinScheduler::RunOne(Entry entry) {
     }
 
     const MemoryGrant& grant = ctx.grant();
-    ctx.stats().grant_initial_bytes = grant.initial_bytes();
-    ctx.stats().grant_low_bytes = grant.low_watermark();
-    ctx.stats().grant_final_bytes = grant.bytes();
-    ctx.stats().grant_revokes = grant.revokes();
-    ctx.stats().grant_regrows = grant.regrows();
+    ctx.stats().grant = grant.History();
     ctx.stats().run_seconds = run_timer.ElapsedSeconds();
 
     qs = std::move(ctx.stats());

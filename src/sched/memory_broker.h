@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "util/budget_view.h"
+#include "util/fields.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -26,6 +27,40 @@ class MemoryBroker;
 enum class GrantClass {
   kNormal,
   kCache,
+};
+
+/// A grant's whole history, read at the end of its query.
+struct GrantHistory {
+  uint64_t initial_bytes = 0;  ///< bytes held right after Acquire
+  uint64_t low_bytes = 0;      ///< smallest size a revoke forced
+  uint64_t final_bytes = 0;    ///< size when the query finished
+  uint64_t revokes = 0;        ///< times the broker shrank it
+  uint64_t regrows = 0;        ///< times the broker re-grew it
+
+  template <class V>
+  static constexpr void VisitFields(V& v) {
+    v("initial_bytes", &GrantHistory::initial_bytes, fields::Kind::kLevel);
+    v("low_bytes", &GrantHistory::low_bytes, fields::Kind::kLevel);
+    v("final_bytes", &GrantHistory::final_bytes, fields::Kind::kLevel);
+    v("revokes", &GrantHistory::revokes);
+    v("regrows", &GrantHistory::regrows);
+  }
+};
+
+/// The broker's cache-grant ledger: bytes revoked from the kCache class
+/// and normal-grant revokes made while cache surplus remained (see
+/// MemoryBroker::cache_revoked_bytes and
+/// normal_revokes_with_cache_surplus).
+struct CacheLedger {
+  uint64_t broker_revoked_bytes = 0;
+  uint64_t normal_revokes_with_cache_surplus = 0;
+
+  template <class V>
+  static constexpr void VisitFields(V& v) {
+    v("broker_revoked_bytes", &CacheLedger::broker_revoked_bytes);
+    v("normal_revokes_with_cache_surplus",
+      &CacheLedger::normal_revokes_with_cache_surplus);
+  }
 };
 
 /// One revocable memory reservation handed out by a MemoryBroker.
@@ -73,6 +108,10 @@ class MemoryGrant {
   uint64_t initial_bytes() const { return initial_bytes_; }
   uint64_t low_watermark() const {
     return low_watermark_.load(std::memory_order_relaxed);
+  }
+
+  GrantHistory History() const {
+    return {initial_bytes(), low_watermark(), bytes(), revokes(), regrows()};
   }
 
   /// Installs a callback invoked after each revoke with the new grant
@@ -193,6 +232,10 @@ class MemoryBroker {
   uint64_t normal_revokes_with_cache_surplus() const {
     return normal_revokes_with_cache_surplus_.load(
         std::memory_order_relaxed);
+  }
+
+  CacheLedger cache_ledger() const {
+    return {cache_revoked_bytes(), normal_revokes_with_cache_surplus()};
   }
 
  private:

@@ -37,12 +37,8 @@ struct QueryStats {
 
   uint64_t output_tuples = 0;
 
-  // --- grant history (copied from the MemoryGrant at completion) ---
-  uint64_t grant_initial_bytes = 0;  ///< bytes held right after Acquire
-  uint64_t grant_low_bytes = 0;      ///< smallest size a revoke forced
-  uint64_t grant_final_bytes = 0;    ///< size when the query finished
-  uint64_t grant_revokes = 0;        ///< times the broker shrank it
-  uint64_t grant_regrows = 0;        ///< times the broker re-grew it
+  /// Copied from the MemoryGrant at completion.
+  GrantHistory grant;
 
   // --- spill + I/O recovery, filled by the query body ---
   /// Skew/spill counters diffed from the query's DiskGraceJoin runs;

@@ -2,7 +2,8 @@
 #define HASHJOIN_SIMCACHE_STATS_H_
 
 #include <cstdint>
-#include <string>
+
+#include "util/fields.h"
 
 namespace hashjoin {
 namespace sim {
@@ -43,13 +44,31 @@ struct SimStats {
            prefetch_partial;
   }
 
-  SimStats& operator+=(const SimStats& o);
+  SimStats& operator+=(const SimStats& o) {
+    fields::Add(*this, o);
+    return *this;
+  }
 
   /// Counter-wise difference (for windowed measurements: after - before).
-  SimStats operator-(const SimStats& o) const;
+  SimStats operator-(const SimStats& o) const { return fields::Diff(*this, o); }
 
-  /// Multi-line human-readable report used by the bench binaries.
-  std::string ToString() const;
+  template <class V>
+  static constexpr void VisitFields(V& v) {
+    v("total_cycles", &SimStats::TotalCycles);
+    v("busy_cycles", &SimStats::busy_cycles);
+    v("dcache_stall_cycles", &SimStats::dcache_stall_cycles);
+    v("dtlb_stall_cycles", &SimStats::dtlb_stall_cycles);
+    v("other_stall_cycles", &SimStats::other_stall_cycles);
+    v("l1_hits", &SimStats::l1_hits);
+    v("l2_hits", &SimStats::l2_hits);
+    v("full_misses", &SimStats::full_misses);
+    v("prefetch_hidden", &SimStats::prefetch_hidden);
+    v("prefetch_partial", &SimStats::prefetch_partial);
+    v("tlb_misses", &SimStats::tlb_misses);
+    v("prefetches_issued", &SimStats::prefetches_issued);
+    v("prefetch_evicted_before_use", &SimStats::prefetch_evicted_before_use);
+    v("branch_mispredicts", &SimStats::branch_mispredicts);
+  }
 };
 
 }  // namespace sim

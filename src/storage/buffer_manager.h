@@ -11,6 +11,7 @@
 #include "storage/fault_injection.h"
 #include "util/aligned.h"
 #include "util/budget_view.h"
+#include "util/fields.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -46,6 +47,17 @@ struct IoRecoveryStats {
   /// write-verify read-backs included — this is traffic, not payload).
   uint64_t bytes_read = 0;
   uint64_t bytes_written = 0;
+
+  template <class V>
+  static constexpr void VisitFields(V& v) {
+    v("read_retries", &IoRecoveryStats::read_retries);
+    v("write_retries", &IoRecoveryStats::write_retries);
+    v("checksum_failures", &IoRecoveryStats::checksum_failures);
+    v("write_verify_failures", &IoRecoveryStats::write_verify_failures);
+    v("injected_faults", &IoRecoveryStats::injected_faults);
+    v("bytes_read", &IoRecoveryStats::bytes_read);
+    v("bytes_written", &IoRecoveryStats::bytes_written);
+  }
 };
 
 /// Buffer manager configuration (paper §7.2: relations striped across all

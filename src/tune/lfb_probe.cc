@@ -86,8 +86,27 @@ ChaseNode* RunChase(uint32_t chains, ChaseNode* const* start,
 
 }  // namespace
 
-LfbProbeResult ProbeLfbConcurrency(const LfbProbeOptions& options) {
+LfbProbeResult SummarizeLfbCurve(double single_chain_ns,
+                                 std::vector<double> throughput,
+                                 const LfbProbeOptions& options) {
   LfbProbeResult result;
+  result.single_chain_ns = single_chain_ns;
+  result.throughput = std::move(throughput);
+  if (result.throughput.empty()) return result;
+  result.best_throughput =
+      *std::max_element(result.throughput.begin(), result.throughput.end());
+  if (single_chain_ns < options.min_single_chain_ns) return result;
+  const double knee = options.knee_fraction * result.best_throughput;
+  for (size_t k = 0; k < result.throughput.size(); ++k) {
+    if (result.throughput[k] >= knee) {
+      result.max_outstanding = uint32_t(k + 1);
+      break;
+    }
+  }
+  return result;
+}
+
+LfbProbeResult ProbeLfbConcurrency(const LfbProbeOptions& options) {
   const uint32_t max_chains =
       std::min(std::max(options.max_chains, 1u), kMaxChains);
   const uint64_t num_nodes = std::max<uint64_t>(
@@ -113,7 +132,8 @@ LfbProbeResult ProbeLfbConcurrency(const LfbProbeOptions& options) {
   const uint64_t steps = std::max<uint64_t>(options.steps_per_chain, 1024);
   const int repeats = std::max(options.repeats, 1);
 
-  result.throughput.resize(max_chains, 0.0);
+  std::vector<double> throughput(max_chains, 0.0);
+  double single_chain_ns = 0;
   ChaseNode* sink = nullptr;
   for (uint32_t chains = 1; chains <= max_chains; ++chains) {
     for (uint32_t k = 0; k < chains; ++k) {
@@ -126,33 +146,12 @@ LfbProbeResult ProbeLfbConcurrency(const LfbProbeOptions& options) {
       double ns = double(timer.ElapsedNanos());
       if (r == 0 || ns < best_ns) best_ns = ns;
     }
-    result.throughput[chains - 1] =
+    throughput[chains - 1] =
         double(steps) * double(chains) / std::max(best_ns, 1.0);
-    if (chains == 1) {
-      result.single_chain_ns = best_ns / double(steps);
-    }
+    if (chains == 1) single_chain_ns = best_ns / double(steps);
   }
   if (sink == nullptr) HJ_LOG(Fatal) << "LFB probe lost its cursors";
-
-  result.best_throughput =
-      *std::max_element(result.throughput.begin(), result.throughput.end());
-
-  // A fast single chain means the buffer was cache-resident (tiny test
-  // buffers, huge LLCs): the chases then bound on the core, not on fill
-  // buffers, and the knee is meaningless. Report "unknown".
-  if (result.single_chain_ns < options.min_single_chain_ns) {
-    result.max_outstanding = 0;
-    return result;
-  }
-
-  const double knee = options.knee_fraction * result.best_throughput;
-  for (uint32_t chains = 1; chains <= max_chains; ++chains) {
-    if (result.throughput[chains - 1] >= knee) {
-      result.max_outstanding = chains;
-      break;
-    }
-  }
-  return result;
+  return SummarizeLfbCurve(single_chain_ns, std::move(throughput), options);
 }
 
 }  // namespace tune

@@ -35,6 +35,17 @@ struct LfbProbeResult {
   std::vector<double> throughput;  // lines per ns; index i is K = i+1
 };
 
+/// Reads the knee off a measured curve (`throughput[i]` at K = i+1):
+/// max_outstanding is the first K whose throughput reaches
+/// `knee_fraction` of the best, or 0 (unknown) when the single chain ran
+/// faster than `min_single_chain_ns` — the buffer was cache-resident,
+/// the chases bound on the core rather than on fill buffers, and a knee
+/// would measure cache bandwidth. Pure, so the decision is testable on
+/// synthetic curves.
+LfbProbeResult SummarizeLfbCurve(double single_chain_ns,
+                                 std::vector<double> throughput,
+                                 const LfbProbeOptions& options);
+
 /// Measures per-core memory-level parallelism by timing K independent
 /// pointer chases over one shared Sattolo cycle, for K = 1..max_chains.
 /// Each chase is serially dependent, so K is exactly the number of

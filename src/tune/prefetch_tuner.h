@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/fields.h"
+
 namespace hashjoin {
 namespace tune {
 
@@ -64,6 +66,17 @@ struct TunerSample {
   double cycles_per_tuple = 0;
   double misses_per_tuple = -1;  // < 0: unavailable
   double stalls_per_tuple = -1;  // < 0: unavailable
+
+  template <class V>
+  static constexpr void VisitFields(V& v) {
+    v("batch", &TunerSample::batch);
+    v("depth", &TunerSample::depth);
+    v("G", &TunerSample::group_size);
+    v("D", &TunerSample::prefetch_distance);
+    v("cycles_per_tuple", &TunerSample::cycles_per_tuple);
+    v("misses_per_tuple", &TunerSample::misses_per_tuple);
+    v("stalls_per_tuple", &TunerSample::stalls_per_tuple);
+  }
 };
 
 /// Online feedback controller for prefetch depth, in the style of SMOL's

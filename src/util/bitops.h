@@ -16,6 +16,20 @@ constexpr uint64_t NextPowerOfTwo(uint64_t v) {
   return p;
 }
 
+/// The circular state array of a software-pipelined loop (§5.3): k
+/// stages D iterations apart keep k*D elements in flight plus the one
+/// being issued, and a power-of-two size lets a mask index the ring.
+struct PipelineRing {
+  uint64_t size;
+  uint64_t mask;
+
+  constexpr PipelineRing(uint64_t stages, uint64_t distance)
+      : size(NextPowerOfTwo(stages * distance + 1)), mask(size - 1) {}
+
+  /// The slot pipeline iteration `j` uses.
+  constexpr uint64_t Slot(uint64_t j) const { return j & mask; }
+};
+
 /// log2 of a power of two.
 constexpr uint32_t Log2(uint64_t v) {
   uint32_t r = 0;

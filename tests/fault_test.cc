@@ -187,7 +187,7 @@ TEST(FaultyDiskJoinTest, SeededFaultsRecoverToExactCleanResult) {
     DiskJoinResult r = MustJoin(join, w);
     clean_matches = r.output_tuples;
     EXPECT_EQ(clean_matches, w.expected_matches);
-    EXPECT_EQ(r.recovery.injected_faults, 0u);
+    EXPECT_EQ(r.recovery.io.injected_faults, 0u);
   }
 
   // Same join under seeded transient errors and torn pages. Write
@@ -204,9 +204,9 @@ TEST(FaultyDiskJoinTest, SeededFaultsRecoverToExactCleanResult) {
   DiskJoinResult r = MustJoin(join, w);
 
   EXPECT_EQ(r.output_tuples, clean_matches);
-  EXPECT_GT(r.recovery.injected_faults, 0u);
-  EXPECT_GT(r.recovery.read_retries + r.recovery.write_retries, 0u);
-  EXPECT_GT(r.recovery.write_verify_failures, 0u);  // torn pages repaired
+  EXPECT_GT(r.recovery.io.injected_faults, 0u);
+  EXPECT_GT(r.recovery.io.read_retries + r.recovery.io.write_retries, 0u);
+  EXPECT_GT(r.recovery.io.write_verify_failures, 0u);  // torn pages repaired
 }
 
 TEST(FaultyDiskJoinTest, FaultRecoveryIsDeterministic) {
@@ -231,10 +231,10 @@ TEST(FaultyDiskJoinTest, FaultRecoveryIsDeterministic) {
   EXPECT_EQ(r2.output_tuples, w.expected_matches);
   // The injector draws its RNG per disk operation in a fixed order, so
   // two identical runs inject identical fault sequences.
-  EXPECT_GT(r1.recovery.injected_faults, 0u);
-  EXPECT_EQ(r1.recovery.injected_faults, r2.recovery.injected_faults);
-  EXPECT_EQ(r1.recovery.read_retries, r2.recovery.read_retries);
-  EXPECT_EQ(r1.recovery.write_retries, r2.recovery.write_retries);
+  EXPECT_GT(r1.recovery.io.injected_faults, 0u);
+  EXPECT_EQ(r1.recovery.io.injected_faults, r2.recovery.io.injected_faults);
+  EXPECT_EQ(r1.recovery.io.read_retries, r2.recovery.io.read_retries);
+  EXPECT_EQ(r1.recovery.io.write_retries, r2.recovery.io.write_retries);
 }
 
 TEST(FaultyDiskJoinTest, TornPagesWithoutWriteVerifySurfaceDataLoss) {
@@ -397,7 +397,7 @@ TEST(SkewedDiskJoinTest, FaultsAndSkewTogetherStillJoinExactly) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
 
   EXPECT_EQ(r.value().output_tuples, 3000u);
-  EXPECT_GT(r.value().recovery.injected_faults, 0u);
+  EXPECT_GT(r.value().recovery.io.injected_faults, 0u);
   EXPECT_GT(r.value().recovery.recursive_splits, 0u);
   EXPECT_LE(r.value().recovery.max_build_bytes, cfg.memory_budget);
 }

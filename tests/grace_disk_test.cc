@@ -40,8 +40,8 @@ TEST_P(DiskGraceJoinTest, EndToEndMatchesExpected) {
   EXPECT_GT(r.value().partition_phase.elapsed_seconds, 0.0);
   EXPECT_GT(r.value().join_phase.elapsed_seconds, 0.0);
   // A clean, well-balanced run needs no recovery actions at all.
-  EXPECT_EQ(r.value().recovery.read_retries, 0u);
-  EXPECT_EQ(r.value().recovery.checksum_failures, 0u);
+  EXPECT_EQ(r.value().recovery.io.read_retries, 0u);
+  EXPECT_EQ(r.value().recovery.io.checksum_failures, 0u);
   EXPECT_EQ(r.value().recovery.recursive_splits, 0u);
   EXPECT_EQ(r.value().recovery.chunked_fallbacks, 0u);
 }

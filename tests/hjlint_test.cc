@@ -30,63 +30,6 @@ bool HasRule(const std::vector<Finding>& fs, const std::string& rule) {
                      [&](const Finding& f) { return f.rule == rule; });
 }
 
-// --- spp-ring-power-of-two ------------------------------------------
-
-TEST(HjlintRingTest, FlagsRingWithoutPowerOfTwoRounding) {
-  // The classic bug: sizing the ring exactly (stages*D + 1 slots) makes
-  // states[j & mask] alias wrong slots whenever the size is not a power
-  // of two.
-  auto fs = Lint("src/join/bad.h",
-                "void Kernel() {\n"
-                "  const uint64_t ring = kStages * d + 1;\n"
-                "  const uint64_t mask = ring - 1;\n"
-                "}\n");
-  ASSERT_TRUE(HasRule(fs, "spp-ring-power-of-two"));
-  EXPECT_EQ(fs[0].line, 2u);
-}
-
-TEST(HjlintRingTest, FlagsRingWithoutPlusOneSlack) {
-  auto fs = Lint("src/join/bad.h",
-                "  const uint64_t ring = NextPowerOfTwo(kStages * d);\n");
-  EXPECT_TRUE(HasRule(fs, "spp-ring-power-of-two"));
-}
-
-TEST(HjlintRingTest, FlagsMaskThatIsNotRingMinusOne) {
-  auto fs = Lint("src/join/bad.h",
-                "  const uint64_t ring = NextPowerOfTwo(kStages * d + 1);\n"
-                "  const uint64_t mask = ring;\n");
-  ASSERT_TRUE(HasRule(fs, "spp-ring-power-of-two"));
-  EXPECT_EQ(fs[0].line, 2u);
-}
-
-TEST(HjlintRingTest, AcceptsTheProjectIdiom) {
-  auto fs = Lint("src/join/good.h",
-                "  const uint64_t ring = NextPowerOfTwo(kStages * d + 1);\n"
-                "  const uint64_t mask = ring - 1;\n"
-                "  std::vector<ProbeState> states(ring);\n");
-  EXPECT_TRUE(fs.empty());
-}
-
-TEST(HjlintRingTest, IgnoresComparisonsAndComments) {
-  auto fs = Lint("src/join/good.h",
-                "  // ring = whatever, this is prose\n"
-                "  if (ring == 8) { }\n");
-  EXPECT_TRUE(fs.empty());
-}
-
-TEST(HjlintRingTest, ExemptsCoroutineChains) {
-  // Inside a co_await function the in-flight state lives in coroutine
-  // frames; a `ring` there is round-robin scheduler bookkeeping, never
-  // the §5.3 bit-masked state ring, so the sizing idiom does not apply.
-  auto fs = Lint("src/join/coro.h",
-                "KernelCoro Chain(State& st, uint32_t width) {\n"
-                "  uint32_t ring = width;\n"
-                "  co_await KernelCoro::NextStage{};\n"
-                "  use(ring);\n"
-                "}\n");
-  EXPECT_TRUE(fs.empty());
-}
-
 // --- prefetch-stage-discipline --------------------------------------
 
 TEST(HjlintPrefetchTest, FlagsDerefInSameStage) {
@@ -193,51 +136,6 @@ TEST(HjlintRawMutexTest, IgnoresFilesOutsideSrc) {
   EXPECT_TRUE(fs.empty());
 }
 
-// --- bench-schema-sync -----------------------------------------------
-
-TEST(HjlintBenchSchemaTest, FlagsKeyTheReporterNeverEmits) {
-  auto fs = LintBenchSchema(
-      "tools/bench_diff.cc",
-      "  const JsonValue* v = rec.Find(\"wall_sconds\");\n",  // typo
-      "src/perf/bench_reporter.cc",
-      "  record.Set(\"wall_seconds\", std::move(w));\n");
-  ASSERT_EQ(fs.size(), 1u);
-  EXPECT_EQ(fs[0].rule, "bench-schema-sync");
-  EXPECT_NE(fs[0].message.find("wall_sconds"), std::string::npos);
-}
-
-TEST(HjlintBenchSchemaTest, ChecksEveryDottedPathComponent) {
-  auto fs = LintBenchSchema(
-      "tools/bench_diff.cc",
-      "  const JsonValue* v = rec.FindPath(\"wall_seconds.median\");\n",
-      "src/perf/bench_reporter.cc",
-      "  obj.Set(\"wall_seconds\", JsonValue());\n");  // no "median"
-  ASSERT_EQ(fs.size(), 1u);
-  EXPECT_NE(fs[0].message.find("median"), std::string::npos);
-}
-
-TEST(HjlintBenchSchemaTest, AcceptsKeysEmittedByBenchDrivers) {
-  // Per-bench config keys ("scheme", "theta", ...) are Set() by the
-  // drivers, not the reporter envelope; the extra-emitter contents
-  // stand in for bench/*.cc here.
-  auto fs = LintBenchSchema(
-      "tools/bench_diff.cc",
-      "  const JsonValue* s = config->Find(\"scheme\");\n",
-      "src/perf/bench_reporter.cc", "  r.Set(\"name\", n);\n",
-      {"  config.Set(\"scheme\", SchemeName(scheme));\n"});
-  EXPECT_TRUE(fs.empty());
-}
-
-TEST(HjlintBenchSchemaTest, AcceptsMatchingSchemas) {
-  auto fs = LintBenchSchema(
-      "tools/bench_diff.cc",
-      "  rec.Find(\"name\");\n  rec.FindPath(\"wall_seconds.median\");\n",
-      "src/perf/bench_reporter.cc",
-      "  r.Set(\"name\", n);\n  w.Set(\"median\", m);\n"
-      "  r.Set(\"wall_seconds\", std::move(w));\n");
-  EXPECT_TRUE(fs.empty());
-}
-
 // --- JSON report and the real tree -----------------------------------
 
 TEST(HjlintReportTest, JsonShapeMatchesContract) {
@@ -266,9 +164,9 @@ TEST(HjlintTreeTest, RealSourceTreeIsClean) {
 
 TEST(HjlintTreeTest, RuleFilterRestrictsChecks) {
   // Only the requested rule runs: the raw-mutex fixture stays silent
-  // when linting for spp-ring-power-of-two.
+  // when linting for prefetch-stage-discipline.
   auto fs = LintFile("src/sched/bad.h", "  std::mutex mu_;\n",
-                     {"spp-ring-power-of-two"});
+                     {"prefetch-stage-discipline"});
   EXPECT_TRUE(fs.empty());
 }
 

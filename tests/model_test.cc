@@ -1,5 +1,6 @@
 #include "gtest/gtest.h"
 #include "model/cost_model.h"
+#include "util/bitops.h"
 
 namespace hashjoin {
 namespace model {
@@ -90,6 +91,18 @@ TEST(SwpModelTest, StateArraySizing) {
   EXPECT_EQ(SwpPrefetchModel::StateArraySize(3, 2), 8u);
   EXPECT_EQ(SwpPrefetchModel::StateArraySize(3, 5), 16u);
   EXPECT_EQ(SwpPrefetchModel::StateArraySize(2, 1), 4u);
+  // Every kernel's ring: a power of two holding stages*D + 1 slots,
+  // indexed through mask = size - 1.
+  for (uint32_t stages = 1; stages <= 4; ++stages) {
+    for (uint32_t d = 1; d <= 64; ++d) {
+      const PipelineRing ring(stages, d);
+      EXPECT_TRUE(IsPowerOfTwo(ring.size)) << stages << "x" << d;
+      EXPECT_GE(ring.size, uint64_t(stages) * d + 1) << stages << "x" << d;
+      EXPECT_LT(ring.size, 2 * (uint64_t(stages) * d + 1));
+      EXPECT_EQ(ring.mask, ring.size - 1);
+      EXPECT_EQ(SwpPrefetchModel::StateArraySize(stages, d), ring.size);
+    }
+  }
 }
 
 TEST(SwpModelTest, CriticalPathConvergesToBusyTimeWhenHidden) {

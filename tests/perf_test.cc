@@ -12,6 +12,7 @@
 #include "perf/bench_reporter.h"
 #include "perf/calibrate.h"
 #include "perf/perf_counters.h"
+#include "util/fields.h"
 #include "util/json_writer.h"
 
 namespace hashjoin {
@@ -131,7 +132,7 @@ TEST(PerfCounters, SpinLoopCountsOrDegradesGracefully) {
     EXPECT_FALSE(v.instructions.has_value());
   }
   // The JSON shape is identical either way; absent counters are null.
-  JsonValue j = v.ToJson();
+  JsonValue j = fields::ToJson(v);
   ASSERT_NE(j.Find("cycles"), nullptr);
   ASSERT_NE(j.Find("scaled"), nullptr);
 }

@@ -463,7 +463,7 @@ TEST(JoinSchedulerTest, ConcurrentFaultyJoinsAllProduceCorrectCounts) {
     ASSERT_TRUE(qs.status.ok()) << qs.name << ": " << qs.status.ToString();
     int q = qs.name[1] - '0';
     EXPECT_EQ(qs.output_tuples, loads[size_t(q)].expected_matches) << qs.name;
-    EXPECT_GE(qs.grant_initial_bytes, 64 * kKiB);
+    EXPECT_GE(qs.grant.initial_bytes, 64 * kKiB);
     injected += qs.io.injected_faults;
   }
   EXPECT_GT(injected, 0u) << "fault injection never fired; test is vacuous";
@@ -535,7 +535,7 @@ TEST(JoinSchedulerTest, RevokeStormAllJoinsConvergeWithBalancedLedgers) {
     // A spill classified as revoke-forced requires an actual revoke in
     // this grant's history — the classification cannot invent one.
     if (qs.recovery.revoke_spills > 0) {
-      EXPECT_GT(qs.grant_revokes, 0u) << qs.name;
+      EXPECT_GT(qs.grant.revokes, 0u) << qs.name;
     }
     spills += qs.recovery.victim_spills;
     unspills += qs.recovery.victim_unspills;
@@ -727,11 +727,11 @@ TEST(JoinSchedulerTest, SecondQueryRevokesFirstAndStatsRecordIt) {
   EXPECT_EQ(stats.completed, 2u);
   for (const QueryStats& qs : stats.queries) {
     if (qs.name == "hog") {
-      EXPECT_GE(qs.grant_revokes, 1u);
-      EXPECT_LT(qs.grant_low_bytes, qs.grant_initial_bytes);
+      EXPECT_GE(qs.grant.revokes, 1u);
+      EXPECT_LT(qs.grant.low_bytes, qs.grant.initial_bytes);
     }
     if (qs.name == "claimant") {
-      EXPECT_GE(qs.grant_initial_bytes, 512 * kKiB);
+      EXPECT_GE(qs.grant.initial_bytes, 512 * kKiB);
     }
   }
   EXPECT_GE(sched.broker().total_revokes(), 1u);

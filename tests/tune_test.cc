@@ -322,18 +322,40 @@ TEST(LfbProbe, SmallProbeProducesConsistentCurve) {
     EXPECT_GE(r.throughput[r.max_outstanding - 1],
               opt.knee_fraction * max_tp);
   }
+  // Unknown exactly when the single chain ran cache-fast.
+  EXPECT_EQ(r.max_outstanding == 0,
+            r.single_chain_ns < opt.min_single_chain_ns);
 }
 
 TEST(LfbProbe, CacheResidentBufferReportsUnknown) {
+  // An L1/L2-resident chase: ~2 ns per step, throughput still climbing
+  // with K because the chases bound on the core, not on fill buffers.
+  // The probe must refuse to report a ceiling rather than fabricate one
+  // from cache bandwidth.
   tune::LfbProbeOptions opt;
-  opt.buffer_bytes = 64 << 10;  // L1/L2-resident: ~no misses to count
-  opt.steps_per_chain = 10'000;
-  opt.max_chains = 4;
-  opt.repeats = 1;
-  tune::LfbProbeResult r = tune::ProbeLfbConcurrency(opt);
-  // Hits run far below min_single_chain_ns, so the probe must refuse to
-  // report a ceiling rather than fabricate one from cache bandwidth.
+  tune::LfbProbeResult r =
+      tune::SummarizeLfbCurve(2.0, {0.5, 1.0, 1.5, 2.0}, opt);
   EXPECT_EQ(r.max_outstanding, 0u);
+  EXPECT_DOUBLE_EQ(r.best_throughput, 2.0);
+}
+
+TEST(LfbProbe, KneeIsTheFirstKReachingTheKneeFraction) {
+  // DRAM-latency chain; throughput scales to K = 6, then flattens.
+  tune::LfbProbeOptions opt;
+  std::vector<double> curve = {0.01, 0.02, 0.03, 0.04, 0.05, 0.06};
+  for (int k = 0; k < 4; ++k) curve.push_back(0.061);
+  tune::LfbProbeResult r = tune::SummarizeLfbCurve(90.0, curve, opt);
+  // 0.9 * 0.061 = 0.0549: K = 6 is the first to reach it.
+  EXPECT_EQ(r.max_outstanding, 6u);
+  EXPECT_DOUBLE_EQ(r.best_throughput, 0.061);
+  // At the refusal threshold itself the curve is trusted.
+  EXPECT_EQ(tune::SummarizeLfbCurve(opt.min_single_chain_ns, curve, opt)
+                .max_outstanding,
+            6u);
+  // A flat curve has its knee at K = 1.
+  EXPECT_EQ(tune::SummarizeLfbCurve(90.0, {0.2, 0.2, 0.2}, opt)
+                .max_outstanding,
+            1u);
 }
 
 // ---------------------------------------------------------------------------

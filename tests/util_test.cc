@@ -1,4 +1,6 @@
+#include <array>
 #include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -6,6 +8,7 @@
 #include "util/aligned.h"
 #include "util/bitops.h"
 #include "util/checksum.h"
+#include "util/fields.h"
 #include "util/flags.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -336,6 +339,106 @@ TEST(StallTimerTest, Accumulates) {
   EXPECT_GE(t.TotalNanos(), 0);
   t.Reset();
   EXPECT_EQ(t.TotalNanos(), 0);
+}
+
+// --- field lists (util/fields.h) ---
+
+struct Inner {
+  uint64_t reads = 0;
+  uint64_t writes = 0;
+
+  template <class V>
+  static constexpr void VisitFields(V& v) {
+    v("reads", &Inner::reads);
+    v("writes", &Inner::writes);
+  }
+};
+
+struct Ledger {
+  Inner io;
+  uint64_t spills = 0;
+  uint32_t deepest = 0;
+  double seconds = 0;
+  std::array<uint64_t, 2> hist{};
+
+  uint64_t Total() const { return spills + io.reads; }
+
+  template <class V>
+  static constexpr void VisitFields(V& v) {
+    v("io", &Ledger::io);
+    v("spills", &Ledger::spills);
+    v("deepest", &Ledger::deepest, fields::Kind::kLevel);
+    v("seconds", &Ledger::seconds);
+    v("hist", &Ledger::hist, fields::Kind::kInternal);
+    v("total", &Ledger::Total);
+  }
+};
+
+struct Reading {
+  std::optional<uint64_t> cycles;
+
+  template <class V>
+  static constexpr void VisitFields(V& v) {
+    v("cycles", &Reading::cycles);
+  }
+};
+
+struct Unlisted {
+  uint64_t listed = 0;
+  uint64_t forgotten = 0;
+
+  template <class V>
+  static constexpr void VisitFields(V& v) {
+    v("listed", &Unlisted::listed);
+  }
+};
+
+static_assert(fields::ListsEveryMember<Ledger>());
+static_assert(!fields::ListsEveryMember<Unlisted>());
+
+TEST(FieldsTest, DiffSubtractsCountersAndKeepsLevels) {
+  Ledger before{{10, 20}, 3, 1, 0.5, {4, 5}};
+  Ledger after{{15, 26}, 7, 4, 2.0, {6, 9}};
+  Ledger d = fields::Diff(after, before);
+  EXPECT_EQ(d.io.reads, 5u);
+  EXPECT_EQ(d.io.writes, 6u);
+  EXPECT_EQ(d.spills, 4u);
+  EXPECT_EQ(d.deepest, 4u);  // a high-water mark is copied
+  EXPECT_DOUBLE_EQ(d.seconds, 1.5);
+  EXPECT_EQ(d.hist[0], 2u);
+  EXPECT_EQ(d.hist[1], 4u);
+}
+
+TEST(FieldsTest, AddSumsCountersAndKeepsTheLargerLevel) {
+  Ledger a{{1, 2}, 3, 5, 1.0, {1, 1}};
+  const Ledger b{{10, 20}, 30, 2, 0.5, {2, 3}};
+  fields::Add(a, b);
+  EXPECT_EQ(a.io.reads, 11u);
+  EXPECT_EQ(a.io.writes, 22u);
+  EXPECT_EQ(a.spills, 33u);
+  EXPECT_EQ(a.deepest, 5u);
+  EXPECT_DOUBLE_EQ(a.seconds, 1.5);
+  EXPECT_EQ(a.hist[1], 4u);
+}
+
+TEST(FieldsTest, JsonWritesListedKeysDerivedValuesAndNulls) {
+  Ledger l{{2, 3}, 4, 1, 0.25, {7, 7}};
+  JsonValue j = fields::ToJson(l);
+  EXPECT_EQ(j.FindPath("io.reads")->AsInt(), 2);
+  EXPECT_EQ(j.Find("spills")->AsInt(), 4);
+  EXPECT_EQ(j.Find("total")->AsInt(), 6);
+  EXPECT_EQ(j.Find("hist"), nullptr);  // internal
+
+  const std::vector<std::string> keys = fields::JsonKeys<Ledger>();
+  EXPECT_EQ(keys, (std::vector<std::string>{"io.reads", "io.writes",
+                                            "spills", "deepest", "seconds",
+                                            "total"}));
+  for (const std::string& k : keys) EXPECT_NE(j.FindPath(k), nullptr) << k;
+
+  Reading r;
+  EXPECT_TRUE(fields::ToJson(r).Find("cycles")->is_null());  // not 0
+  r.cycles = 9;
+  EXPECT_EQ(fields::ToJson(r).Find("cycles")->AsInt(), 9);
 }
 
 }  // namespace

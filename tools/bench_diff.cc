@@ -22,13 +22,22 @@
 // use it to pin down metrics a bench promises to emit — a silent schema
 // drift then breaks the gate rather than producing a vacuously green
 // "no data" diff.
+//
+// --check also verifies every record block written from a stats
+// struct's field list (bench/bench_blocks.h: "sim", "recovery",
+// "cache", "tail_latency", ...): wherever such a block appears, it must
+// hold every key that struct's list writes. The check reads the same
+// lists the benches write from, so the two cannot drift apart.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "bench_blocks.h"
+#include "util/fields.h"
 #include "util/flags.h"
 #include "util/json_writer.h"
 
@@ -36,6 +45,77 @@ namespace hashjoin {
 namespace {
 
 // --- schema validation (--check) ---
+
+/// The keys each block of bench/bench_blocks.h holds, by block key;
+/// `array` blocks hold one such object per element.
+struct BlockSchema {
+  bool array = false;
+  std::vector<std::string> keys;
+};
+
+struct CollectSchemas {
+  std::map<std::string, BlockSchema>* schemas;
+
+  template <class... S>
+  void operator()(const perf::Block<S...>& block) {
+    BlockSchema& schema = (*schemas)[block.key];
+    for (auto keys : {fields::JsonKeys<S>()...}) {
+      schema.keys.insert(schema.keys.end(), keys.begin(), keys.end());
+    }
+  }
+  template <class S>
+  void operator()(const perf::ArrayBlock<S>& block) {
+    (*schemas)[block.key] = {true, fields::JsonKeys<S>()};
+  }
+};
+
+const std::map<std::string, BlockSchema>& BlockSchemas() {
+  static const auto* schemas = [] {
+    auto* out = new std::map<std::string, BlockSchema>();
+    CollectSchemas collect{out};
+    bench::VisitBlocks(collect);
+    return out;
+  }();
+  return *schemas;
+}
+
+/// Every block found at any depth of `v` must hold each key its
+/// structs' field lists write, as a number, a bool or null. A null
+/// block (counters the host could not read) is the envelope's concern.
+void CheckBlocks(const JsonValue& v, const std::string& path,
+                 std::vector<std::string>* errors) {
+  auto check_object = [&](const JsonValue& obj, const std::string& where,
+                          const BlockSchema& schema) {
+    for (const std::string& key : schema.keys) {
+      const JsonValue* x = obj.is_object() ? obj.FindPath(key) : nullptr;
+      if (x == nullptr || !(x->is_number() || x->is_null() ||
+                            x->type() == JsonValue::Type::kBool)) {
+        errors->push_back(where + ": missing scalar \"" + key + "\"");
+      }
+    }
+  };
+  for (size_t i = 0; v.is_array() && i < v.size(); ++i) {
+    CheckBlocks(v.at(i), path + "[" + std::to_string(i) + "]", errors);
+  }
+  if (!v.is_object()) return;
+  for (const auto& [key, member] : v.members()) {
+    const std::string where = path + "." + key;
+    auto it = BlockSchemas().find(key);
+    if (it != BlockSchemas().end() && !member.is_null()) {
+      if (!it->second.array) {
+        check_object(member, where, it->second);
+      } else if (!member.is_array()) {
+        errors->push_back(where + ": not an array");
+      } else {
+        for (size_t i = 0; i < member.size(); ++i) {
+          check_object(member.at(i), where + "[" + std::to_string(i) + "]",
+                       it->second);
+        }
+      }
+    }
+    CheckBlocks(member, where, errors);
+  }
+}
 
 bool CheckRecord(const JsonValue& rec, size_t index,
                  std::vector<std::string>* errors) {
@@ -91,35 +171,6 @@ bool CheckRecord(const JsonValue& rec, size_t index,
       return err("\"tuning.mode\" must be a non-empty string");
     }
   }
-  // Cache records: the service bench's broker ledger and the reuse
-  // bench's cache block. Both flavors promise the revocation
-  // attribution pair (how many bytes came out of the cache class, and
-  // the zero-invariant counter of normal grants squeezed while cache
-  // surplus remained); the reuse flavor additionally promises the hit
-  // accounting that the reuse acceptance gate reads.
-  const JsonValue* cache = rec.Find("cache");
-  if (cache != nullptr) {
-    if (!cache->is_object()) return err("\"cache\" must be an object");
-    const JsonValue* broker_revoked = cache->Find("broker_revoked_bytes");
-    const JsonValue* misordered =
-        cache->Find("normal_revokes_with_cache_surplus");
-    if (broker_revoked == nullptr || !broker_revoked->is_number() ||
-        misordered == nullptr || !misordered->is_number()) {
-      return err("\"cache\" without numeric \"broker_revoked_bytes\"/"
-                 "\"normal_revokes_with_cache_surplus\"");
-    }
-    const JsonValue* hit_rate = cache->Find("hit_rate");
-    if (hit_rate != nullptr) {
-      const JsonValue* lookups = cache->Find("lookups");
-      const JsonValue* revoked = cache->Find("revoked_bytes");
-      if (!hit_rate->is_number() || lookups == nullptr ||
-          !lookups->is_number() || revoked == nullptr ||
-          !revoked->is_number()) {
-        return err("\"cache.hit_rate\" without the numeric hit accounting "
-                   "(\"lookups\", \"revoked_bytes\")");
-      }
-    }
-  }
   // Online-tuner records: the trajectory (one entry per batch) and the
   // final depths are the whole point of the record — require them.
   const JsonValue* tuner = rec.Find("tuner");
@@ -137,7 +188,9 @@ bool CheckRecord(const JsonValue& rec, size_t index,
       return err("\"tuner\" without numeric \"final_G\"/\"final_D\"");
     }
   }
-  return true;
+  const size_t before = errors->size();
+  CheckBlocks(rec, "records[" + std::to_string(index) + "]", errors);
+  return errors->size() == before;
 }
 
 std::vector<std::string> SplitCsv(const std::string& csv) {

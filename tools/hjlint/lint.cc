@@ -38,108 +38,6 @@ bool RuleEnabled(const std::vector<std::string>& rules,
 }
 
 // ---------------------------------------------------------------------
-// Rule: spp-ring-power-of-two
-//
-// The GP/SPP kernels index their in-flight state array with bit
-// masking: states[j & mask]. That is only correct when the ring size is
-// a power of two at least stages*D + 1 (Theorems 1 and 2 size the
-// pipeline; the mask requires the power of two). The project idiom is
-//     ring = NextPowerOfTwo(<stages * d> + 1);
-//     mask = ring - 1;
-// and this rule pins both halves: a `ring =` initializer must round up
-// through NextPowerOfTwo and must add the +1 slack slot, and a `mask =`
-// within the next few lines must be exactly ring - 1.
-// ---------------------------------------------------------------------
-
-/// Index of the next column-0 `}` at or after `from` (function end under
-/// the project's formatting), or size() when none.
-size_t SegmentEnd(const std::vector<std::string>& code_lines, size_t from) {
-  size_t i = from;
-  while (i < code_lines.size() &&
-         !(code_lines[i].size() >= 1 && code_lines[i][0] == '}')) {
-    ++i;
-  }
-  return i;
-}
-
-/// True when the function segment [begin, end) suspends via co_await —
-/// a coroutine chain, where in-flight state lives in frames instead of
-/// an SPP ring and each co_await is a pipeline-stage boundary.
-bool SegmentIsCoroutine(const std::vector<std::string>& code_lines,
-                        size_t begin, size_t end) {
-  end = std::min(end, code_lines.size());
-  for (size_t i = begin; i < end; ++i) {
-    if (FindWord(code_lines[i], "co_await") != std::string::npos) return true;
-  }
-  return false;
-}
-
-void CheckRingRule(const std::string& path,
-                   const std::vector<std::string>& code_lines,
-                   std::vector<Finding>* findings) {
-  size_t seg_end = 0;
-  bool seg_coro = false;
-  for (size_t i = 0; i < code_lines.size(); ++i) {
-    // Coroutine chains keep in-flight state in frames, not a bit-masked
-    // ring; a `ring` variable there is scheduler bookkeeping (iterated
-    // round-robin, never `j & mask`-indexed), so the SPP sizing idiom
-    // does not apply inside a co_await function.
-    if (i >= seg_end) {
-      seg_end = SegmentEnd(code_lines, i) + 1;
-      seg_coro = SegmentIsCoroutine(code_lines, i, seg_end);
-    }
-    if (seg_coro) continue;
-    const std::string& line = code_lines[i];
-    size_t rpos = FindWord(line, "ring");
-    if (rpos == std::string::npos) continue;
-    // Only assignments/initializations: `ring =` but not `ring ==`.
-    size_t after = line.find_first_not_of(" \t", rpos + 4);
-    if (after == std::string::npos || line[after] != '=' ||
-        (after + 1 < line.size() && line[after + 1] == '=')) {
-      continue;
-    }
-    std::string rhs = Strip(line.substr(after + 1));
-    if (rhs.find("NextPowerOfTwo(") == std::string::npos) {
-      findings->push_back(
-          {"spp-ring-power-of-two", path, uint32_t(i + 1),
-           "state-ring size must round up via NextPowerOfTwo(...) so the "
-           "bit-mask indexing of states[j & mask] is valid; got: " +
-               rhs});
-    } else if (rhs.find("+ 1)") == std::string::npos &&
-               rhs.find("+1)") == std::string::npos) {
-      findings->push_back(
-          {"spp-ring-power-of-two", path, uint32_t(i + 1),
-           "state ring must hold stages*D + 1 slots (the +1 keeps the "
-           "issue slot disjoint from the drain slots); got: " +
-               rhs});
-    }
-    // The companion mask must be ring - 1 (within the next few lines).
-    for (size_t j = i + 1; j < code_lines.size() && j <= i + 5; ++j) {
-      const std::string& mline = code_lines[j];
-      size_t mpos = FindWord(mline, "mask");
-      if (mpos == std::string::npos) continue;
-      size_t meq = mline.find_first_not_of(" \t", mpos + 4);
-      if (meq == std::string::npos || mline[meq] != '=' ||
-          (meq + 1 < mline.size() && mline[meq + 1] == '=')) {
-        continue;
-      }
-      std::string mrhs = Strip(mline.substr(meq + 1));
-      if (!mrhs.empty() && mrhs.back() == ';') {
-        mrhs = Strip(mrhs.substr(0, mrhs.size() - 1));
-      }
-      if (mrhs != "ring - 1" && mrhs != "ring-1") {
-        findings->push_back(
-            {"spp-ring-power-of-two", path, uint32_t(j + 1),
-             "state-ring mask must be `ring - 1` (power-of-two bit "
-             "mask); got: " +
-                 mrhs});
-      }
-      break;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------
 // Rule: prefetch-stage-discipline
 //
 // The whole point of group prefetching / software pipelining is that an
@@ -359,73 +257,7 @@ void CheckRawMutexRule(const std::string& path,
   }
 }
 
-// ---------------------------------------------------------------------
-// Rule: bench-schema-sync (cross-file)
-// ---------------------------------------------------------------------
-
-/// All string literals passed as the sole/first argument of `fn("...")`.
-std::vector<std::pair<uint32_t, std::string>> CallStringLiterals(
-    const std::string& contents, const std::string& fn) {
-  std::vector<std::pair<uint32_t, std::string>> out;
-  std::vector<std::string> lines = SplitLines(contents);
-  for (size_t i = 0; i < lines.size(); ++i) {
-    const std::string& line = lines[i];
-    for (size_t p = FindWord(line, fn); p != std::string::npos;
-         p = FindWord(line, fn, p + 1)) {
-      size_t open = line.find_first_not_of(" \t", p + fn.size());
-      if (open == std::string::npos || line[open] != '(') continue;
-      size_t q1 = line.find('"', open + 1);
-      if (q1 == std::string::npos) continue;
-      // Nothing but whitespace between '(' and the quote — otherwise the
-      // first argument is not a literal.
-      if (Strip(line.substr(open + 1, q1 - open - 1)) != "") continue;
-      size_t q2 = line.find('"', q1 + 1);
-      if (q2 == std::string::npos) continue;
-      out.emplace_back(uint32_t(i + 1), line.substr(q1 + 1, q2 - q1 - 1));
-    }
-  }
-  return out;
-}
-
 }  // namespace
-
-std::vector<Finding> LintBenchSchema(
-    const std::string& diff_path, const std::string& diff_contents,
-    const std::string& reporter_path, const std::string& reporter_contents,
-    const std::vector<std::string>& extra_emitter_contents) {
-  std::vector<Finding> findings;
-  std::set<std::string> emitted;
-  for (auto& [line, key] : CallStringLiterals(reporter_contents, "Set")) {
-    (void)line;
-    emitted.insert(key);
-  }
-  for (const std::string& contents : extra_emitter_contents) {
-    for (auto& [line, key] : CallStringLiterals(contents, "Set")) {
-      (void)line;
-      emitted.insert(key);
-    }
-  }
-  auto check = [&](uint32_t line, const std::string& key) {
-    if (emitted.count(key)) return;
-    findings.push_back(
-        {"bench-schema-sync", diff_path, line,
-         "bench_diff reads key \"" + key + "\" but neither " +
-             reporter_path +
-             " nor any bench emitter sets it — the checker and the "
-             "reporter schema drifted apart"});
-  };
-  for (auto& [line, key] : CallStringLiterals(diff_contents, "Find")) {
-    check(line, key);
-  }
-  for (auto& [line, path] : CallStringLiterals(diff_contents, "FindPath")) {
-    // Dotted paths resolve through nested objects; every component must
-    // be an emitted key.
-    std::stringstream ss(path);
-    std::string part;
-    while (std::getline(ss, part, '.')) check(line, part);
-  }
-  return findings;
-}
 
 std::vector<Finding> LintFile(const std::string& path,
                               const std::string& contents,
@@ -433,9 +265,6 @@ std::vector<Finding> LintFile(const std::string& path,
   std::vector<Finding> findings;
   std::vector<std::string> code_lines =
       SplitLines(BlankCommentsAndStrings(contents));
-  if (RuleEnabled(rules, "spp-ring-power-of-two")) {
-    CheckRingRule(path, code_lines, &findings);
-  }
   if (RuleEnabled(rules, "prefetch-stage-discipline")) {
     CheckPrefetchRule(path, code_lines, &findings);
   }
@@ -554,31 +383,6 @@ std::vector<Finding> LintTree(const std::vector<std::string>& paths,
       findings.insert(findings.end(), at.begin(), at.end());
     }
   }
-  if (!root.empty() && RuleEnabled(rules, "bench-schema-sync")) {
-    std::string diff_path = "tools/bench_diff.cc";
-    std::string reporter_path = "src/perf/bench_reporter.cc";
-    auto diff = ReadFileContents(root + "/" + diff_path);
-    auto reporter = ReadFileContents(root + "/" + reporter_path);
-    if (diff.ok() && reporter.ok()) {
-      // The per-bench config keys ("scheme", "theta", ...) are emitted
-      // by the drivers, not the reporter envelope; harvest them too so
-      // bench_diff may validate keys any bench sets.
-      std::vector<std::string> extra;
-      std::error_code ec;
-      for (auto it =
-               std::filesystem::directory_iterator(root + "/bench", ec);
-           !ec && it != std::filesystem::directory_iterator(); ++it) {
-        if (it->is_regular_file() && HasLintableExtension(it->path())) {
-          auto contents = ReadFileContents(it->path().string());
-          if (contents.ok()) extra.push_back(std::move(contents.value()));
-        }
-      }
-      std::vector<Finding> schema =
-          LintBenchSchema(diff_path, diff.value(), reporter_path,
-                          reporter.value(), extra);
-      findings.insert(findings.end(), schema.begin(), schema.end());
-    }
-  }
   return findings;
 }
 
@@ -600,9 +404,8 @@ JsonValue FindingsToJson(const std::vector<Finding>& findings) {
 
 const std::vector<std::string>& AllRules() {
   static const std::vector<std::string> kRules = {
-      "spp-ring-power-of-two", "prefetch-stage-discipline",
-      "raw-mutex-primitive",   "bench-schema-sync",
-      "lock-order-cycle",      "callback-under-lock",
+      "prefetch-stage-discipline", "raw-mutex-primitive",
+      "lock-order-cycle",          "callback-under-lock",
       "atomic-handoff-discipline"};
   return kRules;
 }

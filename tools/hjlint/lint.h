@@ -26,10 +26,6 @@ struct Finding {
 /// rungs.
 ///
 /// Rules:
-///  - spp-ring-power-of-two: a `ring = ...` state-ring size must be
-///    NextPowerOfTwo(<stages * d> + 1) and the companion `mask` must be
-///    `ring - 1` (the bit-mask indexing of §5.3 silently corrupts state
-///    slots otherwise).
 ///  - prefetch-stage-discipline: an address passed to Prefetch in one
 ///    pipeline stage must not be dereferenced later in the same
 ///    function — the point of the stage split is that the dereference
@@ -42,21 +38,10 @@ std::vector<Finding> LintFile(const std::string& path,
                               const std::string& contents,
                               const std::vector<std::string>& rules);
 
-/// Cross-file rule bench-schema-sync: every JSON key tools/bench_diff.cc
-/// looks up (Find/FindPath string literals) must be a key some emitter
-/// Set()s — src/perf/bench_reporter.cc for the record envelope, plus
-/// any extra emitter contents (LintTree passes every bench/*.cc, which
-/// emit the per-bench config keys like "scheme"). No-op (no findings)
-/// when either primary file is absent.
-std::vector<Finding> LintBenchSchema(
-    const std::string& diff_path, const std::string& diff_contents,
-    const std::string& reporter_path, const std::string& reporter_contents,
-    const std::vector<std::string>& extra_emitter_contents = {});
-
 /// Runs every rule (filtered by `rules`; empty = all) over the .h/.cc/
 /// .cpp files found under `paths` (files or directories, recursed).
-/// `root` anchors the bench-schema-sync pair lookup; pass the repo root
-/// or "" to skip that rule.
+/// `root` anchors display paths and the lock-order manifest lookup;
+/// pass the repo root or "" to skip the manifest.
 std::vector<Finding> LintTree(const std::vector<std::string>& paths,
                               const std::string& root,
                               const std::vector<std::string>& rules);
