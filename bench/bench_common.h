@@ -148,6 +148,14 @@ inline void PrintSpeedups(const std::vector<uint64_t>& cycles) {
   std::printf("\n");
 }
 
+/// The geometry scale of a simulator bench: `--scale`, else the smallest
+/// one (0.01) under `--smoke`, else `default_scale`.
+inline double ScaleFromFlags(const FlagParser& flags, double default_scale) {
+  return flags.GetDouble("scale", flags.GetBool("smoke", false)
+                                      ? 0.01
+                                      : default_scale);
+}
+
 /// Resolves the shared `--scheme` flag: a comma-separated list of scheme
 /// names (one table for every bench, no per-driver copies), defaulting
 /// to every scheme compiled into this binary. Unknown names are fatal

@@ -302,8 +302,7 @@ int RunRevokeStorm(const FlagParser& flags, bool smoke) {
     JsonValue& rec = reporter.AddMeasuredRecord(
         "storm", std::move(config), stats.makespan_seconds,
         bench::kServiceTimed);
-    rec.Set("completed", stats.completed);
-    rec.Set("failed", stats.failed);
+    fields::AppendJson(stats, &rec);
     rec.Set("broker_revokes", sched.broker().total_revokes());
     rec.Set("broker_regrows", sched.broker().total_regrows());
     cache::CacheStats cache_stats;
@@ -317,7 +316,7 @@ int RunRevokeStorm(const FlagParser& flags, bool smoke) {
     perf::kTailLatencyBlock.Set(
         &rec, perf::TailLatency::Of(run_seconds, queue_seconds));
 
-    if (!reporter.WriteAndReport()) return 1;
+    if (!reporter.WriteAndReport(flags)) return 1;
   }
   return service_ok ? 0 : 1;
 }
@@ -537,10 +536,7 @@ int main(int argc, char** argv) {
     JsonValue& rec = reporter.AddMeasuredRecord(
         "service", std::move(config), stats.makespan_seconds,
         bench::kServiceTimed);
-    rec.Set("submitted", stats.submitted);
-    rec.Set("rejected", stats.rejected);
-    rec.Set("completed", stats.completed);
-    rec.Set("failed", stats.failed);
+    fields::AppendJson(stats, &rec);
     bench::kRecoveryBlock.Set(&rec, recovery);
     rec.Set("broker_revokes", sched.broker().total_revokes());
     rec.Set("broker_regrows", sched.broker().total_regrows());
@@ -548,7 +544,7 @@ int main(int argc, char** argv) {
     rec.Set("verified", service_ok);
     perf::kTailLatencyBlock.Set(&rec, tail);
 
-    if (!reporter.WriteAndReport()) return 1;
+    if (!reporter.WriteAndReport(flags)) return 1;
   }
   return service_ok ? 0 : 1;
 }

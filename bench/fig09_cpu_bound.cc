@@ -136,6 +136,6 @@ int main(int argc, char** argv) {
   std::printf(
       "\npaper: elapsed time flattens and main-thread wait drops below "
       "10%% at >=4 disks -> hash join is CPU-bound\n");
-  if (reporter && !reporter->WriteAndReport()) return 1;
+  if (reporter && !reporter->WriteAndReport(flags)) return 1;
   return 0;
 }

@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
   FlagParser flags;
   flags.Parse(argc, argv);
   BenchGeometry geo;
-  geo.scale = flags.GetDouble("scale", 0.1);
+  geo.scale = ScaleFromFlags(flags, 0.1);
   sim::SimConfig cfg;
   std::vector<Scheme> schemes = SchemesFromFlag(flags);
 
@@ -146,6 +146,6 @@ int main(int argc, char** argv) {
       "\npaper: group 2.4-2.9X, swp 2.1-2.7X, simple 1.1-1.2X over "
       "baseline\n");
 
-  if (reporter && !reporter->WriteAndReport()) return 1;
+  if (reporter && !reporter->WriteAndReport(flags)) return 1;
   return 0;
 }

@@ -255,7 +255,7 @@ int RunRealSweep(const FlagParser& flags) {
     }
   }
 
-  if (reporter && !reporter->WriteAndReport()) return 1;
+  if (reporter && !reporter->WriteAndReport(flags)) return 1;
   return rc;
 }
 
@@ -269,7 +269,7 @@ int main(int argc, char** argv) {
   }
 
   BenchGeometry geo;
-  geo.scale = flags.GetDouble("scale", 0.1);
+  geo.scale = ScaleFromFlags(flags, 0.1);
 
   WorkloadSpec spec;
   spec.tuple_size = uint32_t(flags.GetInt("tuple_size", 20));  // paper: 20B
@@ -364,6 +364,6 @@ int main(int argc, char** argv) {
       "\npaper: concave curves; optima G=19, D=1 at T=150, shifting right "
       "at T=1000; swp stays flat as T grows\n");
 
-  if (reporter && !reporter->WriteAndReport()) return 1;
+  if (reporter && !reporter->WriteAndReport(flags)) return 1;
   return 0;
 }

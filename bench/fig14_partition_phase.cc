@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   FlagParser flags;
   flags.Parse(argc, argv);
   BenchGeometry geo;
-  geo.scale = flags.GetDouble("scale", 0.1);
+  geo.scale = ScaleFromFlags(flags, 0.1);
 
   FigureCtx ctx;
   ctx.schemes = SchemesFromFlag(flags);
@@ -151,6 +151,6 @@ int main(int argc, char** argv) {
       "then deteriorates; group/swp win beyond; combined achieves "
       "1.9-2.6X overall\n");
 
-  if (reporter && !reporter->WriteAndReport()) return 1;
+  if (reporter && !reporter->WriteAndReport(flags)) return 1;
   return 0;
 }

@@ -271,13 +271,8 @@ void RunOnlineJoinSection(perf::BenchReporter* reporter,
   std::vector<Relation> batches;
   batches.reserve(num_batches);
   for (size_t b = 0; b < num_batches; ++b) {
-    const size_t begin = b * pages / num_batches;
-    const size_t end = (b + 1) * pages / num_batches;
-    Relation slice(w.probe.schema());
-    for (size_t p = begin; p < end; ++p) {
-      slice.AppendCopiedPage(w.probe.page(p).data());
-    }
-    batches.push_back(std::move(slice));
+    batches.push_back(w.probe.CopyPages(b * pages / num_batches,
+                                        (b + 1) * pages / num_batches));
   }
 
   for (Scheme scheme : bench::SchemesFromFlag(flags)) {
@@ -568,7 +563,7 @@ int RunJsonHarness(const FlagParser& flags) {
     }
   }
 
-  if (!reporter.WriteAndReport()) return 1;
+  if (!reporter.WriteAndReport(flags)) return 1;
   return 0;
 }
 

@@ -251,7 +251,7 @@ int RunJsonHarness(const FlagParser& flags) {
     }
   }
 
-  if (!reporter.WriteAndReport()) return 1;
+  if (!reporter.WriteAndReport(flags)) return 1;
   return 0;
 }
 

@@ -286,8 +286,7 @@ int main(int argc, char** argv) {
     config.Set("max_concurrent", sched_cfg.max_concurrent);
     JsonValue& rec = reporter.AddMeasuredRecord(
         "reuse", std::move(config), replay_seconds, bench::kServiceTimed);
-    rec.Set("completed", stats.completed);
-    rec.Set("failed", stats.failed);
+    fields::AppendJson(stats, &rec);
     rec.Set("throughput_qps", throughput);
     rec.Set("updates", catalog.total_updates());
     rec.Set("invalidated_entries", invalidated_entries);
@@ -295,7 +294,7 @@ int main(int argc, char** argv) {
     perf::kTailLatencyBlock.Set(&rec, tail);
     rec.Set("verified", ok);
 
-    if (!reporter.WriteAndReport()) return 1;
+    if (!reporter.WriteAndReport(flags)) return 1;
   }
   return ok ? 0 : 1;
 }

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   FlagParser flags;
   flags.Parse(argc, argv);
   BenchGeometry geo;
-  geo.scale = flags.GetDouble("scale", 0.05);
+  geo.scale = ScaleFromFlags(flags, 0.05);
   sim::SimConfig cfg;
   uint64_t tuples = geo.BuildTuples(20);
 
@@ -161,7 +161,7 @@ int main(int argc, char** argv) {
     kSimBlock.Set(&rec, r.join_phase.sim);
     kPerThreadSimBlock.Set(&rec, r.per_thread_join_sim);
 
-    if (!reporter->WriteAndReport()) return 1;
+    if (!reporter->WriteAndReport(flags)) return 1;
   }
   return 0;
 }

@@ -108,6 +108,7 @@ bool HashTableCache::Offer(const CacheKey& key,
       return false;
     }
   }
+  build->Freeze();
   auto entry = std::make_unique<CachedTable>();
   entry->key = key;
   entry->build = std::move(build);

@@ -54,10 +54,13 @@ uint64_t SchemaFingerprint(const Schema& schema);
 
 /// One cached table: the hash table plus shared ownership of the build
 /// relation it indexes. HashCell::tuple pointers point INTO the build
-/// relation's pages, so the relation must stay alive exactly as long as
-/// the table; the shared_ptr makes that a single lifetime. A catalog
-/// that updates a relation swaps in a fresh Relation and bumps the
-/// version — in-flight pins of the old version keep the old pages valid.
+/// relation's pages, so the relation must stay alive and unchanged as
+/// long as the table: the shared_ptr makes that a single lifetime, and
+/// Offer freezes the relation so no co-owner can mutate or move it. The
+/// relation is often the catalog's own (a join shares the caller's
+/// shared_ptr rather than copying). A catalog that updates a relation
+/// swaps in a fresh Relation and bumps the version — in-flight pins of
+/// the old version keep the old pages valid.
 struct CachedTable {
   CacheKey key;
   std::shared_ptr<const Relation> build;
@@ -196,7 +199,9 @@ class HashTableCache {
   PinnedTable Acquire(const CacheKey& key) HJ_EXCLUDES(mu_);
 
   /// Offers a freshly built table for caching. Takes ownership on
-  /// success (returns true); rejects duplicates of an existing key and
+  /// success (returns true) and freezes `build` (Relation::Freeze); the
+  /// entry is charged build->data_bytes() plus HashTable::EstimateBytes.
+  /// Rejects duplicates of an existing key and
   /// tables that cannot fit even an empty cache. `rebuild_cycles` is
   /// the eviction benefit; pass 0 to use the model estimate
   /// (EstimateRebuildCycles) for the table's tuple count.

@@ -133,11 +133,7 @@ HashJoinOperator::HashJoinOperator(std::unique_ptr<Operator> build_child,
       output_schema_(ConcatSchema(build_child_->output_schema(),
                                   probe_child_->output_schema())),
       build_side_(build_child_->output_schema()),
-      out_buffer_(output_schema_) {
-  // Operator inputs are arbitrary children, not partition pages with
-  // memoized slots, so hash codes are computed from the keys.
-  params_.hash_mode = HashCodeMode::kCompute;
-}
+      out_buffer_(output_schema_) {}
 
 Status HashJoinOperator::Open() {
   HJ_RETURN_IF_ERROR(build_child_->Open());
@@ -160,9 +156,7 @@ Status HashJoinOperator::Open() {
   table_ = std::make_unique<HashTable>(
       ChooseBucketCount(build_side_.num_tuples(), 31));
   RealMemory mm;
-  KernelParams build_params = params_;
-  build_params.hash_mode = HashCodeMode::kMemoized;
-  BuildPartition(mm, scheme_, build_side_, table_.get(), build_params);
+  BuildPartition(mm, scheme_, build_side_, table_.get(), params_);
   return Status::OK();
 }
 

@@ -23,8 +23,11 @@ struct BuildContext {
   TupleCursor cursor;
 
   BuildContext(MM* mm_in, HashTable* ht_in, const Relation& build,
-               HashCodeMode mode)
-      : mm(mm_in), ht(ht_in), hash_mode(mode), cursor(build) {}
+               HashCodeMode requested)
+      : mm(mm_in),
+        ht(ht_in),
+        hash_mode(SlotHashMode(requested, build)),
+        cursor(build) {}
 };
 
 /// Per-tuple pipeline state for the prefetching build kernels. The

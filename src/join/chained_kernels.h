@@ -14,8 +14,9 @@ namespace hashjoin {
 /// the insert path is one dependent reference to the bucket head slot).
 template <typename MM>
 void BuildChained(MM& mm, const Relation& build, ChainedHashTable* ht,
-                  HashCodeMode hash_mode = HashCodeMode::kMemoized) {
+                  HashCodeMode requested = HashCodeMode::kMemoized) {
   const auto& cfg = mm.config();
+  const HashCodeMode hash_mode = SlotHashMode(requested, build);
   TupleCursor cursor(build);
   const SlottedPage::Slot* slot;
   const uint8_t* tuple;
@@ -58,10 +59,11 @@ template <typename MM>
 uint64_t ProbeChained(MM& mm, const Relation& probe,
                       const ChainedHashTable& ht, uint32_t build_tuple_size,
                       ChainedPrefetch prefetch_mode, Relation* out,
-                      HashCodeMode hash_mode = HashCodeMode::kMemoized) {
+                      HashCodeMode requested = HashCodeMode::kMemoized) {
   const auto& cfg = mm.config();
+  const HashCodeMode hash_mode = SlotHashMode(requested, probe);
   uint32_t probe_tuple_size = probe.schema().fixed_size();
-  OutputSink sink(out);
+  OutputSink sink(out, probe.page_size());
   TupleCursor cursor(probe);
   const SlottedPage::Slot* slot;
   const uint8_t* tuple;

@@ -94,8 +94,11 @@ struct GraceConfig {
   /// When set and the sizing collapses to a single partition, the join
   /// consults the cache under `cache_key` before the build phase: a hit
   /// pins the cached table and probes it directly (any scheme,
-  /// including kCoro), skipping both the partition and build phases; a
-  /// miss runs normally and offers the freshly built table back.
+  /// including kCoro), skipping the build; a miss builds on the build
+  /// relation and offers the table back. The cache then shares the
+  /// caller's relation when a shared_ptr owns it (and freezes it: see
+  /// Relation), and otherwise keeps a page-by-page copy; either way the
+  /// entry is charged the build's data bytes plus the table estimate.
   /// Multi-partition plans bypass the cache — a partitioned build is
   /// not reusable as one table.
   cache::HashTableCache* table_cache = nullptr;
@@ -372,34 +375,77 @@ uint64_t JoinGracePartition(MM& mm, const GraceConfig& config,
   return produced;
 }
 
+namespace internal_grace {
+
+/// The join phase of a one-partition plan, run on the inputs themselves:
+/// the partition pass would only copy both of them. With a table cache
+/// (and no §7.5 cache mode) a hit probes the pinned table, and a miss
+/// builds on the build relation the cache will share — the caller's own
+/// when a shared_ptr owns it, otherwise a page-by-page copy — then
+/// offers the table. The cache freezes the relation it keeps.
+template <typename MM>
+void JoinInPlace(MM& mm, const Relation& build, const Relation& probe,
+                 const GraceConfig& config, Relation* output,
+                 JoinResult* result) {
+  const bool cacheable =
+      config.table_cache != nullptr &&
+      config.cache_mode == GraceConfig::CacheMode::kNone &&
+      build.num_tuples() > 0;
+  cache::PinnedTable pinned;
+  if (cacheable) pinned = config.table_cache->Acquire(config.cache_key);
+  result->cache_hit = static_cast<bool>(pinned);
+  result->join_phase = MeasurePhase(mm, [&] {
+    if (pinned) {
+      result->output_tuples = ProbePartition(
+          mm, config.join_scheme, probe, pinned.table(),
+          pinned.build().schema().fixed_size(), config.join_params, output);
+      return;
+    }
+    if (!cacheable) {
+      result->output_tuples =
+          JoinGracePartition(mm, config, 1, build, probe, output);
+      return;
+    }
+    std::shared_ptr<const Relation> shared = build.weak_from_this().lock();
+    if (shared == nullptr) {
+      shared = std::make_shared<const Relation>(
+          build.CopyPages(0, build.num_pages()));
+    }
+    auto ht = std::make_unique<HashTable>(
+        ChooseBucketCount(shared->num_tuples(), 1));
+    BuildPartition(mm, config.join_scheme, *shared, ht.get(),
+                   config.join_params);
+    result->output_tuples = ProbePartition(
+        mm, config.join_scheme, probe, *ht, shared->schema().fixed_size(),
+        config.join_params, output);
+    config.table_cache->Offer(config.cache_key, std::move(shared),
+                              std::move(ht));
+  });
+  result->join_phase.tuples_processed =
+      probe.num_tuples() + (pinned ? 0 : build.num_tuples());
+}
+
+}  // namespace internal_grace
+
 /// The full GRACE hash join (§2): an I/O partition phase dividing both
 /// relations into memory-sized (or cache-sized, for the §7.5 comparison
 /// modes) partitions, followed by a join phase processing each pair with
-/// in-memory hash tables. `output` receives the concatenated result
-/// tuples; pass nullptr to count matches without retaining them.
+/// in-memory hash tables. A plan with one partition skips the partition
+/// phase (it stays empty) and joins the inputs in place. `output`
+/// receives the concatenated result tuples; pass nullptr to count matches
+/// without retaining them.
 ///
 /// With config.num_threads > 1 both phases run on a work-stealing pool:
 /// partition pairs become morsels sorted largest-first (bounding tail
 /// latency under partition-size skew), every worker records into its own
 /// memory model and output sink, and worker results are merged after
 /// each phase — so output counts and simulated totals are independent of
-/// the thread count.
+/// the thread count. A one-partition plan runs on the calling thread.
 template <typename MM>
 JoinResult GraceHashJoin(MM& mm, const Relation& build,
                          const Relation& probe, const GraceConfig& config,
                          Relation* output) {
   JoinResult result;
-
-  // Executor: a shared fair-share group when the service supplies one,
-  // a private per-invocation pool otherwise. All per-worker state below
-  // is sized by the executor's worker count.
-  std::unique_ptr<PoolExecutor> owned_pool;
-  PoolExecutor* pool = config.executor;
-  if (pool == nullptr && std::max(1u, config.num_threads) > 1) {
-    owned_pool = std::make_unique<PoolExecutor>(config.num_threads);
-    pool = owned_pool.get();
-  }
-  const uint32_t threads = pool != nullptr ? pool->num_workers() : 1;
 
   // --- sizing ---
   uint64_t budget = EffectiveMemoryBudget(config);
@@ -415,39 +461,21 @@ JoinResult GraceHashJoin(MM& mm, const Relation& build,
       PlanPartitionPasses(wanted_parts, config.max_active_partitions);
   uint32_t num_parts = plan.FinalParts();
   result.num_partitions = num_parts;
-
-  Relation discard(ConcatSchema(build.schema(), probe.schema()),
-                   config.page_size);
-  Relation* out = output != nullptr ? output : &discard;
-
-  // --- cache consult (single-partition plans only) ---
-  // A hit pins the cached table and probes the *unpartitioned* probe
-  // relation directly: with one partition the partition pass is a pure
-  // copy, so tuple order — and hence the output byte stream — is
-  // identical to the uncached path. Only the partition pass memoizes
-  // hash codes in the slots (input relations may carry 0s there), so
-  // the hit computes them from the keys, as HybridHashJoin does for its
-  // unpartitioned input.
-  const bool cache_eligible =
-      config.table_cache != nullptr && num_parts == 1 &&
-      config.cache_mode == GraceConfig::CacheMode::kNone &&
-      build.num_tuples() > 0;
-  if (cache_eligible) {
-    cache::PinnedTable pinned =
-        config.table_cache->Acquire(config.cache_key);
-    if (pinned) {
-      result.cache_hit = true;
-      KernelParams params = config.join_params;
-      params.hash_mode = HashCodeMode::kCompute;
-      result.join_phase = internal_grace::MeasurePhase(mm, [&] {
-        result.output_tuples = ProbePartition(
-            mm, config.join_scheme, probe, pinned.table(),
-            pinned.build().schema().fixed_size(), params, out);
-      });
-      result.join_phase.tuples_processed = probe.num_tuples();
-      return result;
-    }
+  if (num_parts == 1) {
+    internal_grace::JoinInPlace(mm, build, probe, config, output, &result);
+    return result;
   }
+
+  // Executor: a shared fair-share group when the service supplies one,
+  // a private per-invocation pool otherwise. All per-worker state below
+  // is sized by the executor's worker count.
+  std::unique_ptr<PoolExecutor> owned_pool;
+  PoolExecutor* pool = config.executor;
+  if (pool == nullptr && std::max(1u, config.num_threads) > 1) {
+    owned_pool = std::make_unique<PoolExecutor>(config.num_threads);
+    pool = owned_pool.get();
+  }
+  const uint32_t threads = pool != nullptr ? pool->num_workers() : 1;
 
   // --- partition phase (both relations) ---
   std::vector<Relation> build_parts;
@@ -469,35 +497,11 @@ JoinResult GraceHashJoin(MM& mm, const Relation& build,
       build.num_tuples() + probe.num_tuples();
 
   // --- join phase ---
-  if (cache_eligible) {
-    // Cache miss on a single-partition plan: build + probe as usual,
-    // but keep the table (and its build partition, which owns the
-    // tuple bytes the table points into) alive and offer both to the
-    // cache instead of destroying them with the stack frame.
-    result.join_phase = internal_grace::MeasurePhase(mm, [&] {
-      Relation& build_part = build_parts[0];
-      auto ht = std::make_unique<HashTable>(
-          ChooseBucketCount(build_part.num_tuples(), 1));
-      BuildPartition(mm, config.join_scheme, build_part, ht.get(),
-                     config.join_params);
-      result.output_tuples = ProbePartition(
-          mm, config.join_scheme, probe_parts[0], *ht,
-          build_part.schema().fixed_size(), config.join_params, out);
-      auto shared_build =
-          std::make_shared<Relation>(std::move(build_part));
-      config.table_cache->Offer(config.cache_key,
-                                std::move(shared_build), std::move(ht));
-    });
-    result.join_phase.tuples_processed =
-        build.num_tuples() + probe.num_tuples();
-    return result;
-  }
   result.join_phase = internal_grace::MeasurePhase(mm, [&] {
     if (pool == nullptr) {
       for (uint32_t p = 0; p < num_parts; ++p) {
         result.output_tuples += JoinGracePartition(
-            mm, config, num_parts, build_parts[p], probe_parts[p], out);
-        if (output == nullptr) discard.Clear();
+            mm, config, num_parts, build_parts[p], probe_parts[p], output);
       }
       return;
     }
@@ -515,16 +519,17 @@ JoinResult GraceHashJoin(MM& mm, const Relation& build,
     WorkerMemorySet<MM> wmem(mm, threads);
     std::vector<Relation> worker_out;
     std::vector<uint64_t> worker_counts(threads, 0);
-    worker_out.reserve(threads);
-    for (uint32_t w = 0; w < threads; ++w) {
-      worker_out.emplace_back(out->schema(), out->page_size());
+    if (output != nullptr) {
+      worker_out.reserve(threads);
+      for (uint32_t w = 0; w < threads; ++w) {
+        worker_out.emplace_back(output->schema(), output->page_size());
+      }
     }
     for (uint32_t p : order) {
       pool->Submit([&, p](uint32_t wid) {
         worker_counts[wid] += JoinGracePartition(
             wmem.model(wid), config, num_parts, build_parts[p],
-            probe_parts[p], &worker_out[wid]);
-        if (output == nullptr) worker_out[wid].Clear();
+            probe_parts[p], output != nullptr ? &worker_out[wid] : nullptr);
       });
     }
     pool->Wait();

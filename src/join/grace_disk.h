@@ -87,7 +87,7 @@ struct SpillLevelStats {
     v("tuples", &SpillLevelStats::tuples);
     v("bytes_written", &SpillLevelStats::bytes_written);
     v("partition_seconds", &SpillLevelStats::partition_seconds);
-    v("hist", &SpillLevelStats::hist, fields::Kind::kInternal);
+    v("hist", &SpillLevelStats::hist, fields::kInternal);
     v("max_bin_fraction", &SpillLevelStats::MaxBinFraction);
     v("nonzero_bins", &SpillLevelStats::NonzeroBins);
   }

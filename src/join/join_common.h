@@ -68,6 +68,15 @@ enum class HashCodeMode {
   kCompute,
 };
 
+/// The mode a kernel pass over `rel` runs in: slot codes only when the
+/// caller asks for them and every slot of `rel` holds one.
+inline HashCodeMode SlotHashMode(HashCodeMode requested,
+                                 const Relation& rel) {
+  return requested == HashCodeMode::kMemoized && rel.has_hash_codes()
+             ? HashCodeMode::kMemoized
+             : HashCodeMode::kCompute;
+}
+
 /// Live G/D overrides published by an online tuner (tune::PrefetchTuner
 /// glue in the benches) and consumed by the kernels at batch boundaries.
 /// 0 means "no override: use the static KernelParams value". Writers
@@ -94,6 +103,9 @@ struct LiveTuning {
 struct KernelParams {
   uint32_t group_size = 19;        // G; the paper's optimum at T=150
   uint32_t prefetch_distance = 1;  // D; the paper's optimum at T=150
+  /// kCompute is the ablation that hashes keys even where slots hold
+  /// codes; kMemoized uses them wherever a relation has them
+  /// (SlotHashMode).
   HashCodeMode hash_mode = HashCodeMode::kMemoized;
   /// Prefetch the output tail the emit stage will write (ablatable).
   bool prefetch_output = true;
@@ -135,9 +147,9 @@ struct JoinResult {
   PhaseResult join_phase;  // includes any in-memory re-partition step
   uint64_t output_tuples = 0;
   uint32_t num_partitions = 0;
-  /// The build phase was skipped because a cached hash table was pinned
-  /// (GraceConfig::table_cache hit); partition_phase is empty too — the
-  /// probe ran directly against the cached table.
+  /// The build was skipped: the probe ran against a table pinned in
+  /// GraceConfig::table_cache. Only one-partition plans consult the
+  /// cache, and their partition_phase is always empty.
   bool cache_hit = false;
   /// Join-phase counters per worker thread (simulated runs with
   /// num_threads > 1 only): each worker's share of the merged stats, for
@@ -212,11 +224,16 @@ class TupleCursor {
 /// output buffers are sent to the parent operator (or disk) and reused.
 /// Reuse keeps the output working set cache-resident, so — like the
 /// paper's machine — the join phase's cache misses are dominated by hash
-/// table visits, not by output stores.
+/// table visits, not by output stores. A count-only join passes a null
+/// destination: full pages are reformatted in place and nothing is kept,
+/// while the staging writes stay charged exactly as before.
 class OutputSink {
  public:
-  explicit OutputSink(Relation* dest)
-      : dest_(dest), page_size_(dest->page_size()) {
+  /// `page_size` sizes the staging page of a null `dest`; otherwise it
+  /// is `dest`'s own page size.
+  OutputSink(Relation* dest, uint32_t page_size)
+      : dest_(dest),
+        page_size_(dest != nullptr ? dest->page_size() : page_size) {
     buffer_ = MakeAlignedBuffer<uint8_t>(page_size_, page_size_);
     view_ = SlottedPage::Format(buffer_.get(), page_size_);
   }
@@ -250,7 +267,9 @@ class OutputSink {
 
  private:
   void Flush() {
-    dest_->AppendCopiedPage(buffer_.get());
+    if (dest_ != nullptr) {
+      dest_->AppendCopiedPage(buffer_.get(), SlotHashes::kNone);
+    }
     view_ = SlottedPage::Format(buffer_.get(), page_size_);
   }
 

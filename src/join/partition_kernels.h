@@ -92,7 +92,7 @@ class PartitionSinkSet {
     h->slot_count = s->slot_count;
     h->free_offset = s->free_offset;
     h->page_size = page_size_;
-    s->dest->AppendCopiedPage(s->page);
+    s->dest->AppendCopiedPage(s->page, SlotHashes::kMemoized);
     s->slot_count = 0;
     s->free_offset = sizeof(SlottedPage::PageHeader);
   }

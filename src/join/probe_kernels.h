@@ -42,8 +42,8 @@ struct ProbeContext {
         ht(ht_in),
         build_tuple_size(build_size),
         probe_tuple_size(probe_size),
-        sink(out_in),
-        hash_mode(params.hash_mode),
+        sink(out_in, probe.page_size()),
+        hash_mode(SlotHashMode(params.hash_mode, probe)),
         prefetch_output(params.prefetch_output),
         cursor(probe) {}
 };

@@ -195,7 +195,14 @@ JsonValue& BenchReporter::Append(JsonValue record) {
 
 Status BenchReporter::Write() const { return WriteJsonFile(output_path_, doc_); }
 
-bool BenchReporter::WriteAndReport() const {
+bool BenchReporter::WriteAndReport(const FlagParser& flags) const {
+  const std::vector<std::string> unread = flags.Unread();
+  for (const std::string& name : unread) {
+    std::fprintf(stderr, "%s: unknown flag --%s; %s not written\n",
+                 options_.bench_name.c_str(), name.c_str(),
+                 output_path_.c_str());
+  }
+  if (!unread.empty()) return false;
   Status st = Write();
   if (!st.ok()) {
     std::fprintf(stderr, "failed to write %s: %s\n", output_path_.c_str(),

@@ -9,6 +9,7 @@
 #include "perf/calibrate.h"
 #include "perf/perf_counters.h"
 #include "util/fields.h"
+#include "util/flags.h"
 #include "util/json_writer.h"
 #include "util/status.h"
 
@@ -148,8 +149,11 @@ class BenchReporter {
   Status Write() const;
 
   /// Write(), then says on stdout where the records went (or on stderr
-  /// why they did not); returns whether the file was written.
-  bool WriteAndReport() const;
+  /// why they did not); returns whether the file was written. A run
+  /// given a flag no code path read (`flags.Unread()`, a misspelt or
+  /// retired flag) measured some other configuration than the one asked
+  /// for: nothing is written, and each such flag is named on stderr.
+  bool WriteAndReport(const FlagParser& flags) const;
 
   /// output path actually in use.
   const std::string& output_path() const { return output_path_; }

@@ -47,8 +47,7 @@ struct CounterValues {
     v("ipc", &CounterValues::Ipc);
     v("scaled", &CounterValues::scaled);
     v("running_fraction", &CounterValues::running_fraction);
-    v("time_enabled_ns", &CounterValues::time_enabled_ns,
-      fields::Kind::kInternal);
+    v("time_enabled_ns", &CounterValues::time_enabled_ns, fields::kInternal);
   }
 };
 

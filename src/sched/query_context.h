@@ -12,6 +12,7 @@
 #include "join/grace_disk.h"
 #include "sched/memory_broker.h"
 #include "storage/buffer_manager.h"
+#include "util/fields.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -66,6 +67,17 @@ struct ServiceStats {
   double makespan_seconds = 0;
   /// Per-query records in completion order (includes failed/expired).
   std::vector<QueryStats> queries;
+
+  template <class V>
+  static constexpr void VisitFields(V& v) {
+    v("submitted", &ServiceStats::submitted);
+    v("rejected", &ServiceStats::rejected);
+    v("completed", &ServiceStats::completed);
+    v("failed", &ServiceStats::failed);
+    v("deadline_expired", &ServiceStats::deadline_expired);
+    v("makespan_seconds", &ServiceStats::makespan_seconds);
+    v("queries", &ServiceStats::queries, fields::kInternal);
+  }
 };
 
 /// Handed to a query body by the scheduler: the query's revocable memory

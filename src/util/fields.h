@@ -31,18 +31,31 @@ namespace fields {
 // &S::member[, kind])`; a const member function taking no arguments is
 // a derived value, written to JSON but never summed or diffed; a member
 // whose type has its own list nests. Add, Diff and the JSON writer
-// refuse to compile for a struct whose list misses a data member.
+// refuse to compile for a struct whose list misses a data member, and
+// the JSON writer for one listing a member JSON cannot hold without
+// fields::kInternal.
 
 /// How a data member combines across two readings.
 enum class Kind {
-  kCounter,   ///< a sum adds it; a diff subtracts `before`
-  kLevel,     ///< a level, not a count (a high-water mark, a current
-              ///< size, a label): a sum keeps the larger value, a diff
-              ///< keeps `after`
-  kInternal,  ///< a counter (summed and diffed) that JSON leaves out
+  kCounter,  ///< a sum adds it; a diff subtracts `before`
+  kLevel,    ///< a level, not a count (a high-water mark, a current
+             ///< size, a label): a sum keeps the larger value, a diff
+             ///< keeps `after`
 };
 
+/// Lists a counter (summed and diffed like kCounter) that JSON leaves
+/// out: `v("hist", &S::hist, fields::kInternal)`. A type, not a Kind, so
+/// the JSON writer drops it at compile time.
+struct Internal {
+  constexpr operator Kind() const { return Kind::kCounter; }  // NOLINT
+};
+inline constexpr Internal kInternal{};
+
 namespace internal {
+
+/// True when a visitor's optional kind argument is fields::kInternal.
+template <class... KindArg>
+inline constexpr bool kIsInternal = (std::is_same_v<KindArg, Internal> || ...);
 
 struct AnyVisitor {
   template <class... A>
@@ -94,6 +107,22 @@ struct IsOptional<std::optional<T>> : std::true_type {};
 template <class S>
 concept HasFields = requires(internal::AnyVisitor& v) { S::VisitFields(v); };
 
+namespace internal {
+
+/// Whether JSON can hold a T.
+template <class T>
+constexpr bool JsonWritable() {
+  if constexpr (HasFields<T>) {
+    return true;
+  } else if constexpr (IsOptional<T>::value || IsStdArray<T>::value) {
+    return JsonWritable<typename T::value_type>();
+  } else {
+    return std::is_constructible_v<JsonValue, const T&>;
+  }
+}
+
+}  // namespace internal
+
 /// The member type a member pointer `P` points to.
 template <class P>
 using MemberType = typename internal::Member<P>::type;
@@ -107,6 +136,22 @@ constexpr bool ListsEveryMember() {
   };
   S::VisitFields(count);
   return listed == internal::AggregateArity<S>();
+}
+
+/// True when JSON can hold every data member S lists without
+/// fields::kInternal (ServiceStats' per-query records need the tag).
+template <HasFields S>
+constexpr bool JsonHoldsEveryMember() {
+  bool holds = true;
+  auto check = [&](const char*, auto member, auto... kind) {
+    using P = decltype(member);
+    if constexpr (!std::is_member_function_pointer_v<P> &&
+                  !internal::kIsInternal<decltype(kind)...>) {
+      holds = holds && internal::JsonWritable<MemberType<P>>();
+    }
+  };
+  S::VisitFields(check);
+  return holds;
 }
 
 namespace internal {
@@ -188,9 +233,13 @@ JsonValue JsonOf(const T& value) {
 template <HasFields S>
 void AppendJson(const S& s, JsonValue* obj) {
   static_assert(ListsEveryMember<S>(), "a member is missing from VisitFields");
-  auto visit = [&](const char* key, auto member, Kind kind = Kind::kCounter) {
-    if (kind == Kind::kInternal) return;
-    if constexpr (std::is_member_function_pointer_v<decltype(member)>) {
+  static_assert(JsonHoldsEveryMember<S>(),
+                "a member JSON cannot hold must be listed fields::kInternal");
+  auto visit = [&](const char* key, auto member, auto... kind) {
+    if constexpr (internal::kIsInternal<decltype(kind)...>) {
+      return;
+    } else if constexpr (std::is_member_function_pointer_v<
+                             decltype(member)>) {
       obj->Set(key, internal::JsonOf((s.*member)()));
     } else {
       obj->Set(key, internal::JsonOf(s.*member));
@@ -216,11 +265,12 @@ JsonValue ToJsonArray(const std::vector<S>& values) {
 template <HasFields S>
 std::vector<std::string> JsonKeys() {
   std::vector<std::string> keys;
-  auto visit = [&](const char* key, auto member, Kind kind = Kind::kCounter) {
-    if (kind == Kind::kInternal) return;
+  auto visit = [&](const char* key, auto member, auto... kind) {
     using P = decltype(member);
-    if constexpr (!std::is_member_function_pointer_v<P> &&
-                  HasFields<MemberType<P>>) {
+    if constexpr (internal::kIsInternal<decltype(kind)...>) {
+      return;
+    } else if constexpr (!std::is_member_function_pointer_v<P> &&
+                         HasFields<MemberType<P>>) {
       for (const std::string& sub : JsonKeys<MemberType<P>>()) {
         keys.push_back(std::string(key) + "." + sub);
       }

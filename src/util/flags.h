@@ -3,13 +3,18 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
+#include <vector>
 
 namespace hashjoin {
 
 /// Minimal --name=value command-line parser for the bench binaries.
-/// Unknown flags are tolerated (google-benchmark consumes its own), so
-/// bench binaries can mix both flag families.
+/// Parse() accepts any flag (google-benchmark consumes its own), so bench
+/// binaries can mix both flag families. Every Has/Get* call marks its flag
+/// read, and Unread() names the flags no code path asked about — a
+/// misspelt or retired flag — which a --json run refuses
+/// (BenchReporter::WriteAndReport). Not thread-safe.
 class FlagParser {
  public:
   /// Parses argv; recognized "--name=value" and "--name value" pairs are
@@ -24,8 +29,16 @@ class FlagParser {
   std::string GetString(const std::string& name,
                         const std::string& default_value) const;
 
+  /// Parsed flags that no Has/Get* call has read, google-benchmark's
+  /// own --benchmark_* flags excepted.
+  std::vector<std::string> Unread() const;
+
  private:
+  /// The value of `name` (nullptr if absent), marking the flag read.
+  const std::string* Find(const std::string& name) const;
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace hashjoin

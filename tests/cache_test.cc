@@ -1,9 +1,11 @@
 // Tests for the cross-query hash-table cache: hit/miss/invalidate
 // correctness (cached-path output byte-identical to the uncached run for
-// every execution scheme), pin-count discipline under concurrent probes,
-// compile-time pin privacy, revoke-storm eviction ordering on a real
-// broker grant, and the broker's cache-first revocation class. Runs
-// under TSAN via the `threaded` label.
+// every execution scheme), sharing the caller's build relation (or a
+// copy of a relation nothing shares) and freezing it, pin-count
+// discipline under concurrent probes, compile-time pin privacy,
+// revoke-storm eviction ordering on a real broker grant, and the
+// broker's cache-first revocation class. Runs under TSAN via the
+// `threaded` label and under ASAN/UBSAN via `cache`.
 
 #include <atomic>
 #include <cstring>
@@ -183,6 +185,108 @@ TEST(HashTableCacheTest, HitOnInputsWithoutMemoizedHashesMatchesMiss) {
     ASSERT_TRUE(hit.cache_hit);
     EXPECT_EQ(hit.output_tuples, 2500u);
   }
+}
+
+// A miss on a build relation a shared_ptr owns hands the cache that very
+// relation: no copy is made, the entry is charged what a copy would be,
+// and the cache freezes the relation.
+TEST(HashTableCacheTest, MissSharesTheCallersBuildRelation) {
+  JoinWorkload w = SmallWorkload(11);
+  auto build = std::make_shared<const Relation>(std::move(w.build));
+  const std::atomic<uint64_t> budget{64ull << 20};
+  cache::HashTableCache cache{BudgetView(&budget)};
+  GraceConfig cached;
+  cached.table_cache = &cache;
+  cached.cache_key = {5, 1, cache::SchemaFingerprint(build->schema())};
+
+  RealMemory mm;
+  JoinResult miss = GraceHashJoin(mm, *build, w.probe, cached, nullptr);
+  ASSERT_FALSE(miss.cache_hit);
+  EXPECT_EQ(miss.output_tuples, w.expected_matches);
+  cache::PinnedTable pinned = cache.Acquire(cached.cache_key);
+  ASSERT_TRUE(pinned);
+  EXPECT_EQ(&pinned.build(), build.get());
+  EXPECT_TRUE(build->frozen());
+  EXPECT_EQ(cache.stats().charged_bytes,
+            build->data_bytes() +
+                HashTable::EstimateBytes(build->num_tuples()));
+}
+
+// A relation without a shared owner is copied once, before the build; the
+// caller's relation stays its own and mutable, and hits stay
+// byte-identical to the uncached join.
+TEST(HashTableCacheTest, MissOnAStackRelationCachesACopy) {
+  JoinWorkload w = SmallWorkload(12);
+  const std::atomic<uint64_t> budget{64ull << 20};
+  cache::HashTableCache cache{BudgetView(&budget)};
+  GraceConfig plain;
+  GraceConfig cached;
+  cached.table_cache = &cache;
+  cached.cache_key = {6, 1, cache::SchemaFingerprint(w.build.schema())};
+  const Schema out_schema = ConcatSchema(w.build.schema(), w.probe.schema());
+
+  RealMemory mm;
+  Relation out_ref(out_schema);
+  GraceHashJoin(mm, w.build, w.probe, plain, &out_ref);
+  Relation out_miss(out_schema);
+  ASSERT_FALSE(
+      GraceHashJoin(mm, w.build, w.probe, cached, &out_miss).cache_hit);
+  Relation out_hit(out_schema);
+  ASSERT_TRUE(GraceHashJoin(mm, w.build, w.probe, cached, &out_hit).cache_hit);
+  EXPECT_EQ(out_ref.num_tuples(), w.expected_matches);
+  EXPECT_TRUE(RelationsIdentical(out_ref, out_miss));
+  EXPECT_TRUE(RelationsIdentical(out_ref, out_hit));
+
+  cache::PinnedTable pinned = cache.Acquire(cached.cache_key);
+  ASSERT_TRUE(pinned);
+  EXPECT_NE(&pinned.build(), &w.build);
+  EXPECT_TRUE(RelationsIdentical(pinned.build(), w.build));
+  EXPECT_TRUE(pinned.build().frozen());
+  EXPECT_FALSE(w.build.frozen());
+  EXPECT_EQ(cache.stats().charged_bytes,
+            w.build.data_bytes() +
+                HashTable::EstimateBytes(w.build.num_tuples()));
+  pinned.Reset();
+  w.build.Clear();  // the caller's relation is still its own
+}
+
+TEST(HashTableCacheTest, OfferChargesBuildBytesPlusTableEstimate) {
+  const std::atomic<uint64_t> budget{64ull << 20};
+  cache::HashTableCache cache{BudgetView(&budget)};
+  JoinWorkload w = SmallWorkload(13, 3000);
+  const uint64_t expected =
+      w.build.data_bytes() + HashTable::EstimateBytes(w.build.num_tuples());
+  ASSERT_TRUE(OfferEntry(&cache, {13, 0, 0}, 3000, 1000));
+  EXPECT_EQ(cache.stats().charged_bytes, expected);
+}
+
+// Cached hash cells point into the shared relation's pages, so every
+// mutator of a relation the cache shares dies instead of freeing them.
+TEST(HashTableCacheDeathTest, MutatingASharedBuildRelationDies) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  JoinWorkload w = SmallWorkload(14);
+  auto build = std::make_shared<Relation>(std::move(w.build));
+  const std::atomic<uint64_t> budget{64ull << 20};
+  cache::HashTableCache cache{BudgetView(&budget)};
+  GraceConfig cached;
+  cached.table_cache = &cache;
+  cached.cache_key = {7, 1, cache::SchemaFingerprint(build->schema())};
+  RealMemory mm;
+  ASSERT_FALSE(GraceHashJoin(mm, *build, w.probe, cached, nullptr).cache_hit);
+  ASSERT_TRUE(build->frozen());
+
+  const std::vector<uint8_t> tuple(build->schema().fixed_size(), 0);
+  Relation other(build->schema());
+  EXPECT_DEATH(build->Append(tuple.data(), uint16_t(tuple.size())),
+               "immutable");
+  EXPECT_DEATH(build->AllocAppend(uint16_t(tuple.size()), 1), "immutable");
+  EXPECT_DEATH(build->Clear(), "immutable");
+  EXPECT_DEATH(other.Absorb(build.get()), "immutable");
+  EXPECT_DEATH(build->Absorb(&other), "immutable");
+  EXPECT_DEATH(Relation stolen(std::move(*build)), "immutable");
+  EXPECT_DEATH(*build = Relation(build->schema()), "immutable");
+  EXPECT_DEATH(other = std::move(*build), "immutable");
+  EXPECT_EQ(build->num_tuples(), 2000u);  // the parent never mutated it
 }
 
 TEST(HashTableCacheTest, OfferRejectsDuplicatesAndOversize) {

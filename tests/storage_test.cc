@@ -200,7 +200,8 @@ TEST(RelationTest, AdoptPageAccountsTuples) {
   char t[16] = {0};
   pg.AddTuple(t, 16, 1);
   pg.AddTuple(t, 16, 2);
-  rel.AdoptPage(AlignedBuffer<uint8_t>(static_cast<uint8_t*>(raw)));
+  rel.AdoptPage(AlignedBuffer<uint8_t>(static_cast<uint8_t*>(raw)),
+                SlotHashes::kMemoized);
   EXPECT_EQ(rel.num_tuples(), 2u);
   EXPECT_EQ(rel.data_bytes(), 32u);
   EXPECT_EQ(rel.num_pages(), 1u);
@@ -215,7 +216,8 @@ TEST(RelationTest, AdoptPageKeepsAppendPageLast) {
   void* raw = AlignedAlloc(512, 512);
   SlottedPage pg = SlottedPage::Format(raw, 512);
   pg.AddTuple(t, 16, 0);
-  rel.AdoptPage(AlignedBuffer<uint8_t>(static_cast<uint8_t*>(raw)));
+  rel.AdoptPage(AlignedBuffer<uint8_t>(static_cast<uint8_t*>(raw)),
+                SlotHashes::kMemoized);
 
   EXPECT_EQ(rel.PeekAppendAddr(), tail_before);
   rel.Append(t, 16, 0);
@@ -239,6 +241,60 @@ TEST(RelationTest, ClearReleasesEverything) {
   EXPECT_EQ(rel.num_tuples(), 0u);
   EXPECT_EQ(rel.num_pages(), 0u);
   EXPECT_EQ(rel.PeekAppendAddr(), nullptr);
+}
+
+TEST(RelationTest, TracksWhetherEverySlotHoldsAHashCode) {
+  const Schema schema = Schema::KeyPayload(16);
+  char t[16] = {0};
+  Relation coded(schema, 512);
+  EXPECT_TRUE(coded.has_hash_codes());  // vacuously, while empty
+  for (uint32_t i = 0; i < 40; ++i) coded.Append(t, 16, i);
+  EXPECT_TRUE(coded.has_hash_codes());
+  EXPECT_TRUE(coded.CopyPages(0, coded.num_pages()).has_hash_codes());
+
+  // One append without a code clears the state for good.
+  Relation mixed = coded.CopyPages(0, coded.num_pages());
+  mixed.Append(t, 16, kNoHashCode);
+  EXPECT_FALSE(mixed.has_hash_codes());
+  mixed.Append(t, 16, 7);
+  EXPECT_FALSE(mixed.has_hash_codes());
+  EXPECT_FALSE(mixed.CopyPages(0, mixed.num_pages()).has_hash_codes());
+
+  // Pages carry their own state; absorbing one without codes clears it.
+  Relation paged(schema, 512);
+  paged.AppendCopiedPage(coded.page(0).data(), SlotHashes::kMemoized);
+  EXPECT_TRUE(paged.has_hash_codes());
+  Relation uncoded(schema, 512);
+  uncoded.AppendCopiedPage(coded.page(1).data(), SlotHashes::kNone);
+  EXPECT_FALSE(uncoded.has_hash_codes());
+  paged.Absorb(&uncoded);
+  EXPECT_FALSE(paged.has_hash_codes());
+  EXPECT_TRUE(uncoded.has_hash_codes());  // emptied by Absorb
+  paged.Clear();
+  EXPECT_TRUE(paged.has_hash_codes());
+}
+
+TEST(RelationTest, CopyPagesDuplicatesPagesAndCounts) {
+  Relation rel(Schema::KeyPayload(16), 512);
+  char t[16] = {0};
+  for (uint32_t i = 0; i < 100; ++i) {
+    std::memcpy(t, &i, sizeof(i));
+    rel.Append(t, 16, i);
+  }
+  Relation copy = rel.CopyPages(0, rel.num_pages());
+  ASSERT_EQ(copy.num_pages(), rel.num_pages());
+  EXPECT_EQ(copy.num_tuples(), rel.num_tuples());
+  EXPECT_EQ(copy.data_bytes(), rel.data_bytes());
+  for (size_t p = 0; p < rel.num_pages(); ++p) {
+    EXPECT_NE(copy.page(p).data(), rel.page(p).data());
+    EXPECT_EQ(std::memcmp(copy.page(p).data(), rel.page(p).data(), 512), 0);
+  }
+
+  Relation slice = rel.CopyPages(1, 3);
+  ASSERT_EQ(slice.num_pages(), 2u);
+  EXPECT_EQ(slice.num_tuples(),
+            uint64_t(rel.page(1).slot_count() + rel.page(2).slot_count()));
+  EXPECT_EQ(std::memcmp(slice.page(0).data(), rel.page(1).data(), 512), 0);
 }
 
 TEST(SimulatedDiskTest, WriteThenReadRoundTrips) {

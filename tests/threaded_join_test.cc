@@ -4,6 +4,9 @@
 //  - Parallel partition phase produces exactly the serial partitions.
 //  - Join determinism: identical output counts for num_threads 1/2/8
 //    across all four schemes, on uniform and Zipf-skewed workloads.
+//  - Count-only joins (null output) count what materialised ones
+//    produce, and one-partition plans join in place with an empty
+//    partition phase.
 //  - Per-worker sim-stat merging is exact (workers sum to the merged
 //    phase totals).
 //  - Two-step sub-partitioning divides by the first-level partition
@@ -14,6 +17,7 @@
 #include <cstring>
 #include <map>
 #include <numeric>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "hash/hash_table.h"
@@ -215,6 +219,75 @@ TEST(ThreadedJoinDeterminism, CorrectCountsOnGeneratedWorkload) {
     RealMemory mm;
     JoinResult r = GraceHashJoin(mm, w.build, w.probe, config, nullptr);
     EXPECT_EQ(r.output_tuples, w.expected_matches) << "threads=" << threads;
+  }
+}
+
+// A count-only join (null output) never materialises a page, yet must
+// count exactly what a materialised join produces, on every scheme, on
+// the serial and the pooled path, in place (one partition) and
+// partitioned.
+TEST(CountOnlyJoinTest, MatchesMaterialisedCount) {
+  WorkloadSpec spec;
+  spec.num_build_tuples = 6000;
+  spec.tuple_size = 20;
+  spec.matches_per_build = 2.0;
+  JoinWorkload w = GenerateJoinWorkload(spec);
+  for (Scheme scheme : AllSchemes()) {
+    for (uint32_t threads : {1u, 4u}) {
+      for (uint32_t parts : {1u, 8u}) {
+        SCOPED_TRACE(std::string(SchemeName(scheme)) + " threads=" +
+                     std::to_string(threads) + " parts=" +
+                     std::to_string(parts));
+        GraceConfig config;
+        config.partition_scheme = scheme;
+        config.join_scheme = scheme;
+        config.num_threads = threads;
+        config.forced_num_partitions = parts;
+        config.page_size = 2048;
+        RealMemory mm;
+        Relation out(ConcatSchema(w.build.schema(), w.probe.schema()),
+                     config.page_size);
+        JoinResult kept = GraceHashJoin(mm, w.build, w.probe, config, &out);
+        JoinResult counted =
+            GraceHashJoin(mm, w.build, w.probe, config, nullptr);
+        EXPECT_EQ(kept.output_tuples, w.expected_matches);
+        EXPECT_EQ(out.num_tuples(), kept.output_tuples);
+        EXPECT_FALSE(out.has_hash_codes());
+        EXPECT_EQ(counted.output_tuples, kept.output_tuples);
+      }
+    }
+  }
+}
+
+// A one-partition plan joins its inputs in place: the partition phase
+// is empty (no tuples, no time, no simulated cycles) on the serial and
+// the pooled path, and the result matches a two-partition run.
+TEST(OnePartitionJoinTest, ReportsAnEmptyPartitionPhase) {
+  WorkloadSpec spec;
+  spec.num_build_tuples = 4000;
+  spec.tuple_size = 20;
+  JoinWorkload w = GenerateJoinWorkload(spec);
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    GraceConfig config;
+    config.num_threads = threads;
+    sim::MemorySim simulator{sim::SimConfig{}};
+    SimMemory mm(&simulator);
+    JoinResult r = GraceHashJoin(mm, w.build, w.probe, config, nullptr);
+    EXPECT_EQ(r.num_partitions, 1u);
+    EXPECT_EQ(r.output_tuples, w.expected_matches);
+    EXPECT_EQ(r.partition_phase.tuples_processed, 0u);
+    EXPECT_EQ(r.partition_phase.wall_seconds, 0.0);
+    EXPECT_EQ(r.partition_phase.sim.TotalCycles(), 0u);
+    EXPECT_EQ(r.join_phase.tuples_processed,
+              w.build.num_tuples() + w.probe.num_tuples());
+    EXPECT_GT(r.join_phase.sim.TotalCycles(), 0u);
+
+    config.forced_num_partitions = 2;
+    JoinResult two = GraceHashJoin(mm, w.build, w.probe, config, nullptr);
+    EXPECT_EQ(two.output_tuples, r.output_tuples);
+    EXPECT_EQ(two.partition_phase.tuples_processed,
+              w.build.num_tuples() + w.probe.num_tuples());
   }
 }
 

@@ -2,6 +2,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -322,6 +323,22 @@ TEST(FlagsTest, ParsesForms) {
   EXPECT_FALSE(flags.Has("missing"));
 }
 
+TEST(FlagsTest, UnreadNamesFlagsNoCallAskedAbout) {
+  const char* argv[] = {"prog", "--json=f.json", "--smoke", "--auto-tune",
+                        "--benchmark_filter=x", "--scale=0.5"};
+  FlagParser flags;
+  flags.Parse(6, const_cast<char**>(argv));
+  EXPECT_EQ(flags.Unread(),
+            (std::vector<std::string>{"auto-tune", "json", "scale",
+                                      "smoke"}));
+  EXPECT_TRUE(flags.Has("json"));
+  EXPECT_TRUE(flags.GetBool("smoke", false));
+  EXPECT_EQ(flags.GetInt("absent", 1), 1);  // reading an absent flag is fine
+  EXPECT_DOUBLE_EQ(flags.GetDouble("scale", 0.1), 0.5);
+  // google-benchmark's own flags are never reported.
+  EXPECT_EQ(flags.Unread(), std::vector<std::string>{"auto-tune"});
+}
+
 TEST(TimerTest, MeasuresElapsed) {
   WallTimer t;
   volatile uint64_t x = 0;
@@ -369,7 +386,7 @@ struct Ledger {
     v("spills", &Ledger::spills);
     v("deepest", &Ledger::deepest, fields::Kind::kLevel);
     v("seconds", &Ledger::seconds);
-    v("hist", &Ledger::hist, fields::Kind::kInternal);
+    v("hist", &Ledger::hist, fields::kInternal);
     v("total", &Ledger::Total);
   }
 };
@@ -419,6 +436,48 @@ TEST(FieldsTest, AddSumsCountersAndKeepsTheLargerLevel) {
   EXPECT_EQ(a.deepest, 5u);
   EXPECT_DOUBLE_EQ(a.seconds, 1.5);
   EXPECT_EQ(a.hist[1], 4u);
+}
+
+// A member JSON cannot hold is listed kInternal and left out.
+struct WithRecords {
+  uint64_t completed = 0;
+  std::vector<Unlisted> records;
+
+  template <class V>
+  static constexpr void VisitFields(V& v) {
+    v("completed", &WithRecords::completed);
+    v("records", &WithRecords::records, fields::kInternal);
+  }
+};
+
+// The same member listed as an ordinary counter.
+struct UntaggedRecords {
+  uint64_t completed = 0;
+  std::vector<Unlisted> records;
+
+  template <class V>
+  static constexpr void VisitFields(V& v) {
+    v("completed", &UntaggedRecords::completed);
+    v("records", &UntaggedRecords::records);
+  }
+};
+
+TEST(FieldsTest, JsonRejectsAMemberItCannotHoldUnlessInternal) {
+  // AppendJson static_asserts this, so UntaggedRecords never reaches a
+  // record with its "records" key silently missing.
+  static_assert(!fields::JsonHoldsEveryMember<UntaggedRecords>());
+  static_assert(fields::JsonHoldsEveryMember<WithRecords>());
+  static_assert(fields::JsonHoldsEveryMember<Ledger>());
+}
+
+TEST(FieldsTest, JsonLeavesOutInternalMembersOfAnyType) {
+  static_assert(fields::ListsEveryMember<WithRecords>());
+  WithRecords w{3, {Unlisted{}}};
+  JsonValue j = fields::ToJson(w);
+  EXPECT_EQ(j.Find("completed")->AsInt(), 3);
+  EXPECT_EQ(j.Find("records"), nullptr);
+  EXPECT_EQ(fields::JsonKeys<WithRecords>(),
+            std::vector<std::string>{"completed"});
 }
 
 TEST(FieldsTest, JsonWritesListedKeysDerivedValuesAndNulls) {

@@ -190,7 +190,7 @@ TEST(TupleCursorTest, EmptyRelation) {
 TEST(OutputSinkTest, SpillsFullBuffersToDestination) {
   Relation dest(Schema::KeyPayload(64), 512);
   {
-    OutputSink sink(&dest);
+    OutputSink sink(&dest, dest.page_size());
     for (int i = 0; i < 40; ++i) {
       uint8_t* dst = sink.Alloc(64);
       ASSERT_NE(dst, nullptr);
@@ -210,14 +210,14 @@ TEST(OutputSinkTest, SpillsFullBuffersToDestination) {
 
 TEST(OutputSinkTest, FinalOnEmptyIsNoop) {
   Relation dest(Schema::KeyPayload(64), 512);
-  OutputSink sink(&dest);
+  OutputSink sink(&dest, dest.page_size());
   sink.Final();
   EXPECT_EQ(dest.num_tuples(), 0u);
 }
 
 TEST(OutputSinkTest, PeekAddrTracksBumpPointer) {
   Relation dest(Schema::KeyPayload(32), 512);
-  OutputSink sink(&dest);
+  OutputSink sink(&dest, dest.page_size());
   const uint8_t* before = sink.PeekAddr();
   uint8_t* dst = sink.Alloc(32);
   EXPECT_EQ(dst, before);

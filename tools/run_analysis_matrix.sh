@@ -7,7 +7,7 @@
 #
 # Each preset configures into build-<preset>/, builds, and runs its
 # labeled ctest subset (asan/ubsan -> faults|coro|tuning|cache|disk|
-# checksum, tsan -> threaded|sched|tuning|cache|disk|checksum|faults,
+# checksum|join, tsan -> threaded|sched|tuning|cache|disk|checksum|faults,
 # analysis -> lint|bench-smoke, debug -> everything). The script keeps going after
 # a preset fails and exits nonzero if ANY step failed, so a CI job
 # reports the whole matrix in one run.
