@@ -16,6 +16,7 @@ int main(int argc, char** argv) {
   flags.Parse(argc, argv);
   BenchGeometry geo;
   geo.scale = flags.GetDouble("scale", 0.1);
+  flags.RefuseUnread();
   sim::SimConfig cfg;
 
   std::printf("=== Figure 1: execution time breakdown (GRACE baseline) "

@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
   KernelParams params;
   params.group_size = uint32_t(flags.GetInt("g", 14));
   params.prefetch_distance = uint32_t(flags.GetInt("d", 1));
+  flags.RefuseUnread();
 
   std::printf(
       "=== Figure 11: join phase breakdown (100B tuples) [scale=%.2f] "

@@ -46,6 +46,7 @@ int main(int argc, char** argv) {
 
   WorkloadSpec spec;
   spec.tuple_size = uint32_t(flags.GetInt("tuple_size", 20));
+  flags.RefuseUnread();
   spec.num_build_tuples = geo.BuildTuples(spec.tuple_size);
   spec.matches_per_build = 2.0;
   JoinWorkload w = GenerateJoinWorkload(spec);

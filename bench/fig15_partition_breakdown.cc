@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   KernelParams params;
   params.group_size = uint32_t(flags.GetInt("g", 14));
   params.prefetch_distance = uint32_t(flags.GetInt("d", 4));
+  flags.RefuseUnread();
 
   std::printf(
       "=== Figure 15: partition phase breakdown (%u partitions) "

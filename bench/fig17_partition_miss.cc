@@ -36,6 +36,7 @@ int main(int argc, char** argv) {
   geo.scale = flags.GetDouble("scale", 0.1);
   sim::SimConfig cfg;
   uint32_t parts = uint32_t(flags.GetInt("partitions", 800));
+  flags.RefuseUnread();
 
   uint64_t tuples = uint64_t(10'000'000 * geo.scale);
   Relation input = GenerateSourceRelation(tuples, 100, 42);

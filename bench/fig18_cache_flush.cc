@@ -44,6 +44,7 @@ int main(int argc, char** argv) {
   FlagParser flags;
   flags.Parse(argc, argv);
   double scale = flags.GetDouble("scale", 0.05);
+  flags.RefuseUnread();
 
   // Scaled 200MB build / 400MB probe relations, 100B tuples.
   WorkloadSpec spec;

@@ -70,6 +70,7 @@ int main(int argc, char** argv) {
   FlagParser flags;
   flags.Parse(argc, argv);
   double scale = flags.GetDouble("scale", 0.05);
+  flags.RefuseUnread();
   uint64_t budget = uint64_t(50.0 * 1024 * 1024 * scale);
 
   std::printf(

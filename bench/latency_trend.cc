@@ -34,6 +34,7 @@ int main(int argc, char** argv) {
   flags.Parse(argc, argv);
   BenchGeometry geo;
   geo.scale = flags.GetDouble("scale", 0.05);
+  flags.RefuseUnread();
 
   WorkloadSpec spec;
   spec.tuple_size = 100;

@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   flags.Parse(argc, argv);
   BenchGeometry geo;
   geo.scale = flags.GetDouble("scale", 0.05);
+  flags.RefuseUnread();
   sim::SimConfig cfg;
 
   WorkloadSpec spec;

@@ -44,6 +44,7 @@ int main(int argc, char** argv) {
   uint64_t tuples = uint64_t(flags.GetInt("tuples", 4000000));
   uint64_t groups = uint64_t(flags.GetInt("groups", 2000000));
   uint32_t g = uint32_t(flags.GetInt("g", 19));
+  flags.RefuseUnread();
 
   Relation facts = MakeFacts(tuples, groups, 99);
   std::printf("aggregating %llu tuples into <=%llu groups\n",

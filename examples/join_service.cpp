@@ -96,6 +96,7 @@ int main(int argc, char** argv) {
   uint64_t budget =
       uint64_t(flags.GetInt("budget_kib", int64_t(part_need * 6 / 5 / 1024))) *
       1024;
+  flags.RefuseUnread();
 
   SchedulerConfig cfg;
   cfg.max_concurrent = max_concurrent;

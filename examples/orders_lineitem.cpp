@@ -40,6 +40,7 @@ int main(int argc, char** argv) {
   FlagParser flags;
   flags.Parse(argc, argv);
   uint64_t num_orders = uint64_t(flags.GetInt("orders", 150000));
+  flags.RefuseUnread();
   Rng rng(2026);
 
   // Build side: orders. Join keys are memoized hash codes in the slots,

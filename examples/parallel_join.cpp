@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
   GraceConfig config;
   config.forced_num_partitions =
       uint32_t(flags.GetInt("partitions", 8));
+  flags.RefuseUnread();
   std::printf("build: %llu tuples, probe: %llu tuples, partitions: %u\n",
               (unsigned long long)w.build.num_tuples(),
               (unsigned long long)w.probe.num_tuples(),

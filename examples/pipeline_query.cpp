@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   flags.Parse(argc, argv);
   WorkloadSpec spec;
   spec.num_build_tuples = uint64_t(flags.GetInt("build_tuples", 200000));
+  flags.RefuseUnread();
   spec.tuple_size = 32;
   spec.matches_per_build = 2.0;
   JoinWorkload w = GenerateJoinWorkload(spec);

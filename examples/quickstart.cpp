@@ -34,6 +34,7 @@ int main(int argc, char** argv) {
   GraceConfig config;
   config.memory_budget = 8ull << 20;
   std::string scheme = flags.GetString("scheme", "group");
+  flags.RefuseUnread();
   Scheme s = scheme == "baseline" ? Scheme::kBaseline
              : scheme == "simple" ? Scheme::kSimple
              : scheme == "swp"    ? Scheme::kSwp

@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
   cfg.memory_latency = uint32_t(flags.GetInt("latency", 150));
   cfg.memory_bandwidth_gap =
       uint32_t(flags.GetInt("bandwidth_gap", cfg.memory_bandwidth_gap));
+  flags.RefuseUnread();
 
   // Stage costs of the probing pipeline on the simulated machine (k=3).
   model::CodeCosts costs{{cfg.cost_hash + cfg.cost_slot_bookkeeping,

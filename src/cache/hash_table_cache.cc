@@ -1,6 +1,7 @@
 #include "cache/hash_table_cache.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "model/cost_model.h"
@@ -49,6 +50,7 @@ PinnedTable HashTableCache::Acquire(const CacheKey& key) {
 const CachedTable* HashTableCache::Pin(const CacheKey& key) {
   MutexLock lock(mu_);
   ++stats_.lookups;
+  CountLookupLocked(key.relation_id);
   auto it = entries_.find(key);
   if (it == entries_.end() || it->second->doomed) {
     ++stats_.misses;
@@ -58,11 +60,30 @@ const CachedTable* HashTableCache::Pin(const CacheKey& key) {
   ++stats_.hits;
   ++e->pins;
   // GreedyDual refresh: a hit re-floats the entry above the current
-  // inflation floor by its benefit density.
-  e->priority =
-      inflation_ +
-      e->rebuild_cycles / double(std::max<uint64_t>(1, e->charged_bytes));
+  // inflation floor by its frequency-weighted benefit density.
+  e->priority = PriorityLocked(key.relation_id, e->rebuild_cycles,
+                               e->charged_bytes);
   return e;
+}
+
+void HashTableCache::CountLookupLocked(uint64_t relation_id) {
+  ++lookup_counts_[relation_id];
+  if (++lookups_since_halving_ == kHalvingPeriod) {
+    lookups_since_halving_ = 0;
+    for (auto it = lookup_counts_.begin(); it != lookup_counts_.end();) {
+      it->second /= 2;
+      it = it->second == 0 ? lookup_counts_.erase(it) : std::next(it);
+    }
+  }
+}
+
+double HashTableCache::PriorityLocked(uint64_t relation_id,
+                                      double rebuild_cycles,
+                                      uint64_t bytes) const {
+  auto it = lookup_counts_.find(relation_id);
+  const uint64_t f = it == lookup_counts_.end() ? 1 : it->second;
+  return inflation_ +
+         double(f) * rebuild_cycles / double(std::max<uint64_t>(1, bytes));
 }
 
 void HashTableCache::Unpin(const CachedTable* entry) {
@@ -96,17 +117,35 @@ bool HashTableCache::Offer(const CacheKey& key,
   }
   MutexLock lock(mu_);
   const uint64_t cap = budget_.bytes();
-  if (bytes > cap || entries_.count(key) != 0) {
+  if (bytes > cap || entries_.count(key) != 0 || NewerVersionLocked(key)) {
     ++stats_.rejected_inserts;
     return false;
   }
-  while (charged_bytes_ + bytes > cap) {
-    if (!EvictOneLocked(/*from_revoke=*/false)) {
-      // Everything resident is pinned; dropping the offer beats evicting
+  // An update invalidates every older version. A resident one is never
+  // hit again, yet its relation's lookup count would keep it ranked high.
+  InvalidateLocked(key.relation_id, key.version);
+  const double priority =
+      PriorityLocked(key.relation_id, rebuild_cycles, bytes);
+  // Pick the victims before evicting any, so a declined or rejected
+  // offer evicts nothing.
+  const std::vector<CachedTable*> order = EvictionOrderLocked();
+  size_t victims = 0;
+  uint64_t freed = 0;
+  while (charged_bytes_ - freed + bytes > cap) {
+    if (victims == order.size()) {
+      // Only pinned entries are left; dropping the offer beats evicting
       // a table someone is probing right now.
       ++stats_.rejected_inserts;
       return false;
     }
+    if (order[victims]->priority > priority) {
+      ++stats_.declined_inserts;
+      return false;
+    }
+    freed += order[victims++]->charged_bytes;
+  }
+  for (size_t i = 0; i < victims; ++i) {
+    EvictLocked(order[i], /*from_revoke=*/false);
   }
   build->Freeze();
   auto entry = std::make_unique<CachedTable>();
@@ -115,8 +154,7 @@ bool HashTableCache::Offer(const CacheKey& key,
   entry->table = std::move(table);
   entry->charged_bytes = bytes;
   entry->rebuild_cycles = rebuild_cycles;
-  entry->priority =
-      inflation_ + rebuild_cycles / double(std::max<uint64_t>(1, bytes));
+  entry->priority = priority;
   charged_bytes_ += bytes;
   ++stats_.inserts;
   entries_.emplace(key, std::move(entry));
@@ -125,10 +163,28 @@ bool HashTableCache::Offer(const CacheKey& key,
 
 uint64_t HashTableCache::Invalidate(uint64_t relation_id) {
   MutexLock lock(mu_);
+  return InvalidateLocked(relation_id, std::nullopt);
+}
+
+bool HashTableCache::NewerVersionLocked(const CacheKey& key) const {
+  for (const auto& [k, entry] : entries_) {
+    if (k.relation_id == key.relation_id && k.version > key.version &&
+        !entry->doomed) {
+      return true;
+    }
+  }
+  return false;
+}
+
+uint64_t HashTableCache::InvalidateLocked(
+    uint64_t relation_id, std::optional<uint64_t> below_version) {
   uint64_t affected = 0;
   std::vector<CacheKey> dead;
   for (auto& [key, entry] : entries_) {
-    if (key.relation_id != relation_id || entry->doomed) continue;
+    if (key.relation_id != relation_id || entry->doomed ||
+        (below_version && key.version >= *below_version)) {
+      continue;
+    }
     ++affected;
     if (entry->pins > 0) {
       entry->doomed = true;  // freed at the last Unpin
@@ -146,26 +202,31 @@ void HashTableCache::OnRevoke() {
   ShrinkLocked(budget_.bytes());
 }
 
-bool HashTableCache::EvictOneLocked(bool from_revoke) {
-  CachedTable* victim = nullptr;
+std::vector<CachedTable*> HashTableCache::EvictionOrderLocked() {
+  std::vector<CachedTable*> order;
   for (auto& [key, entry] : entries_) {
-    if (entry->pins > 0) continue;
-    if (victim == nullptr || entry->priority < victim->priority) {
-      victim = entry.get();
-    }
+    if (entry->pins == 0) order.push_back(entry.get());
   }
-  if (victim == nullptr) return false;
+  std::sort(order.begin(), order.end(),
+            [](const CachedTable* a, const CachedTable* b) {
+              return a->priority < b->priority;
+            });
+  return order;
+}
+
+void HashTableCache::EvictLocked(CachedTable* victim, bool from_revoke) {
   inflation_ = std::max(inflation_, victim->priority);
   ++stats_.evictions;
   if (from_revoke) stats_.revoked_bytes += victim->charged_bytes;
   EraseLocked(victim->key);
-  return true;
 }
 
 void HashTableCache::ShrinkLocked(uint64_t capacity) {
-  while (charged_bytes_ > capacity) {
-    // Pinned entries block the rest of the shrink; Unpin finishes it.
-    if (!EvictOneLocked(/*from_revoke=*/true)) return;
+  if (charged_bytes_ <= capacity) return;
+  // Pinned entries block the rest of the shrink; Unpin finishes it.
+  for (CachedTable* victim : EvictionOrderLocked()) {
+    if (charged_bytes_ <= capacity) return;
+    EvictLocked(victim, /*from_revoke=*/true);
   }
 }
 
@@ -185,6 +246,7 @@ CacheStats HashTableCache::stats() const {
   for (const auto& [key, entry] : entries_) {
     if (entry->pins > 0) ++s.pinned_entries;
   }
+  s.tracked_relations = lookup_counts_.size();
   return s;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -74,7 +75,7 @@ struct CachedTable {
   // --- cache-private bookkeeping (guarded by the cache's mu_) ---
   uint64_t pins = 0;
   bool doomed = false;  ///< invalidated/revoked while pinned; free at unpin
-  double priority = 0;  ///< GreedyDual H-value (see EvictOneLocked)
+  double priority = 0;  ///< GreedyDual-Size-Frequency H-value
 };
 
 /// Counters describing one cache's lifetime, snapshot under the lock.
@@ -83,13 +84,20 @@ struct CacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t inserts = 0;
-  uint64_t rejected_inserts = 0;  ///< Offer() dropped (too big / duplicate)
+  /// Offer() dropped: too big, a duplicate, older than a resident
+  /// version of its relation, or room held by pins.
+  uint64_t rejected_inserts = 0;
+  /// Offer() dropped because making room would evict a table worth more.
+  uint64_t declined_inserts = 0;
   uint64_t evictions = 0;         ///< capacity-pressure removals
-  uint64_t invalidations = 0;     ///< entries removed by Invalidate()
+  /// Entries removed by Invalidate(), or by an Offer of a newer version.
+  uint64_t invalidations = 0;
   uint64_t revoked_bytes = 0;     ///< bytes released because of revokes
   uint64_t charged_bytes = 0;     ///< current occupancy
   uint64_t entries = 0;
   uint64_t pinned_entries = 0;
+  /// Relations the lookup-frequency history holds a count for.
+  uint64_t tracked_relations = 0;
 
   double HitRate() const {
     return lookups == 0 ? 0.0 : double(hits) / double(lookups);
@@ -103,12 +111,15 @@ struct CacheStats {
     v("misses", &CacheStats::misses);
     v("inserts", &CacheStats::inserts);
     v("rejected_inserts", &CacheStats::rejected_inserts);
+    v("declined_inserts", &CacheStats::declined_inserts);
     v("evictions", &CacheStats::evictions);
     v("invalidations", &CacheStats::invalidations);
     v("revoked_bytes", &CacheStats::revoked_bytes);
     v("charged_bytes", &CacheStats::charged_bytes, fields::Kind::kLevel);
     v("entries", &CacheStats::entries, fields::Kind::kLevel);
     v("pinned_entries", &CacheStats::pinned_entries, fields::Kind::kLevel);
+    v("tracked_relations", &CacheStats::tracked_relations,
+      fields::Kind::kLevel);
   }
 };
 
@@ -176,11 +187,25 @@ class PinnedTable {
 /// Offer or Unpin that read the budget just before a revoke is corrected
 /// by the shrink that follows it.
 ///
-/// Eviction is LRU-by-benefit (GreedyDual-Size): each entry carries
-/// H = L + rebuild_cycles / bytes where L is the inflation floor (the H
-/// of the last eviction). A hit refreshes H, so recently used and
-/// expensive-to-rebuild-per-byte tables survive; cold cheap ones go
-/// first.
+/// Eviction is GreedyDual-Size-Frequency: each entry carries
+/// H = L + f * rebuild_cycles / bytes, where L is the inflation floor
+/// (the H of the last eviction) and f counts lookups of the entry's
+/// relation_id. The count outlives the entry: invalidations, version
+/// bumps and evictions keep it, so a hot table that an update replaced
+/// comes back at its old rank. Every kHalvingPeriod lookups all counts
+/// are halved and zeros dropped, which bounds the history and lets
+/// popularity shift. A hit refreshes H; an Offer no lookup preceded
+/// counts f = 1. With equal sizes and rebuild costs this keeps the most
+/// asked-for tables, where plain GreedyDual-Size keeps the most recent.
+///
+/// Admission: an Offer that could only make room by evicting an
+/// unpinned entry whose H exceeds the newcomer's is declined
+/// (`declined_inserts`), so one cold query cannot displace a hot table.
+/// Versions only grow, so an Offer also invalidates the older versions
+/// of its relation and is rejected behind a newer one: a query admitted
+/// before an update, offering after it, cannot park a stale table that
+/// its relation's count would rank high. Revoke shrinks evict the lowest
+/// H first, whatever the newcomer.
 ///
 /// All methods are thread-safe.
 class HashTableCache {
@@ -201,10 +226,13 @@ class HashTableCache {
   /// Offers a freshly built table for caching. Takes ownership on
   /// success (returns true) and freezes `build` (Relation::Freeze); the
   /// entry is charged build->data_bytes() plus HashTable::EstimateBytes.
-  /// Rejects duplicates of an existing key and
-  /// tables that cannot fit even an empty cache. `rebuild_cycles` is
-  /// the eviction benefit; pass 0 to use the model estimate
-  /// (EstimateRebuildCycles) for the table's tuple count.
+  /// Rejects duplicates of an existing key, tables older than a resident
+  /// version of their relation, tables that cannot fit even an empty
+  /// cache, and tables only pinned entries could make room for; declines
+  /// tables whose room would cost an entry with a higher H. Invalidates
+  /// the relation's older versions, as an update would have.
+  /// `rebuild_cycles` is the eviction benefit; pass 0 to use the model
+  /// estimate (EstimateRebuildCycles) for the table's tuple count.
   bool Offer(const CacheKey& key, std::shared_ptr<const Relation> build,
              std::unique_ptr<HashTable> table, double rebuild_cycles = 0)
       HJ_EXCLUDES(mu_);
@@ -228,6 +256,9 @@ class HashTableCache {
   /// model::ChooseParams machinery that picks kernel parameters).
   static double EstimateRebuildCycles(uint64_t tuples);
 
+  /// Lookups between two halvings of the frequency history.
+  static constexpr uint32_t kHalvingPeriod = 1024;
+
  private:
   friend class PinnedTable;
 
@@ -244,13 +275,32 @@ class HashTableCache {
   /// pin.
   void Unpin(const CachedTable* entry) HJ_EXCLUDES(mu_);
 
-  /// Evicts the lowest-priority unpinned entry. Returns false when
-  /// every entry is pinned (nothing evictable right now).
-  bool EvictOneLocked(bool from_revoke) HJ_REQUIRES(mu_);
+  /// Counts one lookup of `relation_id` in the frequency history,
+  /// halving the history every kHalvingPeriod lookups.
+  void CountLookupLocked(uint64_t relation_id) HJ_REQUIRES(mu_);
+
+  /// H for an entry of `relation_id` accessed now.
+  double PriorityLocked(uint64_t relation_id, double rebuild_cycles,
+                        uint64_t bytes) const HJ_REQUIRES(mu_);
+
+  /// Unpinned entries, lowest H (first to evict) first.
+  std::vector<CachedTable*> EvictionOrderLocked() HJ_REQUIRES(mu_);
+
+  /// Evicts `victim` (unpinned), raising the inflation floor to its H.
+  void EvictLocked(CachedTable* victim, bool from_revoke) HJ_REQUIRES(mu_);
 
   /// Evicts until occupancy fits `capacity` (or everything left is
   /// pinned), counting the bytes as revoked.
   void ShrinkLocked(uint64_t capacity) HJ_REQUIRES(mu_);
+
+  /// Whether a live entry holds a newer version of key's relation.
+  bool NewerVersionLocked(const CacheKey& key) const HJ_REQUIRES(mu_);
+
+  /// Invalidate()'s body for the versions of `relation_id` below
+  /// `below_version`, or for all of them. Returns entries affected.
+  uint64_t InvalidateLocked(uint64_t relation_id,
+                            std::optional<uint64_t> below_version)
+      HJ_REQUIRES(mu_);
 
   void EraseLocked(const CacheKey& key) HJ_REQUIRES(mu_);
 
@@ -261,6 +311,10 @@ class HashTableCache {
   uint64_t charged_bytes_ HJ_GUARDED_BY(mu_) = 0;
   /// GreedyDual inflation floor: H of the last evicted entry.
   double inflation_ HJ_GUARDED_BY(mu_) = 0;
+  /// Lookups per relation_id since the history began, halved every
+  /// kHalvingPeriod lookups; relations whose count halves to 0 are gone.
+  std::unordered_map<uint64_t, uint64_t> lookup_counts_ HJ_GUARDED_BY(mu_);
+  uint32_t lookups_since_halving_ HJ_GUARDED_BY(mu_) = 0;
   CacheStats stats_ HJ_GUARDED_BY(mu_);
 };
 

@@ -100,8 +100,7 @@ uint64_t ProbeChained(MM& mm, const Relation& probe,
       if (std::memcmp(c->tuple, tuple, 4) != 0) continue;
       uint16_t out_size = uint16_t(build_tuple_size + probe_tuple_size);
       uint8_t* dst = sink.Alloc(out_size);
-      std::memcpy(dst, c->tuple, build_tuple_size);
-      std::memcpy(dst + build_tuple_size, tuple, probe_tuple_size);
+      sink.Fill(dst, c->tuple, build_tuple_size, tuple, probe_tuple_size);
       mm.Write(dst, out_size);
       mm.Busy(cfg.cost_tuple_copy_per_line *
               ((out_size + kCacheLineSize - 1) / kCacheLineSize));

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -225,8 +226,11 @@ class TupleCursor {
 /// Reuse keeps the output working set cache-resident, so — like the
 /// paper's machine — the join phase's cache misses are dominated by hash
 /// table visits, not by output stores. A count-only join passes a null
-/// destination: full pages are reformatted in place and nothing is kept,
-/// while the staging writes stay charged exactly as before.
+/// destination: nothing is kept, so Fill skips the copy into the staging
+/// slot and full pages are reformatted in place. The kernels still Alloc
+/// every slot and make every memory-model call they make when
+/// materialising, so a simulated run charges the same cycles to the same
+/// addresses either way; only real memory stops copying.
 class OutputSink {
  public:
   /// `page_size` sizes the staging page of a null `dest`; otherwise it
@@ -251,6 +255,16 @@ class OutputSink {
       HJ_CHECK(dst != nullptr) << "output tuple larger than a page";
     }
     return dst;
+  }
+
+  /// Writes one join output tuple, `build` followed by `probe`, into the
+  /// slot Alloc returned; a count-only sink keeps nothing and copies
+  /// nothing. Memory-model charges are the caller's.
+  void Fill(uint8_t* dst, const uint8_t* build, uint32_t build_size,
+            const uint8_t* probe, uint32_t probe_size) const {
+    if (dest_ == nullptr) return;
+    std::memcpy(dst, build, build_size);
+    std::memcpy(dst + build_size, probe, probe_size);
   }
 
   /// Where the next Alloc will land (prefetch hint).

@@ -127,9 +127,8 @@ inline uint64_t ProbeCompareAndEmit(ProbeContext<MM>& ctx,
   uint8_t* dst = ctx.sink.Alloc(out_size);
   mm.Busy(cfg.cost_slot_bookkeeping);
   mm.Read(probe_tuple, ctx.probe_tuple_size);
-  std::memcpy(dst, build_tuple, ctx.build_tuple_size);
-  std::memcpy(dst + ctx.build_tuple_size, probe_tuple,
-              ctx.probe_tuple_size);
+  ctx.sink.Fill(dst, build_tuple, ctx.build_tuple_size, probe_tuple,
+                ctx.probe_tuple_size);
   mm.Write(dst, out_size);
   mm.Busy(uint32_t(cfg.cost_tuple_copy_per_line *
                    ((out_size + kCacheLineSize - 1) / kCacheLineSize)));

@@ -1,10 +1,16 @@
 #include "util/flags.h"
 
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace hashjoin {
 
 void FlagParser::Parse(int argc, char** argv) {
+  if (argc > 0) {
+    const char* slash = std::strrchr(argv[0], '/');
+    program_ = slash != nullptr ? slash + 1 : argv[0];
+  }
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) continue;
@@ -63,6 +69,15 @@ std::vector<std::string> FlagParser::Unread() const {
     }
   }
   return unread;
+}
+
+void FlagParser::RefuseUnread() const {
+  const std::vector<std::string> unread = Unread();
+  if (unread.empty()) return;
+  for (const std::string& name : unread) {
+    std::fprintf(stderr, "%s: unknown flag --%s\n", program_, name.c_str());
+  }
+  std::exit(2);
 }
 
 }  // namespace hashjoin

@@ -14,7 +14,8 @@ namespace hashjoin {
 /// binaries can mix both flag families. Every Has/Get* call marks its flag
 /// read, and Unread() names the flags no code path asked about — a
 /// misspelt or retired flag — which a --json run refuses
-/// (BenchReporter::WriteAndReport). Not thread-safe.
+/// (BenchReporter::WriteAndReport) and a driver without one refuses
+/// through RefuseUnread(). Not thread-safe.
 class FlagParser {
  public:
   /// Parses argv; recognized "--name=value" and "--name value" pairs are
@@ -33,10 +34,17 @@ class FlagParser {
   /// own --benchmark_* flags excepted.
   std::vector<std::string> Unread() const;
 
+  /// Refuses the flags Unread() names: each goes to stderr, prefixed
+  /// with the program's name, and the process exits with status 2. A
+  /// driver calls it right after its last flag read, so a misspelt flag
+  /// never runs a default.
+  void RefuseUnread() const;
+
  private:
   /// The value of `name` (nullptr if absent), marking the flag read.
   const std::string* Find(const std::string& name) const;
 
+  const char* program_ = "";  ///< basename of argv[0]
   std::map<std::string, std::string> values_;
   mutable std::set<std::string> read_;
 };

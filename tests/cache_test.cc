@@ -3,12 +3,17 @@
 // every execution scheme), sharing the caller's build relation (or a
 // copy of a relation nothing shares) and freezing it, pin-count
 // discipline under concurrent probes, compile-time pin privacy,
-// revoke-storm eviction ordering on a real broker grant, and the
-// broker's cache-first revocation class. Runs under TSAN via the
-// `threaded` label and under ASAN/UBSAN via `cache`.
+// revoke-storm eviction ordering on a real broker grant, the
+// frequency-aware eviction and admission policy (against an LRU
+// reference on a replay trace), newer versions superseding older ones,
+// and the broker's cache-first revocation class. Runs under TSAN via the `threaded` label and under ASAN/UBSAN
+// via `cache`.
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstring>
+#include <list>
 #include <memory>
 #include <thread>
 #include <type_traits>
@@ -318,6 +323,170 @@ TEST(HashTableCacheTest, EvictionOrderIsLowestBenefitFirst) {
   EXPECT_FALSE(cache.Acquire(a));
   EXPECT_FALSE(cache.Acquire(b));
   EXPECT_TRUE(cache.Acquire(c));
+}
+
+/// Charged bytes of one OfferEntry table of `tuples` tuples.
+uint64_t EntryBytes(uint64_t tuples) {
+  return SmallWorkload(1, tuples).build.data_bytes() +
+         HashTable::EstimateBytes(tuples);
+}
+
+TEST(HashTableCacheTest, ColderNewcomerIsDeclinedUntilItsLookupsOvertake) {
+  // Room for one entry. A has three lookups behind it; B, one. Evicting
+  // A for B would trade a hotter table for a colder one of the same
+  // size and cost, so B's offer is declined and A stays.
+  const std::atomic<uint64_t> budget{EntryBytes(500) * 3 / 2};
+  cache::HashTableCache cache{BudgetView(&budget)};
+  const cache::CacheKey a{1, 1, 0}, b{2, 1, 0};
+  ASSERT_TRUE(OfferEntry(&cache, a, 500, 1e6));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(cache.Acquire(a));
+  ASSERT_FALSE(cache.Acquire(b));
+  EXPECT_FALSE(OfferEntry(&cache, b, 500, 1e6));
+  EXPECT_EQ(cache.stats().declined_inserts, 1u);
+  EXPECT_EQ(cache.stats().rejected_inserts, 0u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_TRUE(cache.Acquire(a));  // A's fourth lookup
+
+  // Four more misses give B five lookups to A's four: B is admitted
+  // and A evicted.
+  for (int i = 0; i < 4; ++i) ASSERT_FALSE(cache.Acquire(b));
+  ASSERT_TRUE(OfferEntry(&cache, b, 500, 1e6));
+  EXPECT_EQ(cache.stats().declined_inserts, 1u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_FALSE(cache.Acquire(a));
+  EXPECT_TRUE(cache.Acquire(b));
+}
+
+TEST(HashTableCacheTest, LookupCountSurvivesInvalidateAndVersionBump) {
+  // Room for one entry. Relation 1 is asked for four times, then an
+  // update invalidates it and B moves in with two lookups. Version 2 of
+  // relation 1 still carries relation 1's count, so it displaces B; a
+  // newcomer without that history (one lookup) would be declined.
+  const std::atomic<uint64_t> budget{EntryBytes(500) * 3 / 2};
+  cache::HashTableCache cache{BudgetView(&budget)};
+  const cache::CacheKey a1{1, 1, 0}, a2{1, 2, 0}, b{2, 1, 0},
+      cold{3, 1, 0};
+  ASSERT_TRUE(OfferEntry(&cache, a1, 500, 1e6));
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(cache.Acquire(a1));
+  EXPECT_EQ(cache.Invalidate(1), 1u);
+  ASSERT_TRUE(OfferEntry(&cache, b, 500, 1e6));
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(cache.Acquire(b));
+
+  ASSERT_FALSE(cache.Acquire(cold));
+  EXPECT_FALSE(OfferEntry(&cache, cold, 500, 1e6));
+  EXPECT_EQ(cache.stats().declined_inserts, 1u);
+
+  ASSERT_FALSE(cache.Acquire(a2));
+  ASSERT_TRUE(OfferEntry(&cache, a2, 500, 1e6));
+  EXPECT_TRUE(cache.Acquire(a2));
+  EXPECT_FALSE(cache.Acquire(b));
+  EXPECT_EQ(cache.stats().evictions, 1u);
+}
+
+TEST(HashTableCacheTest, NewerVersionSupersedesOlderOnes) {
+  // A query admitted before an update can offer its table after the
+  // update's Invalidate ran. Versions only grow, so an offer invalidates
+  // the older versions it finds and is rejected behind a newer one:
+  // stale tables never hold room their relation's count would keep.
+  const std::atomic<uint64_t> budget{1ull << 30};
+  cache::HashTableCache cache{BudgetView(&budget)};
+  ASSERT_TRUE(OfferEntry(&cache, {1, 1, 0}, 300, 1e6));
+  ASSERT_TRUE(OfferEntry(&cache, {2, 1, 0}, 300, 1e6));
+  ASSERT_TRUE(OfferEntry(&cache, {1, 3, 0}, 300, 1e6));
+  EXPECT_EQ(cache.stats().invalidations, 1u);
+  EXPECT_FALSE(cache.Acquire({1, 1, 0}));
+  EXPECT_FALSE(OfferEntry(&cache, {1, 2, 0}, 300, 1e6));
+  EXPECT_EQ(cache.stats().rejected_inserts, 1u);
+  EXPECT_EQ(cache.stats().entries, 2u);
+  {
+    // A pinned older version is doomed, and probeable until unpinned.
+    cache::PinnedTable pin = cache.Acquire({1, 3, 0});
+    ASSERT_TRUE(pin);
+    ASSERT_TRUE(OfferEntry(&cache, {1, 4, 0}, 300, 1e6));
+    EXPECT_FALSE(cache.Acquire({1, 3, 0}));
+    EXPECT_GT(pin.table().num_tuples(), 0u);
+  }
+  EXPECT_EQ(cache.stats().entries, 2u);
+  EXPECT_EQ(cache.stats().invalidations, 2u);
+  EXPECT_TRUE(cache.Acquire({1, 4, 0}));
+  EXPECT_TRUE(cache.Acquire({2, 1, 0}));
+}
+
+TEST(HashTableCacheTest, HalvingBoundsTheLookupHistory) {
+  // Every lookup names a new relation, so each halving drops every count
+  // (1 / 2 = 0): the history never holds more than one period's worth.
+  const std::atomic<uint64_t> budget{1ull << 30};
+  cache::HashTableCache cache{BudgetView(&budget)};
+  constexpr uint64_t kPeriod = cache::HashTableCache::kHalvingPeriod;
+  uint64_t most = 0;
+  for (uint64_t id = 1; id <= 5 * kPeriod + 7; ++id) {
+    ASSERT_FALSE(cache.Acquire({id, 1, 0}));
+    most = std::max(most, cache.stats().tracked_relations);
+  }
+  EXPECT_EQ(most, kPeriod - 1);
+  EXPECT_EQ(cache.stats().tracked_relations, 7u);
+
+  // A relation asked for on every other lookup keeps its count through
+  // the halvings while the one-off relations around it are dropped: the
+  // last halving falls on lookup 4088 here, and left relation 1 plus the
+  // four one-off relations asked for after it.
+  for (uint64_t i = 0; i < 4 * kPeriod; ++i) {
+    cache.Acquire({i % 2 == 0 ? 1u : 100000 + i, 1, 0});
+  }
+  EXPECT_EQ(cache.stats().tracked_relations, 5u);
+}
+
+/// Hit rate of an LRU cache holding `slots` tables on `trace`; an update
+/// drops the table's cached version.
+double LruHitRate(const std::vector<ReplayOp>& trace, size_t slots) {
+  std::list<uint32_t> recent;  // most recently used first
+  uint64_t hits = 0;
+  for (const ReplayOp& op : trace) {
+    auto it = std::find(recent.begin(), recent.end(), op.table);
+    if (it != recent.end()) {
+      if (!op.is_update) ++hits;
+      recent.erase(it);
+    } else if (recent.size() == slots) {
+      recent.pop_back();
+    }
+    recent.push_front(op.table);
+  }
+  return double(hits) / double(trace.size());
+}
+
+TEST(HashTableCacheTest, ReplayHitRateBeatsLru) {
+  // The service_reuse benchmark's geometry with tiny stand-in tables:
+  // 16 tables of one size and rebuild cost, room for 8, Zipf 1.0
+  // popularity, 5% of queries preceded by an update. Equal sizes and
+  // costs reduce GreedyDual-Size to LRU; counting lookups keeps the most
+  // asked-for tables instead.
+  ReplaySpec spec;
+  spec.num_tables = 16;
+  spec.zipf_theta = 1.0;
+  spec.update_rate = 0.05;
+  spec.num_queries = 4096;
+  const std::vector<ReplayOp> trace = GenerateReplayTrace(spec);
+  constexpr uint64_t kTuples = 64;
+  const std::atomic<uint64_t> budget{8 * EntryBytes(kTuples) +
+                                     EntryBytes(kTuples) / 2};
+  cache::HashTableCache cache{BudgetView(&budget)};
+  std::vector<uint64_t> versions(spec.num_tables, 1);
+  for (const ReplayOp& op : trace) {
+    const uint64_t id = op.table + 1;
+    if (op.is_update) {
+      ++versions[op.table];
+      cache.Invalidate(id);
+    }
+    const cache::CacheKey key{id, versions[op.table], 0};
+    if (!cache.Acquire(key)) OfferEntry(&cache, key, kTuples, 1e6);
+  }
+  const double lru = LruHitRate(trace, 8);
+  const double hit_rate = cache.stats().HitRate();
+  EXPECT_GE(hit_rate, lru + 0.03) << "LRU " << lru;
+  EXPECT_EQ(cache.stats().lookups, trace.size());
+  EXPECT_EQ(cache.stats().rejected_inserts, 0u);
+  EXPECT_GT(cache.stats().declined_inserts, 0u);
+  std::printf("replay hit rate %.4f, LRU %.4f\n", hit_rate, lru);
 }
 
 TEST(HashTableCacheTest, RevokeDefersEvictionOfPinnedEntries) {

@@ -8,20 +8,31 @@
 //  - The claimed-output ledger equals the simulator's own prefetch
 //    count: the delta of prefetches_issued between prefetch_output
 //    on/off runs is exactly the lines the kernel claims.
+//  - A count-only probe copies no output but is charged exactly what a
+//    materialising probe is: same simulator counters, same ledger
+//    (each pass runs in a forked child, so both start from one heap).
 //  - AggregateRelation produces the same groups under every scheme.
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "join/chained_kernels.h"
 #include "join/exec_policy.h"
 #include "join/grace.h"
 #include "mem/memory_model.h"
 #include "simcache/memory_sim.h"
 #include "util/bitops.h"
+#include "util/logging.h"
 #include "util/random.h"
 #include "workload/generator.h"
 
@@ -205,6 +216,149 @@ TEST(ClaimedLedgerCrosscheckTest, LedgerEqualsSimPrefetchDelta) {
     // ledger is legitimately zero; the stage-2 schemes must claim.
     if (s != Scheme::kSimple) {
       EXPECT_GT(claimed_on, 0u) << SchemeName(s);
+    }
+  }
+}
+
+// ---------- count-only probes: same simulated charges ----------
+
+/// Every counter SimStats lists is zero in `d`; a failure names its key.
+void ExpectZeroSimDiff(const sim::SimStats& d) {
+  auto visit = [&](const char* key, auto member, auto...) {
+    if constexpr (!std::is_member_function_pointer_v<decltype(member)>) {
+      EXPECT_EQ(d.*member, 0u) << key;
+    }
+  };
+  sim::SimStats::VisitFields(visit);
+}
+
+/// One probe pass's simulator counters and kernel ledger.
+struct PassResult {
+  sim::SimStats sim;
+  ProbeStats ledger;
+};
+static_assert(std::is_trivially_copyable_v<PassResult>);
+
+/// Runs `pass` in a child forked from this process and returns what it
+/// reports. The simulator indexes its caches by real addresses, and a
+/// pass allocates its staging page itself. Every child starts from this
+/// process's heap as it stands, so two passes place their staging pages
+/// at the same address, even under an allocator that does not hand
+/// freed memory straight back (ASan's quarantine).
+PassResult RunForked(const std::function<PassResult()>& pass) {
+  int fds[2];
+  HJ_CHECK(pipe(fds) == 0);
+  const pid_t pid = fork();
+  HJ_CHECK(pid >= 0);
+  if (pid == 0) {
+    close(fds[0]);
+    const PassResult r = pass();
+    _exit(write(fds[1], &r, sizeof(r)) == ssize_t(sizeof(r)) ? 0 : 1);
+  }
+  close(fds[1]);
+  PassResult r;
+  const ssize_t n = read(fds[0], &r, sizeof(r));
+  close(fds[0]);
+  int status = 0;
+  waitpid(pid, &status, 0);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  EXPECT_EQ(n, ssize_t(sizeof(r)));
+  return r;
+}
+
+/// Runs `pass` count-only (nullptr) and materialising (into `*out`),
+/// each from the same heap, and expects the same simulator counters
+/// and ledger. Returns the count-only pass's match count.
+uint64_t ExpectCountOnlyChargedAsMaterialising(
+    const std::function<PassResult(Relation*)>& pass, Relation* out) {
+  const PassResult counted = RunForked([&] { return pass(nullptr); });
+  const PassResult kept = RunForked([&] { return pass(out); });
+  EXPECT_EQ(counted.ledger.output_tuples, kept.ledger.output_tuples);
+  EXPECT_EQ(counted.ledger.claimed_prefetch_lines,
+            kept.ledger.claimed_prefetch_lines);
+  EXPECT_EQ(counted.ledger.leaked_out_bytes, kept.ledger.leaked_out_bytes);
+  EXPECT_GT(counted.sim.busy_cycles, 0u);
+  // Counters are unsigned: the diff is zero only where both agree.
+  ExpectZeroSimDiff(fields::Diff(counted.sim, kept.sim));
+  return counted.ledger.output_tuples;
+}
+
+// A count-only probe (out = nullptr) skips copying matches into its
+// staging page but still allocates every staging slot and makes every
+// memory-model call a materialising probe makes, so the simulator
+// charges both the same cycles to the same addresses.
+TEST(CountOnlyProbeTest, SimulatorChargesMatchMaterialisingProbe) {
+  WorkloadSpec spec;
+  spec.num_build_tuples = 6000;
+  spec.tuple_size = 40;
+  spec.matches_per_build = 2.0;
+  spec.probe_match_fraction = 0.8;
+  JoinWorkload w = GenerateJoinWorkload(spec);
+  KernelParams params;
+  params.group_size = 9;
+  params.prefetch_distance = 2;
+  // Made before any fork, so both modes start from the same heap.
+  Relation out(ConcatSchema(w.build.schema(), w.probe.schema()));
+
+  for (uint32_t parts : {1u, 5u}) {
+    RealMemory real;
+    const PartitionPlan plan = PlanPartitionPasses(parts, 0);
+    std::vector<Relation> build_parts;
+    std::vector<Relation> probe_parts;
+    PartitionWithPlan(real, GraceConfig{}, w.build, plan, &build_parts);
+    PartitionWithPlan(real, GraceConfig{}, w.probe, plan, &probe_parts);
+    std::vector<std::unique_ptr<HashTable>> tables;
+    std::vector<std::unique_ptr<ChainedHashTable>> chains;
+    for (const Relation& part : build_parts) {
+      tables.push_back(std::make_unique<HashTable>(
+          ChooseBucketCount(part.num_tuples(), parts)));
+      BuildPartition(real, Scheme::kBaseline, part, tables.back().get(),
+                     params);
+      chains.push_back(std::make_unique<ChainedHashTable>(
+          ChooseBucketCount(part.num_tuples(), parts)));
+      BuildChained(real, part, chains.back().get());
+    }
+
+    for (Scheme s : AllSchemes()) {
+      SCOPED_TRACE(std::string(SchemeName(s)) + " at " +
+                   std::to_string(parts) + " partitions");
+      uint64_t matches = 0;
+      for (uint32_t p = 0; p < parts; ++p) {
+        matches += ExpectCountOnlyChargedAsMaterialising(
+            [&](Relation* dest) {
+              sim::MemorySim simulator{sim::SimConfig{}};
+              SimMemory mm(&simulator);
+              PassResult r;
+              ProbePartition(mm, s, probe_parts[p], *tables[p],
+                             spec.tuple_size, params, dest, &r.ledger);
+              r.sim = simulator.stats();
+              return r;
+            },
+            &out);
+      }
+      EXPECT_EQ(matches, w.expected_matches);
+    }
+
+    // The chained probe of §3 emits through the same sink.
+    for (ChainedPrefetch mode :
+         {ChainedPrefetch::kNone, ChainedPrefetch::kNextCell}) {
+      SCOPED_TRACE("chained at " + std::to_string(parts) + " partitions");
+      uint64_t matches = 0;
+      for (uint32_t p = 0; p < parts; ++p) {
+        matches += ExpectCountOnlyChargedAsMaterialising(
+            [&](Relation* dest) {
+              sim::MemorySim simulator{sim::SimConfig{}};
+              SimMemory mm(&simulator);
+              PassResult r;
+              r.ledger.output_tuples =
+                  ProbeChained(mm, probe_parts[p], *chains[p],
+                               spec.tuple_size, mode, dest);
+              r.sim = simulator.stats();
+              return r;
+            },
+            &out);
+      }
+      EXPECT_EQ(matches, w.expected_matches);
     }
   }
 }

@@ -339,6 +339,21 @@ TEST(FlagsTest, UnreadNamesFlagsNoCallAskedAbout) {
   EXPECT_EQ(flags.Unread(), std::vector<std::string>{"auto-tune"});
 }
 
+TEST(FlagsDeathTest, RefuseUnreadNamesEachFlagAndExits) {
+  const char* argv[] = {"./bench/prog", "--scael=0.001", "--smoke",
+                        "--benchmark_filter=x"};
+  FlagParser flags;
+  flags.Parse(4, const_cast<char**>(argv));
+  EXPECT_EXIT(flags.RefuseUnread(), ::testing::ExitedWithCode(2),
+              "prog: unknown flag --scael\n"
+              "prog: unknown flag --smoke");
+  flags.GetBool("smoke", false);
+  EXPECT_EXIT(flags.RefuseUnread(), ::testing::ExitedWithCode(2),
+              "^prog: unknown flag --scael\n$");
+  flags.GetDouble("scael", 0);
+  flags.RefuseUnread();  // everything read: returns
+}
+
 TEST(TimerTest, MeasuresElapsed) {
   WallTimer t;
   volatile uint64_t x = 0;
