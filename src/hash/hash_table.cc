@@ -15,14 +15,21 @@ constexpr uint32_t kInitialArrayCapacity = 4;
 
 HashTable::HashTable(uint64_t num_buckets) : num_buckets_(num_buckets) {
   HJ_CHECK(num_buckets_ > 0);
+  // MakeAlignedBuffer constructs every header, and BucketHeader's
+  // member initialisers leave each bucket empty.
   buckets_ = MakeAlignedBuffer<BucketHeader>(num_buckets_, kCacheLineSize);
-  for (uint64_t i = 0; i < num_buckets_; ++i) buckets_[i] = BucketHeader{};
 }
 
 HashCell* HashTable::ArenaAlloc(uint32_t cells) {
   if (arena_used_ + cells > arena_capacity_) {
     uint64_t block = std::max<uint64_t>(kArenaBlockCells, cells);
-    arena_blocks_.push_back(MakeAlignedBuffer<HashCell>(block));
+    // Left uninitialised: a cell is written (AppendCell, the kernels,
+    // or EnsureArrayCapacity's copy) before anything reads it, and
+    // HashCell is an implicit-lifetime aggregate, so the allocation
+    // itself creates the cells. Zeroing a 1-MB block cost more than
+    // building a small partition's table.
+    void* raw = AlignedAlloc(block * sizeof(HashCell), kCacheLineSize);
+    arena_blocks_.emplace_back(static_cast<HashCell*>(raw));
     arena_used_ = 0;
     arena_capacity_ = block;
   }

@@ -150,8 +150,8 @@ DiskPhaseStats DiskGraceJoin::Measure(Fn&& fn) {
 }
 
 void DiskGraceJoin::QueueWritePage(BufferManager::FileId file,
-                                   uint64_t page_index,
-                                   uint8_t* page_bytes) {
+                                   uint64_t page_index, uint8_t* page_bytes,
+                                   SlotHashes hashes) {
   SlottedPage pg = SlottedPage::Attach(page_bytes);
   FileStats& fs = file_stats_[file];
   for (int s = 0; s < pg.slot_count(); ++s) {
@@ -161,10 +161,15 @@ void DiskGraceJoin::QueueWritePage(BufferManager::FileId file,
     // Histogram + uniformity sampling for the adaptive fan-out and the
     // block-nested-loop detector. Level-0 routing hashes the 4-byte key,
     // and partition files memoize exactly that hash, so one key hash
-    // serves both consumers.
-    uint32_t key;
-    std::memcpy(&key, t, 4);
-    const uint32_t hash = HashKey32(key);
+    // serves both consumers; a slot that memoizes it saves hashing.
+    uint32_t hash;
+    if (hashes == SlotHashes::kMemoized) {
+      hash = pg.GetHashCode(s);
+    } else {
+      uint32_t key;
+      std::memcpy(&key, t, 4);
+      hash = HashKey32(key);
+    }
     ++fs.hist[hash % FileStats::kHistBins];
     if (!fs.has_tuples) {
       fs.first_hash = hash;
@@ -174,12 +179,23 @@ void DiskGraceJoin::QueueWritePage(BufferManager::FileId file,
     }
   }
   fs.tuples += pg.slot_count();
-  if (config_.page_checksums) pg.StampChecksum();
-  bm_->WritePageAsync(file, page_index, page_bytes);
+  if (config_.page_checksums) {
+    // The stamp yields the page's CRC, so the buffer manager need not
+    // sum its copy: one checksum pass per page written.
+    bm_->WritePageAsync(file, page_index, page_bytes, pg.StampChecksum());
+  } else {
+    bm_->WritePageAsync(file, page_index, page_bytes);
+  }
 }
 
 Status DiskGraceJoin::VerifyPage(const uint8_t* page_bytes) const {
-  if (!config_.page_checksums) return Status::OK();
+  // A buffer manager that checksums pages has already checked this
+  // frame against the CRC of the page exactly as QueueWritePage stamped
+  // it, so re-summing would check the same bytes twice (DESIGN.md §7):
+  // one checksum pass per page read.
+  if (!config_.page_checksums || bm_->config().checksum_pages) {
+    return Status::OK();
+  }
   SlottedPage pg = SlottedPage::Attach(const_cast<uint8_t*>(page_bytes));
   if (!pg.VerifyChecksum(page_size_)) {
     return Status::DataLoss(
@@ -199,9 +215,11 @@ StatusOr<BufferManager::FileId> DiskGraceJoin::StoreRelation(
   // each page (WritePageAsync copies again into its own queue entry; the
   // extra copy only affects this load utility, not the join phases).
   std::vector<uint8_t> scratch(page_size_);
+  const SlotHashes hashes =
+      rel.has_hash_codes() ? SlotHashes::kMemoized : SlotHashes::kNone;
   for (size_t p = 0; p < rel.num_pages(); ++p) {
     std::memcpy(scratch.data(), rel.page(p).data(), page_size_);
-    QueueWritePage(file, p, scratch.data());
+    QueueWritePage(file, p, scratch.data(), hashes);
   }
   HJ_RETURN_IF_ERROR(bm_->FlushWrites());
   return file;
@@ -224,7 +242,8 @@ Status DiskGraceJoin::PartitionInto(
     views[p] = SlottedPage::Format(bufs[p].data(), page_size_);
   }
   auto flush = [&](uint32_t p) {
-    QueueWritePage(outs[p], next_page[p]++, bufs[p].data());
+    QueueWritePage(outs[p], next_page[p]++, bufs[p].data(),
+                   SlotHashes::kMemoized);
     views[p] = SlottedPage::Format(bufs[p].data(), page_size_);
   };
   auto scan = bm_->OpenScan(input);
@@ -638,7 +657,7 @@ Status DiskGraceJoin::SpillVictim(PartitionResidency* res, uint32_t victim,
     // the probe pass is complete the moment these writes land.
     for (auto& pg : pages) {
       QueueWritePage(st->build_files[victim], st->build_next_page[victim]++,
-                     pg.data());
+                     pg.data(), SlotHashes::kMemoized);
     }
     if (st->probe_pass) st->build_on_disk[victim] = 1;
   }
@@ -773,7 +792,7 @@ Status DiskGraceJoin::JoinHybrid(BufferManager::FileId build,
             bufs[p] = std::vector<uint8_t>(page_size_);
           } else {
             QueueWritePage(st.build_files[p], st.build_next_page[p]++,
-                           bufs[p].data());
+                           bufs[p].data(), SlotHashes::kMemoized);
           }
           views[p] = SlottedPage::Format(bufs[p].data(), page_size_);
           return EnforceResidencyBudget(&res, &st);
@@ -852,7 +871,7 @@ Status DiskGraceJoin::JoinHybrid(BufferManager::FileId build,
             st.probe_created[p] = 1;
           }
           QueueWritePage(st.probe_files[p], st.probe_next_page[p]++,
-                         bufs[p].data());
+                         bufs[p].data(), SlotHashes::kMemoized);
           views[p] = SlottedPage::Format(bufs[p].data(), page_size_);
         };
         auto scan = bm_->OpenScan(probe);

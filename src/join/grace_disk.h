@@ -119,8 +119,11 @@ struct DiskJoinConfig {
 
   /// Stamp a SlottedPage checksum into every page this join writes and
   /// verify it on every page it reads back — an end-to-end integrity
-  /// check across the full I/O path, on top of the buffer manager's
-  /// per-page CRC.
+  /// check across the full I/O path. When the buffer manager checksums
+  /// pages too, its CRC is derived from the stamp (the CRC of the page
+  /// as stamped, before its copy), so its read check already covers
+  /// that path and the join does not re-sum; otherwise the join re-sums
+  /// each page it reads.
   bool page_checksums = true;
 
   /// Live memory budget of a scheduler's memory-broker grant. When it
@@ -371,9 +374,14 @@ class DiskGraceJoin {
 
   /// Stamps (if configured) and queues one page write, tallying stats.
   /// Fire-and-forget: write errors surface at the next FlushWrites.
+  /// `hashes` says whether each slot holds HashKey32 of its key: every
+  /// page the join writes does, and a stored relation's do when it
+  /// has_hash_codes(); otherwise each key is hashed for the FileStats.
   void QueueWritePage(BufferManager::FileId file, uint64_t page_index,
-                      uint8_t* page_bytes);
-  /// End-to-end verification of a page read back from storage.
+                      uint8_t* page_bytes, SlotHashes hashes);
+  /// End-to-end verification of a page read back from storage: the
+  /// stamp is re-summed only when the buffer manager does not checksum
+  /// pages, since its CRC is the CRC of the page as stamped.
   Status VerifyPage(const uint8_t* page_bytes) const;
 
   /// Splits `input` into `fanout` files. Level 0 hashes the 4-byte key;

@@ -16,11 +16,31 @@ uint32_t RetryPolicy::BackoffUs(uint32_t attempt) const {
   return uint32_t(us);
 }
 
+AlignedBuffer<uint8_t> BufferManager::PagePool::Take() {
+  {
+    MutexLock lock(mu_);
+    if (!free_.empty()) {
+      AlignedBuffer<uint8_t> page = std::move(free_.back());
+      free_.pop_back();
+      return page;
+    }
+  }
+  void* raw = AlignedAlloc(page_size_, kCacheLineSize);
+  return AlignedBuffer<uint8_t>(static_cast<uint8_t*>(raw));
+}
+
+void BufferManager::PagePool::Give(AlignedBuffer<uint8_t> page) {
+  MutexLock lock(mu_);
+  free_.push_back(std::move(page));
+}
+
 BufferManager::BufferManager(const BufferManagerConfig& config)
-    : config_(config) {
+    : config_(config), pages_(config.disk.page_size) {
   HJ_CHECK(config_.num_disks >= 1);
   HJ_CHECK(config_.stripe_unit_pages >= 1);
-  HJ_CHECK(config_.io_prefetch_depth >= 1);
+  // One frame holds the page the caller reads, one takes the next read:
+  // a one-frame window would never issue a read.
+  HJ_CHECK(config_.io_prefetch_depth >= 2);
   HJ_CHECK(config_.retry.max_attempts >= 1);
   // A bounded retry loop can only outlast a bounded fault burst.
   if (config_.disk.fault.enabled()) {
@@ -172,7 +192,9 @@ void BufferManager::WorkerLoop(DiskWorker* w) {
         w->reads_done.fetch_add(1, std::memory_order_release);
         w->reads_done.notify_all();
       } else {
-        RetireWrite(WriteWithRetry(w, req));
+        Status s = WriteWithRetry(w, req);
+        pages_.Give(std::move(req.write_data));
+        RetireWrite(std::move(s));
       }
     }
     batch.clear();
@@ -220,13 +242,19 @@ uint64_t BufferManager::FileNumPages(FileId file) const {
 
 void BufferManager::WritePageAsync(FileId file, uint64_t page_index,
                                    const void* data) {
+  WritePageAsync(file, page_index, data,
+                 config_.checksum_pages ? Crc32(data, config_.disk.page_size)
+                                        : 0);
+}
+
+void BufferManager::WritePageAsync(FileId file, uint64_t page_index,
+                                   const void* data, uint32_t crc) {
   const uint32_t disk_id = DiskOf(file, page_index);
   Request req;
-  void* copy = AlignedAlloc(config_.disk.page_size, kCacheLineSize);
-  std::memcpy(copy, data, config_.disk.page_size);
-  req.write_data = AlignedBuffer<uint8_t>(static_cast<uint8_t*>(copy));
+  req.write_data = pages_.Take();
+  std::memcpy(req.write_data.get(), data, config_.disk.page_size);
   if (config_.checksum_pages) {
-    req.expected_crc = Crc32(req.write_data.get(), config_.disk.page_size);
+    req.expected_crc = crc;
     req.has_crc = true;
   }
   {
@@ -362,25 +390,30 @@ BufferManager::Scanner::Scanner(BufferManager* bm, FileId file)
     : bm_(bm),
       file_(file),
       num_pages_(bm->FileNumPages(file)),
-      num_frames_(bm->config_.io_prefetch_depth),
+      num_frames_(uint32_t(
+          std::min<uint64_t>(bm->config_.io_prefetch_depth, num_pages_))),
       frames_(std::make_unique<ReadFrame[]>(num_frames_)) {
   for (uint32_t i = 0; i < num_frames_; ++i) {
-    void* raw = AlignedAlloc(bm_->config_.disk.page_size, kCacheLineSize);
-    frames_[i].buffer = AlignedBuffer<uint8_t>(static_cast<uint8_t*>(raw));
+    frames_[i].buffer = bm_->pages_.Take();
   }
   IssueReadAhead();
 }
 
 BufferManager::Scanner::~Scanner() {
   if (frames_ == nullptr) return;  // moved from
-  for (uint32_t i = 0; i < num_frames_; ++i) bm_->AwaitRead(frames_[i]);
+  for (uint32_t i = 0; i < num_frames_; ++i) {
+    bm_->AwaitRead(frames_[i]);
+    bm_->pages_.Give(std::move(frames_[i].buffer));
+  }
 }
 
 void BufferManager::Scanner::IssueReadAhead() {
   // Leave one frame un-reissued: the page most recently handed to the
   // caller must stay valid until the next NextPage() call. The live
-  // window re-shrinks under a broker budget (frames_ stays allocated at
-  // full depth; only the in-flight count contracts). Refilling only once
+  // window re-shrinks under a broker budget (frames_ keeps its size;
+  // only the in-flight count contracts). It never outgrows frames_: the
+  // pages from the one held to the last issued number at most
+  // min(window, num_pages_) <= num_frames_. Refilling only once
   // half the live window has drained makes each refill one submission —
   // one lock and at most one wake-up — per disk.
   const uint64_t live = bm_->ReadAheadWindow() - 1;

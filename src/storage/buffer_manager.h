@@ -68,7 +68,8 @@ struct BufferManagerConfig {
   DiskConfig disk;
   uint32_t stripe_unit_pages = 32;  // 32 x 8KB = 256KB stripe unit
   uint32_t io_prefetch_depth = 96;  // read-ahead window per scan (3 stripes,
-                                    // so several disks stream in parallel)
+                                    // so several disks stream in parallel;
+                                    // at least 2)
   /// Per-page CRC32, computed when a page is queued for write and
   /// verified (with retries) when it is read back. Catches torn pages
   /// and corruption anywhere between the write queue and the read frame.
@@ -97,6 +98,11 @@ struct BufferManagerConfig {
 /// batch and shutdown always wake it), and a read completes into a
 /// status and a ready flag in the scan's frame. Each disk serves its
 /// queue in FIFO order, so a read sees every write queued before it.
+///
+/// Page buffers come from one pool (PagePool): a queued write's copy
+/// and a scan's frames are taken from it and given back after the write
+/// and when the scan closes, and a scan takes frames only for the pages
+/// its file has, so a spill allocates no buffer per page.
 ///
 /// Fault tolerance: every page gets a CRC32 on write; reads verify it.
 /// Transient device errors and checksum mismatches are retried with
@@ -127,6 +133,13 @@ class BufferManager {
   void WritePageAsync(FileId file, uint64_t page_index, const void* data)
       HJ_EXCLUDES(files_mu_);
 
+  /// Same, for a caller that already holds `crc`, the Crc32 of the
+  /// page_size bytes at `data` (SlottedPage::StampChecksum returns it):
+  /// the page is copied but not summed again. Without checksum_pages
+  /// `crc` is ignored.
+  void WritePageAsync(FileId file, uint64_t page_index, const void* data,
+                      uint32_t crc) HJ_EXCLUDES(files_mu_);
+
   /// Blocks until every queued write has reached its disk. Returns the
   /// first write error since the previous FlushWrites (after retries
   /// were exhausted), OK otherwise.
@@ -145,9 +158,10 @@ class BufferManager {
    public:
     Scanner(BufferManager* bm, FileId file);
 
-    /// Waits out in-flight read-ahead requests: a scan abandoned mid-file
-    /// (e.g. after an I/O error) must not free frame buffers a disk
-    /// worker is still writing into.
+    /// Waits out in-flight read-ahead requests, then gives the frames
+    /// back to the pool: a scan abandoned mid-file (e.g. after an I/O
+    /// error) must not recycle frame buffers a disk worker is still
+    /// writing into.
     ~Scanner();
 
     Scanner(Scanner&&) = default;
@@ -168,7 +182,9 @@ class BufferManager {
     uint64_t next_to_issue_ = 0;
     uint64_t next_to_return_ = 0;
     uint32_t num_frames_;
-    std::unique_ptr<ReadFrame[]> frames_;  // ring of io_prefetch_depth
+    /// Ring of min(io_prefetch_depth, num_pages_) frames: a scan of a
+    /// short file takes no frame it could not fill.
+    std::unique_ptr<ReadFrame[]> frames_;
     std::vector<Request> batch_;  // one refill's reads, reused
   };
 
@@ -226,9 +242,23 @@ class BufferManager {
   struct Request {
     uint64_t disk_page = 0;
     ReadFrame* read = nullptr;
-    AlignedBuffer<uint8_t> write_data;  // owned copy of the page
+    AlignedBuffer<uint8_t> write_data;  // copy of the page, from pages_
     uint32_t expected_crc = 0;
     bool has_crc = false;
+  };
+
+  /// Free page-sized buffers. Take pops one, allocating only when none
+  /// is free; Give returns one. mu_ is never held with another lock.
+  class PagePool {
+   public:
+    explicit PagePool(uint32_t page_size) : page_size_(page_size) {}
+    AlignedBuffer<uint8_t> Take() HJ_EXCLUDES(mu_);
+    void Give(AlignedBuffer<uint8_t> page) HJ_EXCLUDES(mu_);
+
+   private:
+    const uint32_t page_size_;
+    Mutex mu_;
+    std::vector<AlignedBuffer<uint8_t>> free_ HJ_GUARDED_BY(mu_);
   };
 
   struct DiskWorker {
@@ -290,6 +320,8 @@ class BufferManager {
   }
 
   BufferManagerConfig config_;
+  /// Write copies and scan frames; outlives every worker thread.
+  PagePool pages_;
   std::vector<std::unique_ptr<DiskWorker>> disks_;
   /// Never held together with a DiskWorker's mu: placements are made
   /// under files_mu_, and requests queued after it is released.

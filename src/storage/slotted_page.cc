@@ -30,8 +30,11 @@ uint32_t SlottedPage::ComputeChecksum() const {
   return crc;
 }
 
-void SlottedPage::StampChecksum() {
-  mutable_header()->checksum = ComputeChecksum();
+uint32_t SlottedPage::StampChecksum() {
+  const uint32_t stamp = ComputeChecksum();
+  mutable_header()->checksum = stamp;
+  return stamp ^ Crc32Shift(stamp, header()->page_size -
+                                       offsetof(PageHeader, checksum));
 }
 
 bool SlottedPage::VerifyChecksum(uint32_t frame_size) const {

@@ -74,8 +74,13 @@ class SlottedPage {
   uint32_t ComputeChecksum() const;
 
   /// Writes ComputeChecksum() into the header. Call after the last
-  /// mutation, right before the page is handed to storage.
-  void StampChecksum();
+  /// mutation, right before the page is handed to storage. Returns
+  /// Crc32 of the whole page as stamped, derived from the stamp without
+  /// a second pass: the stamped page differs from the summed one only in
+  /// the field's four bytes, so (CRC-32 being linear) its CRC is the
+  /// stamp XOR the stamp's bytes moved over the rest of the page
+  /// (Crc32Shift).
+  uint32_t StampChecksum();
 
   /// True iff the header's page size equals `frame_size`, the size of
   /// the buffer under this view, and the stored checksum matches the

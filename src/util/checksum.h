@@ -18,10 +18,22 @@ namespace hashjoin {
 /// turning torn pages and bit rot into detected (and usually retried)
 /// errors instead of silent corruption.
 ///
-/// Kernel: PCLMULQDQ folding (Gopal et al., Intel 2009) when the CPU has
-/// PCLMUL and SSE4.1, checked once; else a byte table. Same values either
-/// way: the IEEE polynomial stays (not CRC32C), so stored CRCs hold.
+/// Kernel, chosen once at the first call: VPCLMULQDQ folding over four
+/// 512-bit lanes when the CPU has VPCLMULQDQ and AVX-512F; else PCLMULQDQ
+/// folding (Gopal et al., Intel 2009) when it has PCLMUL and SSE4.1; else
+/// a byte table. Same values every way: the IEEE polynomial stays (not
+/// CRC32C), so stored CRCs hold.
 uint32_t Crc32(const void* data, size_t length, uint32_t seed = 0);
+
+/// Moves a CRC over `length` more bytes: for byte strings a and b,
+/// Crc32(a + b) == Crc32Shift(Crc32(a), b.size()) ^ Crc32(b) (zlib's
+/// crc32_combine). CRC-32 is linear, so XORing 4 bytes x into a string
+/// `length` bytes before its end XORs Crc32Shift(x, length) into its CRC
+/// (SlottedPage::StampChecksum uses it to learn the stamped page's CRC
+/// without a second pass). Costs one 32-step multiplication mod P; the
+/// operator for a new `length` costs O(log length) more, and each
+/// thread keeps the last one.
+uint32_t Crc32Shift(uint32_t crc, size_t length);
 
 namespace internal_checksum {
 
@@ -33,6 +45,13 @@ bool ClmulSupported();
 
 /// The carry-less-multiply path on its own. Requires ClmulSupported().
 uint32_t Crc32Clmul(const void* data, size_t length, uint32_t seed = 0);
+
+/// True when this CPU can run Crc32Vclmul (VPCLMULQDQ and AVX-512F).
+bool VclmulSupported();
+
+/// The 512-bit carry-less-multiply path on its own (ranges under 256
+/// bytes take Crc32Clmul). Requires VclmulSupported().
+uint32_t Crc32Vclmul(const void* data, size_t length, uint32_t seed = 0);
 
 }  // namespace internal_checksum
 

@@ -262,6 +262,34 @@ TEST(FaultyDiskJoinTest, TornPagesWithoutWriteVerifySurfaceDataLoss) {
   EXPECT_GT(bm.recovery_stats().checksum_failures, 0u);
 }
 
+TEST(FaultyDiskJoinTest, TornPagesWithoutBufferManagerChecksumsSurfaceDataLoss) {
+  // Without the buffer manager's CRC, the join's stamp is the only
+  // check, and the join re-sums every page it reads back.
+  WorkloadSpec spec;
+  spec.num_build_tuples = 3000;
+  spec.tuple_size = 100;
+  spec.matches_per_build = 1.0;
+  JoinWorkload w = GenerateJoinWorkload(spec);
+
+  BufferManagerConfig cfg = FastDisks(1);
+  cfg.checksum_pages = false;
+  cfg.disk.fault.torn_page_rate = 0.5;
+  cfg.disk.fault.seed = 7;
+  BufferManager bm(cfg);
+  DiskJoinConfig jc;
+  jc.num_partitions = 4;
+  ASSERT_TRUE(jc.page_checksums);
+  DiskGraceJoin join(&bm, jc);
+  auto b = join.StoreRelation(w.build);
+  auto p = join.StoreRelation(w.probe);
+  ASSERT_TRUE(b.ok() && p.ok());
+  auto r = join.Join(b.value(), p.value());
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
+  // The buffer manager checked nothing; the join's re-sum caught it.
+  EXPECT_EQ(bm.recovery_stats().checksum_failures, 0u);
+}
+
 // ---------- skew-robust overflow handling ----------
 
 // Builds a relation of `n` unique-keyed 100-byte tuples where at least

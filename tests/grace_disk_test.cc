@@ -1,8 +1,10 @@
 #include <atomic>
 #include <cstring>
 #include <functional>
+#include <utility>
 
 #include "gtest/gtest.h"
+#include "hash/hash_func.h"
 #include "join/grace_disk.h"
 #include "workload/generator.h"
 
@@ -268,6 +270,77 @@ TEST(DiskGraceJoinTest, AdaptiveFanoutSizesPartitionsToTheBudget) {
   EXPECT_EQ(r.value().recovery.recursive_splits, 0u);
   EXPECT_EQ(r.value().recovery.chunked_fallbacks, 0u);
   EXPECT_LE(r.value().recovery.max_build_bytes, cfg.memory_budget);
+}
+
+// --- file statistics from memoized slot codes -------------------------
+
+/// The same tuples Append-built, with no memoized hash codes.
+Relation WithoutHashCodes(const Relation& rel) {
+  Relation copy(rel.schema(), rel.page_size());
+  rel.ForEachTuple(
+      [&](const uint8_t* t, uint16_t len, uint32_t) { copy.Append(t, len); });
+  return copy;
+}
+
+/// Stores both relations and joins the two files as one over-budget
+/// partition pair with recursion off, so the ladder's next rung is the
+/// block nested loop if the build file is single-hash (UniformHash) and
+/// the chunked build if not. Returns the matches and the bytes read,
+/// which differ between the two rungs.
+std::pair<uint64_t, uint64_t> JoinStoredPair(const Relation& build,
+                                             const Relation& probe) {
+  BufferManager bm(FastDisks(2));
+  DiskJoinConfig cfg;
+  cfg.memory_budget = 64 * 1024;
+  cfg.max_recursion_depth = 0;
+  DiskGraceJoin join(&bm, cfg);
+  auto b = join.StoreRelation(build);
+  auto p = join.StoreRelation(probe);
+  EXPECT_TRUE(b.ok() && p.ok());
+  const uint64_t read = bm.recovery_stats().bytes_read;
+  auto matches = join.JoinPartitions({b.value()}, {p.value()}, nullptr);
+  EXPECT_TRUE(matches.ok()) << matches.status().ToString();
+  return {matches.value(), bm.recovery_stats().bytes_read - read};
+}
+
+TEST(DiskGraceJoinTest, StoredRelationsPlanAlikeWithOrWithoutSlotHashCodes) {
+  // StoreRelation samples a relation's key hashes from its slots when
+  // it memoizes them and hashes the keys when it does not; the same
+  // tuples must give the same fan-out (ChooseFanout), the same
+  // single-hash verdict (UniformHash) and the same result either way.
+  WorkloadSpec spec;
+  spec.num_build_tuples = 8000;
+  spec.tuple_size = 100;
+  JoinWorkload w = GenerateJoinWorkload(spec);
+  const Relation build = WithoutHashCodes(w.build);
+  const Relation probe = WithoutHashCodes(w.probe);
+  ASSERT_TRUE(w.build.has_hash_codes());
+  ASSERT_FALSE(build.has_hash_codes());
+
+  DiskJoinConfig cfg;
+  cfg.adaptive_fanout = true;
+  cfg.memory_budget = 300 * 1024;
+  auto memoized = RunJoin(cfg, w.build, w.probe);
+  auto hashed = RunJoin(cfg, build, probe);
+  ASSERT_TRUE(memoized.ok() && hashed.ok());
+  EXPECT_GE(memoized.value().num_partitions, 2u);
+  EXPECT_EQ(hashed.value().num_partitions, memoized.value().num_partitions);
+  EXPECT_EQ(memoized.value().output_tuples, w.expected_matches);
+  EXPECT_EQ(hashed.value().output_tuples, w.expected_matches);
+
+  const auto many = JoinStoredPair(w.build, w.probe);
+  EXPECT_EQ(JoinStoredPair(build, probe), many);
+  EXPECT_EQ(many.first, w.expected_matches);
+  Relation one_key(Schema::KeyPayload(40));
+  std::vector<uint8_t> tuple(40, 0x5a);
+  const uint32_t key = 7;
+  std::memcpy(tuple.data(), &key, sizeof(key));
+  for (int i = 0; i < 3000; ++i) {
+    one_key.Append(tuple.data(), 40, HashKey32(key));
+  }
+  const auto single = JoinStoredPair(one_key, one_key);
+  EXPECT_EQ(JoinStoredPair(WithoutHashCodes(one_key), one_key), single);
+  EXPECT_EQ(single.first, 3000ull * 3000);
 }
 
 // --- hybrid residency ------------------------------------------------

@@ -13,6 +13,8 @@
 #include "storage/schema.h"
 #include "storage/slotted_page.h"
 #include "util/aligned.h"
+#include "util/checksum.h"
+#include "util/random.h"
 
 namespace hashjoin {
 namespace {
@@ -148,6 +150,28 @@ TEST(SlottedPageTest, ChecksumRejectsSizeFieldDisagreeingWithFrame) {
     std::memcpy(buf.data() + offsetof(SlottedPage::PageHeader, page_size),
                 &bad_size, sizeof(bad_size));
     EXPECT_FALSE(page.VerifyChecksum(kFrame)) << bad_size;
+  }
+}
+
+TEST(SlottedPageTest, StampReturnsCrcOfTheStampedPage) {
+  // The CRC StampChecksum derives from the stamp must be the CRC of the
+  // page as stamped, at every page size and for any bytes on it.
+  Rng rng(64);
+  for (uint32_t page_size : {64u, 100u, 1024u, 4096u, 8192u, 16384u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<uint8_t> buf(page_size);
+      for (uint8_t& b : buf) b = uint8_t(rng.Next());
+      SlottedPage page = SlottedPage::Format(buf.data(), page_size);
+      std::vector<uint8_t> tuple(1 + rng.NextBounded(page_size / 4));
+      for (uint8_t& b : tuple) b = uint8_t(rng.Next());
+      while (page.AddTuple(tuple.data(), uint16_t(tuple.size()),
+                           uint32_t(rng.Next())) >= 0) {
+      }
+      const uint32_t crc = page.StampChecksum();
+      ASSERT_TRUE(page.VerifyChecksum(page_size));
+      ASSERT_EQ(crc, Crc32(buf.data(), page_size))
+          << "page size " << page_size << " trial " << trial;
+    }
   }
 }
 
@@ -612,6 +636,44 @@ TEST_F(BufferManagerTest, RecycledFramesHoldOnlyTheNewManagersBytes) {
     const uint8_t* got = MustNext(scan);
     ASSERT_NE(got, nullptr);
     std::iota(page.begin(), page.end(), uint8_t(p));
+    EXPECT_EQ(std::memcmp(got, page.data(), page.size()), 0) << p;
+  }
+  EXPECT_EQ(MustNext(scan), nullptr);
+}
+
+// Write copies and scan frames come from one pool. After a long file
+// is written and scanned, a shorter file's writes and scan reuse those
+// buffers, and its scan must return its own bytes and nothing else.
+TEST_F(BufferManagerTest, PooledBuffersShowOnlyTheScannedFilesBytes) {
+  BufferManagerConfig cfg = FastConfig(2);
+  cfg.io_prefetch_depth = 16;
+  BufferManager bm(cfg);
+  std::vector<uint8_t> page(cfg.disk.page_size, 0xaa);
+  auto long_file = bm.CreateFile();
+  const uint32_t n = 40;
+  for (uint32_t p = 0; p < n; ++p) bm.WritePageAsync(long_file, p, page.data());
+  ASSERT_TRUE(bm.FlushWrites().ok());
+  {
+    auto scan = bm.OpenScan(long_file);
+    uint32_t count = 0;
+    while (const uint8_t* got = MustNext(scan)) {
+      EXPECT_EQ(std::memcmp(got, page.data(), page.size()), 0) << count;
+      ++count;
+    }
+    EXPECT_EQ(count, n);
+  }
+  auto short_file = bm.CreateFile();
+  const uint32_t m = 3;
+  for (uint32_t p = 0; p < m; ++p) {
+    std::iota(page.begin(), page.end(), uint8_t(0x40 + p));
+    bm.WritePageAsync(short_file, p, page.data());
+  }
+  ASSERT_TRUE(bm.FlushWrites().ok());
+  auto scan = bm.OpenScan(short_file);
+  for (uint32_t p = 0; p < m; ++p) {
+    const uint8_t* got = MustNext(scan);
+    ASSERT_NE(got, nullptr);
+    std::iota(page.begin(), page.end(), uint8_t(0x40 + p));
     EXPECT_EQ(std::memcmp(got, page.data(), page.size()), 0) << p;
   }
   EXPECT_EQ(MustNext(scan), nullptr);

@@ -137,8 +137,8 @@ uint32_t BitwiseCrc32(const uint8_t* data, size_t length, uint32_t seed) {
 using Crc32Fn = uint32_t (*)(const void*, size_t, uint32_t);
 
 // Compares `crc` with the bitwise reference: every length 0-9000, the
-// lengths around the kernel's 16- and 64-byte blocks at every start
-// offset 0-15, random seeds, and a chain split at every offset.
+// lengths around the kernels' 16-, 64- and 256-byte blocks at every
+// start offset 0-15, random seeds, and a chain split at every offset.
 void ExpectMatchesBitwise(Crc32Fn crc) {
   Rng rng(2009);
   std::vector<uint8_t> buf(9000 + 16);
@@ -151,7 +151,8 @@ void ExpectMatchesBitwise(Crc32Fn crc) {
               BitwiseCrc32(buf.data() + off, len, seed))
         << "len " << len << " off " << off;
   }
-  for (size_t len : {15, 16, 63, 64, 65, 79, 80, 8191, 8192}) {
+  for (size_t len : {15, 16, 63, 64, 65, 79, 80, 255, 256, 257, 271, 272,
+                     511, 512, 513, 8191, 8192}) {
     for (size_t off = 0; off < 16; ++off) {
       for (uint32_t seed : {0u, uint32_t(rng.Next())}) {
         ASSERT_EQ(crc(buf.data() + off, len, seed),
@@ -176,6 +177,32 @@ TEST(ChecksumTest, ClmulKernelMatchesBitwiseReference) {
     GTEST_SKIP() << "CPU lacks PCLMULQDQ or SSE4.1";
   }
   ExpectMatchesBitwise(internal_checksum::Crc32Clmul);
+}
+
+TEST(ChecksumTest, VclmulKernelMatchesBitwiseReference) {
+  if (!internal_checksum::VclmulSupported()) {
+    GTEST_SKIP() << "CPU lacks VPCLMULQDQ or AVX-512F";
+  }
+  ExpectMatchesBitwise(internal_checksum::Crc32Vclmul);
+}
+
+TEST(ChecksumTest, ShiftJoinsTwoRanges) {
+  // Crc32(a + b) == Crc32Shift(Crc32(a), |b|) ^ Crc32(b), over random
+  // splits of random lengths, so the shift operator is rebuilt often.
+  Rng rng(1984);
+  std::vector<uint8_t> buf(9000);
+  for (uint8_t& b : buf) b = uint8_t(rng.Next());
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t len = trial < 10 ? size_t(trial) : rng.NextBounded(9001);
+    const size_t split = rng.NextBounded(len + 1);
+    const size_t tail = len - split;
+    ASSERT_EQ(Crc32Shift(Crc32(buf.data(), split), tail) ^
+                  Crc32(buf.data() + split, tail),
+              Crc32(buf.data(), len))
+        << "len " << len << " split " << split;
+  }
+  // The empty shift is the identity.
+  EXPECT_EQ(Crc32Shift(0xDEADBEEFu, 0), 0xDEADBEEFu);
 }
 
 TEST(RngTest, Deterministic) {
