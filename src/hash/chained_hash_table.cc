@@ -10,8 +10,9 @@ constexpr uint64_t kArenaBlockCells = 64 * 1024;
 }  // namespace
 
 ChainedHashTable::ChainedHashTable(uint64_t num_buckets)
-    : num_buckets_(num_buckets), heads_(num_buckets, nullptr) {
-  HJ_CHECK(num_buckets_ > 0);
+    : heads_(num_buckets, nullptr) {
+  HJ_CHECK(num_buckets > 0 && num_buckets <= UINT32_MAX);
+  bucket_of_ = FastMod32(uint32_t(num_buckets));
 }
 
 ChainedCell* ChainedHashTable::ArenaAlloc() {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "util/aligned.h"
+#include "util/bitops.h"
 
 namespace hashjoin {
 
@@ -26,15 +27,17 @@ struct ChainedCell {
 /// prefetching can pipeline *within* one chain.
 class ChainedHashTable {
  public:
+  /// `num_buckets` is 1 to 2^32 - 1.
   explicit ChainedHashTable(uint64_t num_buckets);
 
   ChainedHashTable(const ChainedHashTable&) = delete;
   ChainedHashTable& operator=(const ChainedHashTable&) = delete;
 
-  uint64_t num_buckets() const { return num_buckets_; }
+  uint64_t num_buckets() const { return bucket_of_.divisor(); }
   uint64_t num_tuples() const { return num_tuples_; }
 
-  uint64_t BucketIndex(uint32_t hash) const { return hash % num_buckets_; }
+  /// hash % num_buckets(), without a divide (FastMod32).
+  uint64_t BucketIndex(uint32_t hash) const { return bucket_of_(hash); }
   ChainedCell* head(uint64_t index) { return heads_[index]; }
   const ChainedCell* head(uint64_t index) const { return heads_[index]; }
 
@@ -60,7 +63,7 @@ class ChainedHashTable {
  private:
   ChainedCell* ArenaAlloc();
 
-  uint64_t num_buckets_;
+  FastMod32 bucket_of_;  // hash -> bucket number; holds num_buckets
   std::vector<ChainedCell*> heads_;
   std::vector<AlignedBuffer<ChainedCell>> arena_blocks_;
   uint64_t arena_used_ = 0;

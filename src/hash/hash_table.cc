@@ -13,11 +13,12 @@ constexpr uint64_t kArenaBlockCells = 64 * 1024;
 constexpr uint32_t kInitialArrayCapacity = 4;
 }  // namespace
 
-HashTable::HashTable(uint64_t num_buckets) : num_buckets_(num_buckets) {
-  HJ_CHECK(num_buckets_ > 0);
+HashTable::HashTable(uint64_t num_buckets) {
+  HJ_CHECK(num_buckets > 0 && num_buckets <= UINT32_MAX);
+  bucket_of_ = FastMod32(uint32_t(num_buckets));
   // MakeAlignedBuffer constructs every header, and BucketHeader's
   // member initialisers leave each bucket empty.
-  buckets_ = MakeAlignedBuffer<BucketHeader>(num_buckets_, kCacheLineSize);
+  buckets_ = MakeAlignedBuffer<BucketHeader>(num_buckets, kCacheLineSize);
 }
 
 HashCell* HashTable::ArenaAlloc(uint32_t cells) {
@@ -79,7 +80,7 @@ void HashTable::Insert(uint32_t hash, const uint8_t* tuple) {
 
 uint64_t HashTable::CountTuplesSlow() const {
   uint64_t n = 0;
-  for (uint64_t i = 0; i < num_buckets_; ++i) n += buckets_[i].count;
+  for (uint64_t i = 0; i < num_buckets(); ++i) n += buckets_[i].count;
   return n;
 }
 
@@ -90,7 +91,7 @@ uint64_t HashTable::EstimateBytes(uint64_t tuples) {
 }
 
 void HashTable::Reset() {
-  for (uint64_t i = 0; i < num_buckets_; ++i) buckets_[i] = BucketHeader{};
+  for (uint64_t i = 0; i < num_buckets(); ++i) buckets_[i] = BucketHeader{};
   arena_blocks_.clear();
   arena_used_ = 0;
   arena_capacity_ = 0;

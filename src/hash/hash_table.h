@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "util/aligned.h"
+#include "util/bitops.h"
 
 namespace hashjoin {
 
@@ -48,17 +49,19 @@ static_assert(sizeof(BucketHeader) == 32);
 /// implementation used by the baseline kernels and by tests as an oracle.
 class HashTable {
  public:
-  /// Creates a table with `num_buckets` buckets. The GRACE driver picks
-  /// num_buckets relatively prime to the partition count (§7.1).
+  /// Creates a table with `num_buckets` (1 to 2^32 - 1) buckets. The
+  /// GRACE driver picks num_buckets relatively prime to the partition
+  /// count (§7.1).
   explicit HashTable(uint64_t num_buckets);
 
   HashTable(const HashTable&) = delete;
   HashTable& operator=(const HashTable&) = delete;
 
-  uint64_t num_buckets() const { return num_buckets_; }
+  uint64_t num_buckets() const { return bucket_of_.divisor(); }
   uint64_t num_tuples() const { return num_tuples_; }
 
-  uint64_t BucketIndex(uint32_t hash) const { return hash % num_buckets_; }
+  /// Bucket number: hash % num_buckets(), without a divide (FastMod32).
+  uint64_t BucketIndex(uint32_t hash) const { return bucket_of_(hash); }
   BucketHeader* bucket(uint64_t index) { return &buckets_[index]; }
   const BucketHeader* bucket(uint64_t index) const {
     return &buckets_[index];
@@ -102,7 +105,7 @@ class HashTable {
  private:
   HashCell* ArenaAlloc(uint32_t cells);
 
-  uint64_t num_buckets_;
+  FastMod32 bucket_of_;  // hash -> bucket number; holds num_buckets
   AlignedBuffer<BucketHeader> buckets_;
   std::vector<AlignedBuffer<HashCell>> arena_blocks_;
   uint64_t arena_used_ = 0;      // cells used in the current block

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "hash/hash_func.h"
 #include "hash/hash_table.h"
 #include "join/grace.h"
 #include "storage/slotted_page.h"
+#include "util/bitops.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -113,6 +115,39 @@ void ProbePageCounting(const HashTable& ht, SlottedPage& pg, Scheme scheme,
   }
 }
 
+/// One working output page per partition, each a pool buffer that is
+/// handed over whole (to the write queue or to residency) when it fills.
+class OutputPages {
+ public:
+  OutputPages(BufferManager* bm, uint32_t fanout)
+      : bm_(bm), pages_(fanout), views_(fanout) {
+    for (uint32_t p = 0; p < fanout; ++p) Refill(p);
+  }
+
+  SlottedPage& view(uint32_t p) { return views_[p]; }
+
+  /// Hands over partition `p`'s page and starts an empty one. A pool
+  /// buffer holds an earlier page's bytes, so the unused ones are zeroed
+  /// first: what is written and summed is a function of the tuples.
+  PageBuffer Take(uint32_t p) {
+    views_[p].ZeroUnusedBytes();
+    PageBuffer full = std::move(pages_[p]);
+    Refill(p);
+    return full;
+  }
+
+ private:
+  void Refill(uint32_t p) {
+    pages_[p] = bm_->TakePage();
+    views_[p] = SlottedPage::Format(pages_[p].data(),
+                                    bm_->config().disk.page_size);
+  }
+
+  BufferManager* bm_;
+  std::vector<PageBuffer> pages_;
+  std::vector<SlottedPage> views_;
+};
+
 }  // namespace
 
 DiskGraceJoin::DiskGraceJoin(BufferManager* bm, const DiskJoinConfig& config)
@@ -150,9 +185,9 @@ DiskPhaseStats DiskGraceJoin::Measure(Fn&& fn) {
 }
 
 void DiskGraceJoin::QueueWritePage(BufferManager::FileId file,
-                                   uint64_t page_index, uint8_t* page_bytes,
+                                   uint64_t page_index, PageBuffer page,
                                    SlotHashes hashes) {
-  SlottedPage pg = SlottedPage::Attach(page_bytes);
+  SlottedPage pg = SlottedPage::Attach(page.data());
   FileStats& fs = file_stats_[file];
   for (int s = 0; s < pg.slot_count(); ++s) {
     uint16_t len = 0;
@@ -179,27 +214,31 @@ void DiskGraceJoin::QueueWritePage(BufferManager::FileId file,
     }
   }
   fs.tuples += pg.slot_count();
-  if (config_.page_checksums) {
-    // The stamp yields the page's CRC, so the buffer manager need not
-    // sum its copy: one checksum pass per page written.
-    bm_->WritePageAsync(file, page_index, page_bytes, pg.StampChecksum());
-  } else {
-    bm_->WritePageAsync(file, page_index, page_bytes);
-  }
+  // The stamp yields the page's CRC, so the buffer manager need not sum
+  // the page: one checksum pass per page written.
+  std::optional<uint32_t> crc;
+  if (config_.page_checksums) crc = pg.StampChecksum();
+  bm_->WritePageAsync(file, page_index, std::move(page), crc);
 }
 
 Status DiskGraceJoin::VerifyPage(const uint8_t* page_bytes) const {
   // A buffer manager that checksums pages has already checked this
-  // frame against the CRC of the page exactly as QueueWritePage stamped
+  // frame against the CRC of the page exactly as QueueWritePage queued
   // it, so re-summing would check the same bytes twice (DESIGN.md §7):
   // one checksum pass per page read.
-  if (!config_.page_checksums || bm_->config().checksum_pages) {
+  if (bm_->config().checksum_pages) return Status::OK();
+  SlottedPage pg = SlottedPage::Attach(const_cast<uint8_t*>(page_bytes));
+  if (config_.page_checksums) {
+    if (!pg.VerifyChecksum(page_size_)) {
+      return Status::DataLoss(
+          "slotted page failed end-to-end checksum verification");
+    }
     return Status::OK();
   }
-  SlottedPage pg = SlottedPage::Attach(const_cast<uint8_t*>(page_bytes));
-  if (!pg.VerifyChecksum(page_size_)) {
-    return Status::DataLoss(
-        "slotted page failed end-to-end checksum verification");
+  // No checksum protects the page: at least keep a torn one from
+  // sending the tuple loops past the frame.
+  if (!pg.SlotsWithinFrame(page_size_)) {
+    return Status::DataLoss("slotted page has slots outside the page");
   }
   return Status::OK();
 }
@@ -211,15 +250,14 @@ StatusOr<BufferManager::FileId> DiskGraceJoin::StoreRelation(
         "relation pages must match the disk page size");
   }
   auto file = bm_->CreateFile();
-  // The relation is const, so checksums are stamped on a scratch copy of
-  // each page (WritePageAsync copies again into its own queue entry; the
-  // extra copy only affects this load utility, not the join phases).
-  std::vector<uint8_t> scratch(page_size_);
   const SlotHashes hashes =
       rel.has_hash_codes() ? SlotHashes::kMemoized : SlotHashes::kNone;
   for (size_t p = 0; p < rel.num_pages(); ++p) {
-    std::memcpy(scratch.data(), rel.page(p).data(), page_size_);
-    QueueWritePage(file, p, scratch.data(), hashes);
+    // The relation is const: each page is copied once, into the buffer
+    // that is stamped and queued.
+    PageBuffer page = bm_->TakePage();
+    std::memcpy(page.data(), rel.page(p).data(), page_size_);
+    QueueWritePage(file, p, std::move(page), hashes);
   }
   HJ_RETURN_IF_ERROR(bm_->FlushWrites());
   return file;
@@ -234,17 +272,12 @@ Status DiskGraceJoin::PartitionInto(
   lv.level = level;
   lv.partitions_written += fanout;
   WallTimer level_timer;
-  std::vector<std::vector<uint8_t>> bufs(fanout);
-  std::vector<SlottedPage> views(fanout);
+  const FastMod32 route(fanout);
+  OutputPages out(bm_, fanout);
   std::vector<uint64_t> next_page(fanout, 0);
-  for (uint32_t p = 0; p < fanout; ++p) {
-    bufs[p].resize(page_size_);
-    views[p] = SlottedPage::Format(bufs[p].data(), page_size_);
-  }
   auto flush = [&](uint32_t p) {
-    QueueWritePage(outs[p], next_page[p]++, bufs[p].data(),
+    QueueWritePage(outs[p], next_page[p]++, out.Take(p),
                    SlotHashes::kMemoized);
-    views[p] = SlottedPage::Format(bufs[p].data(), page_size_);
   };
   auto scan = bm_->OpenScan(input);
   const uint8_t* page = nullptr;
@@ -275,16 +308,16 @@ Status DiskGraceJoin::PartitionInto(
       ++lv.tuples;
       lv.bytes_written += len;
       ++lv.hist[hash % SpillLevelStats::kHistBins];
-      uint32_t p = (level == 0 ? hash : SaltedRehash(hash, level)) % fanout;
-      if (views[p].AddTuple(tuple, len, hash) < 0) {
+      const uint32_t p = route(level == 0 ? hash : SaltedRehash(hash, level));
+      if (out.view(p).AddTuple(tuple, len, hash) < 0) {
         flush(p);
-        int idx = views[p].AddTuple(tuple, len, hash);
+        int idx = out.view(p).AddTuple(tuple, len, hash);
         HJ_CHECK(idx >= 0);
       }
     }
   }
   for (uint32_t p = 0; p < fanout; ++p) {
-    if (views[p].slot_count() > 0) flush(p);
+    if (out.view(p).slot_count() > 0) flush(p);
   }
   lv.partition_seconds += level_timer.ElapsedSeconds();
   return bm_->FlushWrites();
@@ -394,22 +427,20 @@ void DiskGraceJoin::NoteBuildBytes(uint64_t pages, uint64_t tuples) {
   tally_.max_build_bytes = std::max(tally_.max_build_bytes, bytes);
 }
 
-Status DiskGraceJoin::BuildAndProbe(
-    const std::vector<std::vector<uint8_t>>& build_pages,
-    uint64_t build_tuples, BufferManager::FileId probe, uint64_t* matches) {
+Status DiskGraceJoin::BuildAndProbe(const std::vector<PageBuffer>& build_pages,
+                                    uint64_t build_tuples,
+                                    BufferManager::FileId probe,
+                                    uint64_t* matches) {
   if (build_tuples == 0) return Status::OK();
   NoteBuildBytes(build_pages.size(), build_tuples);
   // The bucket count only needs to be relatively prime to the moduli the
   // hash codes are constrained by; the initial partition count covers the
   // common case, and recursion levels use an independent (salted) hash.
   HashTable ht(ChooseBucketCount(build_tuples, config_.num_partitions));
-  for (const auto& bytes : build_pages) {
-    SlottedPage pg =
-        SlottedPage::Attach(const_cast<uint8_t*>(bytes.data()));
+  for (const PageBuffer& page : build_pages) {
+    SlottedPage pg = SlottedPage::Attach(page.data());
     for (int s = 0; s < pg.slot_count(); ++s) {
-      uint16_t len;
-      const uint8_t* t = pg.GetTuple(s, &len);
-      ht.Insert(pg.GetHashCode(s), t);
+      ht.Insert(pg.GetHashCode(s), pg.GetTuple(s, nullptr));
     }
   }
   auto scan = bm_->OpenScan(probe);
@@ -429,7 +460,7 @@ Status DiskGraceJoin::JoinChunked(BufferManager::FileId build,
                                   BufferManager::FileId probe,
                                   uint64_t* matches) {
   ++tally_.chunked_fallbacks;
-  std::vector<std::vector<uint8_t>> chunk;
+  std::vector<PageBuffer> chunk;
   uint64_t chunk_tuples = 0;
   auto scan = bm_->OpenScan(build);
   const uint8_t* page = nullptr;
@@ -454,7 +485,7 @@ Status DiskGraceJoin::JoinChunked(BufferManager::FileId build,
       chunk.clear();
       chunk_tuples = 0;
     }
-    chunk.emplace_back(page, page + page_size_);
+    chunk.push_back(scan.KeepPage());
     chunk_tuples += page_tuples;
   }
   if (!chunk.empty()) {
@@ -466,9 +497,9 @@ Status DiskGraceJoin::JoinChunked(BufferManager::FileId build,
 Status DiskGraceJoin::JoinInMemory(BufferManager::FileId build,
                                    BufferManager::FileId probe,
                                    uint64_t* matches) {
-  // Load the build partition (pages must outlive the hash table) and
-  // stream the probe partition against it.
-  std::vector<std::vector<uint8_t>> pages;
+  // Load the build partition (pages must outlive the hash table, so the
+  // scan's pages are kept) and stream the probe partition against it.
+  std::vector<PageBuffer> pages;
   pages.reserve(bm_->FileNumPages(build));
   uint64_t tuples = 0;
   {
@@ -478,7 +509,7 @@ Status DiskGraceJoin::JoinInMemory(BufferManager::FileId build,
       HJ_RETURN_IF_ERROR(scan.NextPage(&page));
       if (page == nullptr) break;
       HJ_RETURN_IF_ERROR(VerifyPage(page));
-      pages.emplace_back(page, page + page_size_);
+      pages.push_back(scan.KeepPage());
       tuples += SlottedPage::Attach(pages.back().data()).slot_count();
     }
   }
@@ -511,7 +542,7 @@ Status DiskGraceJoin::JoinBlockNestedLoop(BufferManager::FileId build,
   // by every tuple, so compare the 4-byte keys directly. Blocks are raw
   // build pages with no table overhead, so a block holds strictly more
   // tuples than a chunk would — and each block costs one probe scan.
-  std::vector<std::vector<uint8_t>> block;
+  std::vector<PageBuffer> block;
   auto probe_block = [&]() -> Status {
     if (block.empty()) return Status::OK();
     NoteBuildBytes(block.size(), 0);
@@ -527,9 +558,8 @@ Status DiskGraceJoin::JoinBlockNestedLoop(BufferManager::FileId build,
         const uint8_t* pt = pp.GetTuple(ps, &plen);
         uint32_t pkey;
         std::memcpy(&pkey, pt, 4);
-        for (const auto& bytes : block) {
-          SlottedPage bp =
-              SlottedPage::Attach(const_cast<uint8_t*>(bytes.data()));
+        for (const PageBuffer& bpage : block) {
+          SlottedPage bp = SlottedPage::Attach(bpage.data());
           for (int bs = 0; bs < bp.slot_count(); ++bs) {
             uint16_t blen = 0;
             const uint8_t* bt = bp.GetTuple(bs, &blen);
@@ -556,7 +586,7 @@ Status DiskGraceJoin::JoinBlockNestedLoop(BufferManager::FileId build,
       HJ_RETURN_IF_ERROR(probe_block());
       block.clear();
     }
-    block.emplace_back(page, page + page_size_);
+    block.push_back(scan.KeepPage());
   }
   return probe_block();
 }
@@ -649,21 +679,22 @@ struct DiskGraceJoin::HybridState {
 Status DiskGraceJoin::SpillVictim(PartitionResidency* res, uint32_t victim,
                                   HybridState* st) {
   ++tally_.victim_spills;
-  std::vector<std::vector<uint8_t>> pages = res->Evict(victim);
+  // The table points into the pages, so it goes before they change hands.
+  st->tables[victim].reset();
+  std::vector<PageBuffer> pages = res->Evict(victim);
   if (!st->build_on_disk[victim]) {
-    // First eviction: write the resident pages out. During the build
-    // pass the partition's remaining tuples will go straight to the
-    // file, completing it by end of pass; a partition evicted during
+    // First eviction: queue the resident pages as they are. During the
+    // build pass the partition's remaining tuples will go straight to
+    // the file, completing it by end of pass; a partition evicted during
     // the probe pass is complete the moment these writes land.
-    for (auto& pg : pages) {
+    for (PageBuffer& page : pages) {
       QueueWritePage(st->build_files[victim], st->build_next_page[victim]++,
-                     pg.data(), SlotHashes::kMemoized);
+                     std::move(page), SlotHashes::kMemoized);
     }
     if (st->probe_pass) st->build_on_disk[victim] = 1;
   }
   // else: the file already holds the whole partition (this residency
   // came from an un-spill) and dropping the pages costs no I/O.
-  st->tables[victim].reset();
   return Status::OK();
 }
 
@@ -694,7 +725,7 @@ Status DiskGraceJoin::EnforceResidencyBudget(PartitionResidency* res,
 Status DiskGraceJoin::UnspillPartition(PartitionResidency* res, uint32_t p,
                                        HybridState* st) {
   ++tally_.victim_unspills;
-  std::vector<std::vector<uint8_t>> pages;
+  std::vector<PageBuffer> pages;
   uint64_t tuples = 0;
   auto scan = bm_->OpenScan(st->build_files[p]);
   const uint8_t* page = nullptr;
@@ -702,7 +733,7 @@ Status DiskGraceJoin::UnspillPartition(PartitionResidency* res, uint32_t p,
     HJ_RETURN_IF_ERROR(scan.NextPage(&page));
     if (page == nullptr) break;
     HJ_RETURN_IF_ERROR(VerifyPage(page));
-    pages.emplace_back(page, page + page_size_);
+    pages.push_back(scan.KeepPage());
     tuples += SlottedPage::Attach(pages.back().data()).slot_count();
   }
   res->Readmit(p, std::move(pages), tuples);
@@ -767,6 +798,7 @@ Status DiskGraceJoin::JoinHybrid(BufferManager::FileId build,
 
   uint64_t matches = 0;
   std::vector<char> spilled(fanout, 0);
+  const FastMod32 route(fanout);  // tuple -> partition: hash % fanout
   Status pass_st;
   {
     PartitionResidency res(fanout, page_size_, [](uint64_t tuples) {
@@ -777,24 +809,18 @@ Status DiskGraceJoin::JoinHybrid(BufferManager::FileId build,
     // resident until the live budget forces smallest-loss victims out.
     result->partition_phase = Measure([&] {
       pass_st = [&]() -> Status {
-        std::vector<std::vector<uint8_t>> bufs(fanout);
-        std::vector<SlottedPage> views(fanout);
-        for (uint32_t p = 0; p < fanout; ++p) {
-          bufs[p].resize(page_size_);
-          views[p] = SlottedPage::Format(bufs[p].data(), page_size_);
-        }
-        // Routes one full working page to residency or disk, then lets
-        // the budget claim victims at this page boundary.
+        OutputPages out(bm_, fanout);
+        // Hands one full working page to residency or to the write
+        // queue, then lets the budget claim victims at this page
+        // boundary.
         auto emit = [&](uint32_t p) -> Status {
           if (res.resident(p)) {
-            const uint64_t page_tuples = views[p].slot_count();
-            res.AddPage(p, std::move(bufs[p]), page_tuples);
-            bufs[p] = std::vector<uint8_t>(page_size_);
+            const uint64_t page_tuples = out.view(p).slot_count();
+            res.AddPage(p, out.Take(p), page_tuples);
           } else {
             QueueWritePage(st.build_files[p], st.build_next_page[p]++,
-                           bufs[p].data(), SlotHashes::kMemoized);
+                           out.Take(p), SlotHashes::kMemoized);
           }
-          views[p] = SlottedPage::Format(bufs[p].data(), page_size_);
           return EnforceResidencyBudget(&res, &st);
         };
         auto scan = bm_->OpenScan(build);
@@ -810,16 +836,16 @@ Status DiskGraceJoin::JoinHybrid(BufferManager::FileId build,
             uint32_t key;
             std::memcpy(&key, tuple, 4);
             const uint32_t hash = HashKey32(key);
-            const uint32_t p = hash % fanout;
-            if (views[p].AddTuple(tuple, len, hash) < 0) {
+            const uint32_t p = route(hash);
+            if (out.view(p).AddTuple(tuple, len, hash) < 0) {
               HJ_RETURN_IF_ERROR(emit(p));
-              const int idx = views[p].AddTuple(tuple, len, hash);
+              const int idx = out.view(p).AddTuple(tuple, len, hash);
               HJ_CHECK(idx >= 0);
             }
           }
         }
         for (uint32_t p = 0; p < fanout; ++p) {
-          if (views[p].slot_count() > 0) HJ_RETURN_IF_ERROR(emit(p));
+          if (out.view(p).slot_count() > 0) HJ_RETURN_IF_ERROR(emit(p));
         }
         return bm_->FlushWrites();
       }();
@@ -848,31 +874,22 @@ Status DiskGraceJoin::JoinHybrid(BufferManager::FileId build,
           NoteBuildBytes(res.pages(p).size(), res.tuples(p));
           auto ht = std::make_unique<HashTable>(
               ChooseBucketCount(res.tuples(p), fanout));
-          for (const auto& bytes : res.pages(p)) {
-            SlottedPage pg =
-                SlottedPage::Attach(const_cast<uint8_t*>(bytes.data()));
+          for (const PageBuffer& page : res.pages(p)) {
+            SlottedPage pg = SlottedPage::Attach(page.data());
             for (int s = 0; s < pg.slot_count(); ++s) {
-              uint16_t len = 0;
-              const uint8_t* t = pg.GetTuple(s, &len);
-              ht->Insert(pg.GetHashCode(s), t);
+              ht->Insert(pg.GetHashCode(s), pg.GetTuple(s, nullptr));
             }
           }
           st.tables[p] = std::move(ht);
         }
-        std::vector<std::vector<uint8_t>> bufs(fanout);
-        std::vector<SlottedPage> views(fanout);
-        for (uint32_t p = 0; p < fanout; ++p) {
-          bufs[p].resize(page_size_);
-          views[p] = SlottedPage::Format(bufs[p].data(), page_size_);
-        }
+        OutputPages out(bm_, fanout);
         auto spill_probe = [&](uint32_t p) {
           if (!st.probe_created[p]) {
             st.probe_files[p] = bm_->CreateFile();
             st.probe_created[p] = 1;
           }
           QueueWritePage(st.probe_files[p], st.probe_next_page[p]++,
-                         bufs[p].data(), SlotHashes::kMemoized);
-          views[p] = SlottedPage::Format(bufs[p].data(), page_size_);
+                         out.Take(p), SlotHashes::kMemoized);
         };
         auto scan = bm_->OpenScan(probe);
         const uint8_t* page = nullptr;
@@ -893,7 +910,7 @@ Status DiskGraceJoin::JoinHybrid(BufferManager::FileId build,
             uint32_t key;
             std::memcpy(&key, tuple, 4);
             const uint32_t hash = HashKey32(key);
-            const uint32_t p = hash % fanout;
+            const uint32_t p = route(hash);
             if (res.resident(p)) {
               if (st.tables[p] != nullptr) {
                 st.tables[p]->Probe(hash, [&](const uint8_t* bt) {
@@ -902,15 +919,15 @@ Status DiskGraceJoin::JoinHybrid(BufferManager::FileId build,
                   if (bkey == key) ++matches;
                 });
               }
-            } else if (views[p].AddTuple(tuple, len, hash) < 0) {
+            } else if (out.view(p).AddTuple(tuple, len, hash) < 0) {
               spill_probe(p);
-              const int idx = views[p].AddTuple(tuple, len, hash);
+              const int idx = out.view(p).AddTuple(tuple, len, hash);
               HJ_CHECK(idx >= 0);
             }
           }
         }
         for (uint32_t p = 0; p < fanout; ++p) {
-          if (views[p].slot_count() > 0) spill_probe(p);
+          if (out.view(p).slot_count() > 0) spill_probe(p);
         }
         return bm_->FlushWrites();
       }();

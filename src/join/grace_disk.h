@@ -121,9 +121,10 @@ struct DiskJoinConfig {
   /// verify it on every page it reads back — an end-to-end integrity
   /// check across the full I/O path. When the buffer manager checksums
   /// pages too, its CRC is derived from the stamp (the CRC of the page
-  /// as stamped, before its copy), so its read check already covers
-  /// that path and the join does not re-sum; otherwise the join re-sums
-  /// each page it reads.
+  /// as stamped and queued), so its read check already covers that path
+  /// and the join does not re-sum; otherwise the join re-sums each page
+  /// it reads. With neither checksum, the join still checks that every
+  /// slot of a page it reads lies inside the page.
   bool page_checksums = true;
 
   /// Live memory budget of a scheduler's memory-broker grant. When it
@@ -372,16 +373,19 @@ class DiskGraceJoin {
   /// splitting cannot make progress on such a partition).
   bool UniformHash(BufferManager::FileId file) const;
 
-  /// Stamps (if configured) and queues one page write, tallying stats.
-  /// Fire-and-forget: write errors surface at the next FlushWrites.
-  /// `hashes` says whether each slot holds HashKey32 of its key: every
-  /// page the join writes does, and a stored relation's do when it
-  /// has_hash_codes(); otherwise each key is hashed for the FileStats.
+  /// Stamps (if configured) and queues one page write, tallying stats;
+  /// the page changes hands, uncopied. Fire-and-forget: write errors
+  /// surface at the next FlushWrites. `hashes` says whether each slot
+  /// holds HashKey32 of its key: every page the join writes does, and a
+  /// stored relation's do when it has_hash_codes(); otherwise each key is
+  /// hashed for the FileStats.
   void QueueWritePage(BufferManager::FileId file, uint64_t page_index,
-                      uint8_t* page_bytes, SlotHashes hashes);
+                      PageBuffer page, SlotHashes hashes);
   /// End-to-end verification of a page read back from storage: the
   /// stamp is re-summed only when the buffer manager does not checksum
-  /// pages, since its CRC is the CRC of the page as stamped.
+  /// pages, since its CRC is the CRC of the page as stamped. A page no
+  /// checksum protects must keep every slot inside the page (kDataLoss
+  /// otherwise), so a torn one cannot send the tuple loops past it.
   Status VerifyPage(const uint8_t* page_bytes) const;
 
   /// Splits `input` into `fanout` files. Level 0 hashes the 4-byte key;
@@ -427,7 +431,7 @@ class DiskGraceJoin {
 
   /// Builds a hash table over loaded pages and streams the probe file
   /// against it.
-  Status BuildAndProbe(const std::vector<std::vector<uint8_t>>& build_pages,
+  Status BuildAndProbe(const std::vector<PageBuffer>& build_pages,
                        uint64_t build_tuples, BufferManager::FileId probe,
                        uint64_t* matches);
 

@@ -164,7 +164,8 @@ inline bool ProbeStage0(ProbeContext<MM>& ctx, ProbeState& st,
     st.hash = HashKey32(key);
     mm.Busy(cfg.cost_hash);
   }
-  // Bucket number: hash code modulo table size (an integer divide).
+  // Bucket number: hash code modulo table size, computed without a
+  // divide (FastMod32, same values) and still charged as cost_hash.
   st.bucket = ctx.ht->bucket(ctx.ht->BucketIndex(st.hash));
   mm.Busy(cfg.cost_hash);
   st.ResetForTuple();

@@ -16,7 +16,7 @@ PartitionResidency::PartitionResidency(
   HJ_CHECK(table_cost_ != nullptr);
 }
 
-void PartitionResidency::AddPage(uint32_t p, std::vector<uint8_t> page,
+void PartitionResidency::AddPage(uint32_t p, PageBuffer page,
                                  uint64_t tuples) {
   PartState& ps = parts_[p];
   HJ_CHECK(ps.resident) << "AddPage on a spilled partition";
@@ -72,7 +72,7 @@ int PartitionResidency::PickVictim(uint64_t needed) const {
   return best;
 }
 
-std::vector<std::vector<uint8_t>> PartitionResidency::Evict(uint32_t p) {
+std::vector<PageBuffer> PartitionResidency::Evict(uint32_t p) {
   PartState& ps = parts_[p];
   HJ_CHECK(ps.resident) << "Evict on an already-spilled partition";
   ps.resident = false;
@@ -94,8 +94,7 @@ int PartitionResidency::LastSpilled() const {
   return best;
 }
 
-void PartitionResidency::Readmit(uint32_t p,
-                                 std::vector<std::vector<uint8_t>> pages,
+void PartitionResidency::Readmit(uint32_t p, std::vector<PageBuffer> pages,
                                  uint64_t tuples) {
   PartState& ps = parts_[p];
   HJ_CHECK(!ps.resident) << "Readmit on a resident partition";

@@ -5,6 +5,8 @@
 #include <functional>
 #include <vector>
 
+#include "storage/buffer_manager.h"
+
 namespace hashjoin {
 
 /// Which build partitions of a hybrid join are held in memory, what each
@@ -12,11 +14,13 @@ namespace hashjoin {
 ///
 /// The hybrid join (DiskGraceJoin with `hybrid_residency`) starts every
 /// partition resident and evicts on demand; this class is the pure
-/// bookkeeping side of that policy. It owns the resident pages and the
-/// spill ordering, but no I/O: the join evicts a partition by calling
-/// Evict() and writing the returned pages itself, and re-admits one by
-/// reading the file back and calling Readmit(). Keeping the policy free
-/// of I/O makes the victim selection unit-testable in isolation.
+/// bookkeeping side of that policy. It owns the resident pages (the
+/// join's own page buffers, handed over as they fill) and the spill
+/// ordering, but no I/O: the join evicts a partition by calling Evict()
+/// and queueing the returned pages for write as they are, and re-admits
+/// one by keeping the pages of a scan of its file and calling Readmit().
+/// Keeping the policy free of I/O makes the victim selection
+/// unit-testable in isolation.
 ///
 /// Victim policy (smallest loss, DESIGN.md §11): among resident
 /// partitions, prefer the one that frees the needed bytes on its own
@@ -35,11 +39,11 @@ class PartitionResidency {
                      std::function<uint64_t(uint64_t)> table_cost);
 
   /// Appends one full page (page_size bytes) to resident partition `p`.
-  void AddPage(uint32_t p, std::vector<uint8_t> page, uint64_t tuples);
+  void AddPage(uint32_t p, PageBuffer page, uint64_t tuples);
 
   bool resident(uint32_t p) const { return parts_[p].resident; }
   uint64_t tuples(uint32_t p) const { return parts_[p].tuples; }
-  const std::vector<std::vector<uint8_t>>& pages(uint32_t p) const {
+  const std::vector<PageBuffer>& pages(uint32_t p) const {
     return parts_[p].pages;
   }
 
@@ -56,21 +60,20 @@ class PartitionResidency {
 
   /// Marks `p` spilled and surrenders its pages (tuple count is kept for
   /// later sizing). The caller writes the pages out.
-  std::vector<std::vector<uint8_t>> Evict(uint32_t p);
+  std::vector<PageBuffer> Evict(uint32_t p);
 
   /// The most recently spilled partition (the first to un-spill), or -1
   /// if none are spilled.
   int LastSpilled() const;
 
   /// Re-admits a spilled partition with pages read back from its file.
-  void Readmit(uint32_t p, std::vector<std::vector<uint8_t>> pages,
-               uint64_t tuples);
+  void Readmit(uint32_t p, std::vector<PageBuffer> pages, uint64_t tuples);
 
   uint32_t num_partitions() const { return uint32_t(parts_.size()); }
 
  private:
   struct PartState {
-    std::vector<std::vector<uint8_t>> pages;
+    std::vector<PageBuffer> pages;
     uint64_t tuples = 0;
     bool resident = true;
     uint64_t spill_seq = 0;  // valid while !resident; orders un-spill

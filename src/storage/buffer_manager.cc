@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
+#include <utility>
 
 #include "util/checksum.h"
 #include "util/logging.h"
@@ -16,22 +16,39 @@ uint32_t RetryPolicy::BackoffUs(uint32_t attempt) const {
   return uint32_t(us);
 }
 
-AlignedBuffer<uint8_t> BufferManager::PagePool::Take() {
+void PageBuffer::Release() {
+  if (bytes_ != nullptr) pool_->Give(std::exchange(bytes_, nullptr));
+}
+
+PagePool::~PagePool() {
+  MutexLock lock(mu_);
+  HJ_CHECK(free_.size() == allocated_)
+      << "a PageBuffer outlived the BufferManager that issued it";
+  for (uint8_t* bytes : free_) AlignedFree(bytes);
+}
+
+PageBuffer PagePool::Take() {
   {
     MutexLock lock(mu_);
     if (!free_.empty()) {
-      AlignedBuffer<uint8_t> page = std::move(free_.back());
+      uint8_t* bytes = free_.back();
       free_.pop_back();
-      return page;
+      return PageBuffer(this, bytes);
     }
+    ++allocated_;
   }
   void* raw = AlignedAlloc(page_size_, kCacheLineSize);
-  return AlignedBuffer<uint8_t>(static_cast<uint8_t*>(raw));
+  return PageBuffer(this, static_cast<uint8_t*>(raw));
 }
 
-void BufferManager::PagePool::Give(AlignedBuffer<uint8_t> page) {
+void PagePool::Give(uint8_t* bytes) {
   MutexLock lock(mu_);
-  free_.push_back(std::move(page));
+  free_.push_back(bytes);
+}
+
+uint64_t PagePool::pages_allocated() const {
+  MutexLock lock(mu_);
+  return allocated_;
 }
 
 BufferManager::BufferManager(const BufferManagerConfig& config)
@@ -93,7 +110,7 @@ Status BufferManager::ReadWithRetry(DiskWorker* w, const Request& req) {
   for (uint32_t attempt = 0; attempt < config_.retry.max_attempts;
        ++attempt) {
     bytes_read_.fetch_add(config_.disk.page_size, std::memory_order_relaxed);
-    last = w->disk->ReadPage(req.disk_page, req.read->buffer.get());
+    last = w->disk->ReadPage(req.disk_page, req.read->buffer.data());
     if (!last.ok()) {
       if (last.code() != StatusCode::kIOError) return last;  // permanent
       if (attempt + 1 < config_.retry.max_attempts) {
@@ -102,7 +119,7 @@ Status BufferManager::ReadWithRetry(DiskWorker* w, const Request& req) {
       }
       continue;
     }
-    if (req.has_crc && Crc32(req.read->buffer.get(),
+    if (req.has_crc && Crc32(req.read->buffer.data(),
                              config_.disk.page_size) != req.expected_crc) {
       checksum_failures_.fetch_add(1, std::memory_order_relaxed);
       last = Status::DataLoss("page checksum mismatch");
@@ -139,7 +156,7 @@ Status BufferManager::WriteWithRetry(DiskWorker* w, const Request& req) {
        ++attempt) {
     bytes_written_.fetch_add(config_.disk.page_size,
                              std::memory_order_relaxed);
-    last = w->disk->WritePage(req.disk_page, req.write_data.get());
+    last = w->disk->WritePage(req.disk_page, req.write_data.data());
     if (!last.ok()) {
       if (last.code() != StatusCode::kIOError) return last;  // permanent
       if (attempt + 1 < config_.retry.max_attempts) {
@@ -193,7 +210,7 @@ void BufferManager::WorkerLoop(DiskWorker* w) {
         w->reads_done.notify_all();
       } else {
         Status s = WriteWithRetry(w, req);
-        pages_.Give(std::move(req.write_data));
+        req.write_data = PageBuffer();  // back to the pool before retiring
         RetireWrite(std::move(s));
       }
     }
@@ -241,22 +258,17 @@ uint64_t BufferManager::FileNumPages(FileId file) const {
 }
 
 void BufferManager::WritePageAsync(FileId file, uint64_t page_index,
-                                   const void* data) {
-  WritePageAsync(file, page_index, data,
-                 config_.checksum_pages ? Crc32(data, config_.disk.page_size)
-                                        : 0);
-}
-
-void BufferManager::WritePageAsync(FileId file, uint64_t page_index,
-                                   const void* data, uint32_t crc) {
+                                   PageBuffer page,
+                                   std::optional<uint32_t> crc) {
+  HJ_CHECK(page) << "WritePageAsync of an empty PageBuffer";
   const uint32_t disk_id = DiskOf(file, page_index);
   Request req;
-  req.write_data = pages_.Take();
-  std::memcpy(req.write_data.get(), data, config_.disk.page_size);
   if (config_.checksum_pages) {
-    req.expected_crc = crc;
+    req.expected_crc =
+        crc ? *crc : Crc32(page.data(), config_.disk.page_size);
     req.has_crc = true;
   }
+  req.write_data = std::move(page);
   {
     MutexLock lock(files_mu_);
     FileMeta& meta = files_[file];
@@ -401,10 +413,8 @@ BufferManager::Scanner::Scanner(BufferManager* bm, FileId file)
 
 BufferManager::Scanner::~Scanner() {
   if (frames_ == nullptr) return;  // moved from
-  for (uint32_t i = 0; i < num_frames_; ++i) {
-    bm_->AwaitRead(frames_[i]);
-    bm_->pages_.Give(std::move(frames_[i].buffer));
-  }
+  // frames_ gives the buffers back to the pool once every read is done.
+  for (uint32_t i = 0; i < num_frames_; ++i) bm_->AwaitRead(frames_[i]);
 }
 
 void BufferManager::Scanner::IssueReadAhead() {
@@ -427,6 +437,7 @@ void BufferManager::Scanner::IssueReadAhead() {
 
 Status BufferManager::Scanner::NextPage(const uint8_t** page) {
   *page = nullptr;
+  can_keep_ = false;
   if (next_to_return_ >= num_pages_) return Status::OK();
   ReadFrame& f = frames_[next_to_return_ % num_frames_];
   // Only genuine not-ready waits count as main-thread I/O stall.
@@ -438,8 +449,20 @@ Status BufferManager::Scanner::NextPage(const uint8_t** page) {
   HJ_RETURN_IF_ERROR(f.status);
   ++next_to_return_;
   IssueReadAhead();
-  *page = f.buffer.get();
+  *page = f.buffer.data();
+  can_keep_ = true;
   return Status::OK();
+}
+
+PageBuffer BufferManager::Scanner::KeepPage() {
+  HJ_CHECK(can_keep_) << "KeepPage without a page from NextPage to keep";
+  can_keep_ = false;
+  // The page just returned is never in flight: IssueReadAhead leaves its
+  // frame alone until the next NextPage.
+  ReadFrame& f = frames_[(next_to_return_ - 1) % num_frames_];
+  PageBuffer kept = std::move(f.buffer);
+  f.buffer = bm_->pages_.Take();
+  return kept;
 }
 
 }  // namespace hashjoin

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "storage/disk.h"
@@ -60,6 +62,74 @@ struct IoRecoveryStats {
   }
 };
 
+class PagePool;
+
+/// One page-sized, cache-line-aligned buffer from a BufferManager's page
+/// pool (BufferManager::TakePage). Move-only: whoever holds it owns the
+/// bytes, and dropping it gives the buffer back to the pool. A page
+/// changes hands without a copy from the join's working page to the
+/// write queue, or from a scan frame to the join (DESIGN.md §6). Drop
+/// every PageBuffer before the BufferManager that issued it, and never
+/// while holding another lock: the pool's mutex is a leaf.
+class PageBuffer {
+ public:
+  PageBuffer() = default;
+  PageBuffer(PageBuffer&& other) noexcept
+      : pool_(std::exchange(other.pool_, nullptr)),
+        bytes_(std::exchange(other.bytes_, nullptr)) {}
+  PageBuffer& operator=(PageBuffer&& other) noexcept {
+    if (this != &other) {
+      Release();
+      pool_ = std::exchange(other.pool_, nullptr);
+      bytes_ = std::exchange(other.bytes_, nullptr);
+    }
+    return *this;
+  }
+  ~PageBuffer() { Release(); }
+
+  /// The page's bytes; whatever its previous owner left there until this
+  /// owner writes them.
+  uint8_t* data() const { return bytes_; }
+  explicit operator bool() const { return bytes_ != nullptr; }
+
+ private:
+  friend class PagePool;
+  PageBuffer(PagePool* pool, uint8_t* bytes) : pool_(pool), bytes_(bytes) {}
+  /// Gives the bytes back to their pool (no-op when empty).
+  void Release();
+
+  PagePool* pool_ = nullptr;
+  uint8_t* bytes_ = nullptr;
+};
+
+/// Free page-sized buffers of one BufferManager. Take pops one,
+/// allocating only when none is free, and a PageBuffer gives its bytes
+/// back when dropped; so the pool allocates only up to the most pages
+/// ever in use at once. mu_ is never held with another lock.
+class PagePool {
+ public:
+  explicit PagePool(uint32_t page_size) : page_size_(page_size) {}
+  /// Frees every page; each must have come back.
+  ~PagePool();
+
+  PagePool(const PagePool&) = delete;
+  PagePool& operator=(const PagePool&) = delete;
+
+  PageBuffer Take() HJ_EXCLUDES(mu_);
+
+  /// Pages allocated so far (cumulative; the pool never frees one early).
+  uint64_t pages_allocated() const HJ_EXCLUDES(mu_);
+
+ private:
+  friend class PageBuffer;
+  void Give(uint8_t* bytes) HJ_EXCLUDES(mu_);
+
+  const uint32_t page_size_;
+  mutable Mutex mu_;
+  std::vector<uint8_t*> free_ HJ_GUARDED_BY(mu_);
+  uint64_t allocated_ HJ_GUARDED_BY(mu_) = 0;
+};
+
 /// Buffer manager configuration (paper §7.2: relations striped across all
 /// disks in 256KB units, a dedicated worker thread per disk, I/O
 /// prefetching and background writing).
@@ -99,10 +169,12 @@ struct BufferManagerConfig {
 /// status and a ready flag in the scan's frame. Each disk serves its
 /// queue in FIFO order, so a read sees every write queued before it.
 ///
-/// Page buffers come from one pool (PagePool): a queued write's copy
-/// and a scan's frames are taken from it and given back after the write
-/// and when the scan closes, and a scan takes frames only for the pages
-/// its file has, so a spill allocates no buffer per page.
+/// Page buffers come from one pool (PagePool) and change hands instead
+/// of bytes: a caller fills a TakePage() buffer and hands it to
+/// WritePageAsync, which queues it and gives it back after the write; a
+/// scan takes frames only for the pages its file has, and its caller may
+/// keep the page just returned (Scanner::KeepPage). So a spill allocates
+/// no buffer per page and copies no page on its way to the disk queue.
 ///
 /// Fault tolerance: every page gets a CRC32 on write; reads verify it.
 /// Transient device errors and checksum mismatches are retried with
@@ -126,19 +198,21 @@ class BufferManager {
   /// Creates an empty striped file.
   FileId CreateFile() HJ_EXCLUDES(files_mu_);
 
-  /// Appends/overwrites page `page_index`; the data is copied (and
-  /// checksummed) synchronously, then written in the background. Pages
-  /// of a file must be written densely (the hash join writes partitions
-  /// sequentially). Write failures surface at the next FlushWrites.
-  void WritePageAsync(FileId file, uint64_t page_index, const void* data)
-      HJ_EXCLUDES(files_mu_);
+  /// A page buffer from this manager's pool, for WritePageAsync or for
+  /// the caller's own use; its bytes are whatever its last owner left.
+  PageBuffer TakePage() { return pages_.Take(); }
 
-  /// Same, for a caller that already holds `crc`, the Crc32 of the
-  /// page_size bytes at `data` (SlottedPage::StampChecksum returns it):
-  /// the page is copied but not summed again. Without checksum_pages
-  /// `crc` is ignored.
-  void WritePageAsync(FileId file, uint64_t page_index, const void* data,
-                      uint32_t crc) HJ_EXCLUDES(files_mu_);
+  /// Appends/overwrites page `page_index` with `page` (a TakePage()
+  /// buffer), queued without a copy and written in the background; the
+  /// buffer goes back to the pool once written. With checksum_pages the
+  /// read check uses `crc`, the Crc32 of the page's page_size bytes
+  /// (SlottedPage::StampChecksum returns it), and the page is summed here
+  /// only when the caller passes none. Pages of a file must be written
+  /// densely (the hash join writes partitions sequentially). Write
+  /// failures surface at the next FlushWrites.
+  void WritePageAsync(FileId file, uint64_t page_index, PageBuffer page,
+                      std::optional<uint32_t> crc = std::nullopt)
+      HJ_EXCLUDES(files_mu_);
 
   /// Blocks until every queued write has reached its disk. Returns the
   /// first write error since the previous FlushWrites (after retries
@@ -166,11 +240,17 @@ class BufferManager {
 
     Scanner(Scanner&&) = default;
 
-    /// Stores the next page's bytes (valid until the next call) in
-    /// `*page`, or nullptr at end of file. Blocks only when read-ahead
-    /// fell behind. A non-OK status (transient faults that survived all
-    /// retries, or kDataLoss for corruption) ends the scan.
+    /// Stores the next page's bytes (valid until the next call, unless
+    /// kept) in `*page`, or nullptr at end of file. Blocks only when
+    /// read-ahead fell behind. A non-OK status (transient faults that
+    /// survived all retries, or kDataLoss for corruption) ends the scan.
     Status NextPage(const uint8_t** page);
+
+    /// Hands the caller the buffer holding the page NextPage just
+    /// returned, so the page outlives the scan without a copy; its frame
+    /// takes a fresh buffer from the pool. Call at most once per page,
+    /// before the next NextPage.
+    PageBuffer KeepPage();
 
    private:
     /// Refills the read-ahead window once half of it has drained.
@@ -181,6 +261,7 @@ class BufferManager {
     uint64_t num_pages_;
     uint64_t next_to_issue_ = 0;
     uint64_t next_to_return_ = 0;
+    bool can_keep_ = false;  // NextPage just returned a page not yet kept
     uint32_t num_frames_;
     /// Ring of min(io_prefetch_depth, num_pages_) frames: a scan of a
     /// short file takes no frame it could not fill.
@@ -225,13 +306,17 @@ class BufferManager {
   uint32_t num_disks() const { return uint32_t(disks_.size()); }
   const BufferManagerConfig& config() const { return config_; }
 
+  /// Page buffers the pool has allocated: the most ever in use at once
+  /// (write queue, scan frames and pages held by callers).
+  uint64_t pool_pages_allocated() const { return pages_.pages_allocated(); }
+
  private:
   /// A scan's read-ahead frame. The disk worker fills `buffer`, stores
   /// the read's outcome in `status`, then publishes both by setting the
   /// ready flag `filled` (release); the scanner reads them once it sees
   /// `filled` (acquire). A frame with no read in flight is filled.
   struct ReadFrame {
-    AlignedBuffer<uint8_t> buffer;
+    PageBuffer buffer;
     Status status;
     std::atomic<bool> filled{true};
     uint32_t disk = 0;  // serves the read in flight; scanner-owned
@@ -242,23 +327,9 @@ class BufferManager {
   struct Request {
     uint64_t disk_page = 0;
     ReadFrame* read = nullptr;
-    AlignedBuffer<uint8_t> write_data;  // copy of the page, from pages_
+    PageBuffer write_data;  // the page itself, handed over by the writer
     uint32_t expected_crc = 0;
     bool has_crc = false;
-  };
-
-  /// Free page-sized buffers. Take pops one, allocating only when none
-  /// is free; Give returns one. mu_ is never held with another lock.
-  class PagePool {
-   public:
-    explicit PagePool(uint32_t page_size) : page_size_(page_size) {}
-    AlignedBuffer<uint8_t> Take() HJ_EXCLUDES(mu_);
-    void Give(AlignedBuffer<uint8_t> page) HJ_EXCLUDES(mu_);
-
-   private:
-    const uint32_t page_size_;
-    Mutex mu_;
-    std::vector<AlignedBuffer<uint8_t>> free_ HJ_GUARDED_BY(mu_);
   };
 
   struct DiskWorker {
@@ -320,7 +391,8 @@ class BufferManager {
   }
 
   BufferManagerConfig config_;
-  /// Write copies and scan frames; outlives every worker thread.
+  /// Queued writes, scan frames and pages callers hold; outlives every
+  /// worker thread and scanner.
   PagePool pages_;
   std::vector<std::unique_ptr<DiskWorker>> disks_;
   /// Never held together with a DiskWorker's mu: placements are made

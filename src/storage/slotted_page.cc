@@ -42,51 +42,21 @@ bool SlottedPage::VerifyChecksum(uint32_t frame_size) const {
          header()->checksum == ComputeChecksum();
 }
 
-uint32_t SlottedPage::FreeSpace() const {
-  const PageHeader* h = header();
-  uint32_t slots_bytes = (h->slot_count + 1u) * sizeof(Slot);
-  uint32_t used = h->free_offset + slots_bytes;
-  return used >= h->page_size ? 0 : h->page_size - used;
-}
-
-uint8_t* SlottedPage::AllocTuple(uint16_t length, uint32_t hash_code,
-                                 int* slot_index) {
-  PageHeader* h = mutable_header();
-  uint32_t needed = length;
-  if (FreeSpace() < needed) return nullptr;
-  int idx = h->slot_count;
-  Slot* slot = GetMutableSlot(idx);
-  slot->offset = h->free_offset;
-  slot->length = length;
-  slot->hash_code = hash_code;
-  uint8_t* dst = base_ + h->free_offset;
-  h->free_offset = static_cast<uint16_t>(h->free_offset + length);
-  h->slot_count = static_cast<uint16_t>(h->slot_count + 1);
-  if (slot_index != nullptr) *slot_index = idx;
-  return dst;
-}
-
-int SlottedPage::AddTuple(const void* data, uint16_t length,
-                          uint32_t hash_code) {
-  int idx = -1;
-  uint8_t* dst = AllocTuple(length, hash_code, &idx);
-  if (dst == nullptr) return -1;
-  std::memcpy(dst, data, length);
-  return idx;
-}
-
-const uint8_t* SlottedPage::GetTuple(int slot, uint16_t* length) const {
-  HJ_DCHECK(slot >= 0 && slot < header()->slot_count);
-  const Slot* s = GetSlot(slot);
-  if (length != nullptr) *length = s->length;
-  return base_ + s->offset;
-}
-
-uint8_t* SlottedPage::GetMutableTuple(int slot, uint16_t* length) {
-  HJ_DCHECK(slot >= 0 && slot < header()->slot_count);
-  const Slot* s = GetSlot(slot);
-  if (length != nullptr) *length = s->length;
-  return base_ + s->offset;
+bool SlottedPage::SlotsWithinFrame(uint32_t frame_size) const {
+  if (frame_size < sizeof(PageHeader) || header()->page_size != frame_size) {
+    return false;
+  }
+  const uint64_t slots_bytes = uint64_t(slot_count()) * sizeof(Slot);
+  if (sizeof(PageHeader) + slots_bytes > frame_size) return false;
+  const uint64_t data_end = frame_size - slots_bytes;
+  for (int i = 0; i < slot_count(); ++i) {
+    const Slot* s = GetSlot(i);
+    if (s->offset < sizeof(PageHeader) ||
+        uint64_t(s->offset) + s->length > data_end) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace hashjoin

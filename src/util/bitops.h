@@ -62,6 +62,29 @@ constexpr uint64_t RoundUp(uint64_t v, uint64_t alignment) {
   return (v + alignment - 1) & ~(alignment - 1);
 }
 
+/// x % d for a 32-bit x and a divisor 1 <= d < 2^32 fixed in advance,
+/// with two multiplies instead of a divide (Lemire, Kaser and Kurz,
+/// "Faster Remainder by Direct Computation", 2019). M = ceil(2^64 / d),
+/// so the low 64 bits of M * x are the fractional part of x / d, and
+/// that fraction times d, shifted down 64 bits, is the remainder: equal
+/// to x % d for every 32-bit x and d. The default divisor is 1.
+class FastMod32 {
+ public:
+  constexpr FastMod32() = default;
+  explicit constexpr FastMod32(uint32_t d) : m_(~uint64_t{0} / d + 1), d_(d) {}
+
+  constexpr uint32_t operator()(uint32_t x) const {
+    const uint64_t fraction = m_ * x;
+    return uint32_t((static_cast<unsigned __int128>(fraction) * d_) >> 64);
+  }
+
+  constexpr uint32_t divisor() const { return d_; }
+
+ private:
+  uint64_t m_ = 0;  // ceil(2^64 / d) mod 2^64: 0 for d = 1
+  uint32_t d_ = 1;
+};
+
 }  // namespace hashjoin
 
 #endif  // HASHJOIN_UTIL_BITOPS_H_

@@ -15,6 +15,15 @@
 namespace hashjoin {
 namespace {
 
+// Queues `bytes` (one page) as page `index` of `file`: copied into a
+// pool buffer, which the write then takes over.
+void WriteCopy(BufferManager& bm, BufferManager::FileId file, uint64_t index,
+               const std::vector<uint8_t>& bytes) {
+  PageBuffer page = bm.TakePage();
+  std::memcpy(page.data(), bytes.data(), bm.config().disk.page_size);
+  bm.WritePageAsync(file, index, std::move(page));
+}
+
 DiskConfig FastDisk() {
   DiskConfig cfg;
   cfg.bandwidth_mb_per_s = 20000;
@@ -133,7 +142,7 @@ TEST(RecycledFrameFaultTest, TornWriteIsStillCaughtAndRewritten) {
   {
     BufferManager first(cfg);
     auto file = first.CreateFile();
-    for (uint32_t p = 0; p < n; ++p) first.WritePageAsync(file, p, page.data());
+    for (uint32_t p = 0; p < n; ++p) WriteCopy(first, file, p, page);
     ASSERT_TRUE(first.FlushWrites().ok());
   }
   ASSERT_GE(SimulatedDisk::FreeFrames(cfg.disk.page_size), n);
@@ -143,7 +152,7 @@ TEST(RecycledFrameFaultTest, TornWriteIsStillCaughtAndRewritten) {
   cfg.verify_writes = true;
   BufferManager bm(cfg);
   auto file = bm.CreateFile();
-  for (uint32_t p = 0; p < n; ++p) bm.WritePageAsync(file, p, page.data());
+  for (uint32_t p = 0; p < n; ++p) WriteCopy(bm, file, p, page);
   ASSERT_TRUE(bm.FlushWrites().ok());
   IoRecoveryStats stats = bm.recovery_stats();
   EXPECT_GT(stats.injected_faults, 0u);
@@ -288,6 +297,47 @@ TEST(FaultyDiskJoinTest, TornPagesWithoutBufferManagerChecksumsSurfaceDataLoss) 
   EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
   // The buffer manager checked nothing; the join's re-sum caught it.
   EXPECT_EQ(bm.recovery_stats().checksum_failures, 0u);
+}
+
+// With no checksum at all, a torn page's slot directory is junk. The
+// join checks that every slot lies inside the page before following
+// one, so the torn pages end the join with kDataLoss instead of sending
+// its tuple loops past the frame. The hybrid join routes tuples in
+// loops of its own, so it is checked too.
+void ExpectTornPagesWithoutChecksumsSurfaceDataLoss(bool hybrid) {
+  WorkloadSpec spec;
+  spec.num_build_tuples = 3000;
+  spec.tuple_size = 100;
+  spec.matches_per_build = 1.0;
+  JoinWorkload w = GenerateJoinWorkload(spec);
+
+  BufferManagerConfig cfg = FastDisks(1);
+  cfg.checksum_pages = false;
+  cfg.disk.fault.torn_page_rate = 0.5;
+  cfg.disk.fault.seed = 7;
+  BufferManager bm(cfg);
+  DiskJoinConfig jc;
+  jc.num_partitions = 4;
+  jc.page_checksums = false;
+  jc.hybrid_residency = hybrid;
+  jc.memory_budget = hybrid ? 64 * 1024 : 0;
+  DiskGraceJoin join(&bm, jc);
+  auto b = join.StoreRelation(w.build);
+  auto p = join.StoreRelation(w.probe);
+  ASSERT_TRUE(b.ok() && p.ok());
+  auto r = join.Join(b.value(), p.value());
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(bm.recovery_stats().checksum_failures, 0u);
+  EXPECT_GT(bm.recovery_stats().injected_faults, 0u);
+}
+
+TEST(FaultyDiskJoinTest, TornPagesWithoutAnyChecksumSurfaceDataLoss) {
+  ExpectTornPagesWithoutChecksumsSurfaceDataLoss(/*hybrid=*/false);
+}
+
+TEST(FaultyDiskJoinTest, TornPagesWithoutAnyChecksumSurfaceDataLossInHybrid) {
+  ExpectTornPagesWithoutChecksumsSurfaceDataLoss(/*hybrid=*/true);
 }
 
 // ---------- skew-robust overflow handling ----------

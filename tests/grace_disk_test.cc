@@ -377,6 +377,54 @@ TEST(DiskGraceJoinTest, HybridResidencyEvictsVictimsAndStaysCorrect) {
   EXPECT_GT(r.value().recovery.victim_spills, 0u);
 }
 
+// Every page the hybrid join fills, keeps, queues or reads is a pool
+// buffer that changes hands, so however many pages go to disk, the pool
+// allocates only up to the most pages in use at once.
+TEST(DiskGraceJoinTest, HybridJoinAllocatesPoolPagesOnlyUpToItsPeakInUse) {
+  WorkloadSpec spec;
+  spec.num_build_tuples = 20000;
+  spec.tuple_size = 100;
+  JoinWorkload w = GenerateJoinWorkload(spec);
+
+  BufferManagerConfig bmc = FastDisks(1);
+  bmc.stripe_unit_pages = 4;  // the worker wakes every few writes
+  bmc.io_prefetch_depth = 8;
+  BufferManager bm(bmc);
+  DiskJoinConfig cfg;
+  cfg.num_partitions = 8;
+  cfg.hybrid_residency = true;
+  cfg.memory_budget = 96 * 1024;  // a dozen resident pages
+  DiskGraceJoin join(&bm, cfg);
+  // StoreRelation queues a whole relation before it flushes, and the
+  // pool would hold as many pages; store the inputs a few pages at a
+  // time, so the join's own pages are what the pool holds at its peak.
+  auto store = [&](const Relation& rel) {
+    const auto file = bm.CreateFile();
+    for (size_t i = 0; i < rel.num_pages(); ++i) {
+      PageBuffer page = bm.TakePage();
+      std::memcpy(page.data(), rel.page(i).data(), bmc.disk.page_size);
+      bm.WritePageAsync(file, i, std::move(page));
+      if (i % 4 == 3) {
+        EXPECT_TRUE(bm.FlushWrites().ok());
+      }
+    }
+    EXPECT_TRUE(bm.FlushWrites().ok());
+    return file;
+  };
+  const auto build = store(w.build);
+  const auto probe = store(w.probe);
+  auto r = join.Join(build, probe);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().output_tuples, w.expected_matches);
+  EXPECT_GT(r.value().recovery.victim_spills, 0u);
+  const uint64_t pages_written =
+      r.value().recovery.io.bytes_written / bmc.disk.page_size;
+  const uint64_t allocated = bm.pool_pages_allocated();
+  EXPECT_GT(allocated, 0u);
+  EXPECT_GE(pages_written, 10 * allocated)
+      << pages_written << " pages written, " << allocated << " allocated";
+}
+
 TEST(DiskGraceJoinTest, HybridRevokeHintEvictsAtTheNextPageBoundary) {
   // The budget poll keeps reporting plenty of memory, but a revoke that
   // fired before the join installed its listener reaches it through the

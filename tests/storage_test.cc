@@ -19,6 +19,15 @@
 namespace hashjoin {
 namespace {
 
+// Queues `bytes` (one page) as page `index` of `file`: copied into a
+// pool buffer, which the write then takes over.
+void WriteCopy(BufferManager& bm, BufferManager::FileId file, uint64_t index,
+               const std::vector<uint8_t>& bytes) {
+  PageBuffer page = bm.TakePage();
+  std::memcpy(page.data(), bytes.data(), bm.config().disk.page_size);
+  bm.WritePageAsync(file, index, std::move(page));
+}
+
 TEST(SchemaTest, KeyPayloadLayout) {
   Schema s = Schema::KeyPayload(100);
   EXPECT_EQ(s.num_attrs(), 2u);
@@ -185,6 +194,72 @@ TEST(SlottedPageTest, AllocTupleGivesWritablePointer) {
   std::memset(dst, 0x5a, 32);
   uint16_t len;
   EXPECT_EQ(page.GetTuple(0, &len), dst);
+}
+
+TEST(SlottedPageTest, ZeroUnusedBytesClearsOnlyTheGap) {
+  const uint32_t kSize = 512;
+  std::vector<uint8_t> buf(kSize, 0xAA);  // an earlier page's bytes
+  SlottedPage page = SlottedPage::Format(buf.data(), kSize);
+  uint8_t tuple[40];
+  for (int i = 0; i < 3; ++i) {
+    std::memset(tuple, 0x10 + i, sizeof(tuple));
+    ASSERT_GE(page.AddTuple(tuple, sizeof(tuple), uint32_t(i)), 0);
+  }
+  page.ZeroUnusedBytes();
+  const size_t gap_begin = sizeof(SlottedPage::PageHeader) + 3 * 40;
+  const size_t gap_end = kSize - 3 * sizeof(SlottedPage::Slot);
+  for (size_t b = gap_begin; b < gap_end; ++b) ASSERT_EQ(buf[b], 0) << b;
+  for (int i = 0; i < 3; ++i) {
+    uint16_t len = 0;
+    const uint8_t* t = page.GetTuple(i, &len);
+    ASSERT_EQ(len, 40);
+    EXPECT_EQ(t[0], 0x10 + i);
+    EXPECT_EQ(t[39], 0x10 + i);
+    EXPECT_EQ(page.GetHashCode(i), uint32_t(i));
+  }
+  EXPECT_TRUE(page.SlotsWithinFrame(kSize));
+}
+
+TEST(SlottedPageTest, SlotsWithinFrameRejectsSlotsOutsideThePage) {
+  const uint32_t kSize = 1024;
+  std::vector<uint8_t> buf(kSize);
+  SlottedPage page = SlottedPage::Format(buf.data(), kSize);
+  EXPECT_TRUE(page.SlotsWithinFrame(kSize));  // no slots at all
+  uint8_t tuple[64] = {0};
+  while (page.AddTuple(tuple, sizeof(tuple), 7) >= 0) {
+  }
+  ASSERT_GT(page.slot_count(), 2);
+  EXPECT_TRUE(page.SlotsWithinFrame(kSize));  // a full page
+  EXPECT_FALSE(page.SlotsWithinFrame(kSize / 2));
+
+  const std::vector<uint8_t> good = buf;
+  auto* slot = const_cast<SlottedPage::Slot*>(page.GetSlot(1));
+  auto* header = reinterpret_cast<SlottedPage::PageHeader*>(buf.data());
+  slot->offset = 0xDEDE;  // past the page
+  EXPECT_FALSE(page.SlotsWithinFrame(kSize));
+  buf = good;
+  slot->offset = 0;  // inside the header
+  EXPECT_FALSE(page.SlotsWithinFrame(kSize));
+  buf = good;
+  slot->length = uint16_t(kSize);  // runs past the page
+  EXPECT_FALSE(page.SlotsWithinFrame(kSize));
+  buf = good;
+  // A tuple may end where the slot array begins, but not inside it.
+  const uint32_t slot_area = page.slot_count() * sizeof(SlottedPage::Slot);
+  slot->length = uint16_t(kSize - slot_area - slot->offset);
+  EXPECT_TRUE(page.SlotsWithinFrame(kSize));
+  ++slot->length;
+  EXPECT_FALSE(page.SlotsWithinFrame(kSize));
+  buf = good;
+  header->slot_count = uint16_t(kSize / sizeof(SlottedPage::Slot));
+  EXPECT_FALSE(page.SlotsWithinFrame(kSize));  // slot array past the header
+  buf = good;
+  header->page_size = kSize * 2;
+  EXPECT_FALSE(page.SlotsWithinFrame(kSize));
+  buf = good;
+  // A torn write: the second half, slot array included, is junk.
+  std::memset(buf.data() + kSize / 2, 0xDE, kSize / 2);
+  EXPECT_FALSE(page.SlotsWithinFrame(kSize));
 }
 
 TEST(RelationTest, AppendAcrossPages) {
@@ -442,7 +517,7 @@ TEST_F(BufferManagerTest, WriteThenScanRoundTrips) {
   std::vector<uint8_t> page(bm.config().disk.page_size);
   for (uint32_t p = 0; p < n; ++p) {
     std::memset(page.data(), int(p), page.size());
-    bm.WritePageAsync(file, p, page.data());
+    WriteCopy(bm, file, p, page);
   }
   ASSERT_TRUE(bm.FlushWrites().ok());
   EXPECT_EQ(bm.FileNumPages(file), n);
@@ -463,9 +538,9 @@ TEST_F(BufferManagerTest, MultipleFilesIndependent) {
   auto f2 = bm.CreateFile();
   std::vector<uint8_t> page(bm.config().disk.page_size);
   std::memset(page.data(), 0x11, page.size());
-  bm.WritePageAsync(f1, 0, page.data());
+  WriteCopy(bm, f1, 0, page);
   std::memset(page.data(), 0x22, page.size());
-  bm.WritePageAsync(f2, 0, page.data());
+  WriteCopy(bm, f2, 0, page);
   ASSERT_TRUE(bm.FlushWrites().ok());
   auto s1 = bm.OpenScan(f1);
   auto s2 = bm.OpenScan(f2);
@@ -486,7 +561,7 @@ TEST_F(BufferManagerTest, StripesAcrossDisks) {
   auto file = bm.CreateFile();
   std::vector<uint8_t> page(cfg.disk.page_size, 1);
   // 32 pages over 4 disks with 4-page stripes: 8 pages per disk.
-  for (uint32_t p = 0; p < 32; ++p) bm.WritePageAsync(file, p, page.data());
+  for (uint32_t p = 0; p < 32; ++p) WriteCopy(bm, file, p, page);
   ASSERT_TRUE(bm.FlushWrites().ok());
   // All pages must read back; striping itself is internal, but busy time
   // should be spread (max per-disk busy < total would be with 1 disk).
@@ -502,7 +577,7 @@ TEST_F(BufferManagerTest, TracksMainStall) {
   BufferManager bm(cfg);
   auto file = bm.CreateFile();
   std::vector<uint8_t> page(cfg.disk.page_size, 1);
-  for (uint32_t p = 0; p < 16; ++p) bm.WritePageAsync(file, p, page.data());
+  for (uint32_t p = 0; p < 16; ++p) WriteCopy(bm, file, p, page);
   ASSERT_TRUE(bm.FlushWrites().ok());
   auto scan = bm.OpenScan(file);
   while (MustNext(scan) != nullptr) {
@@ -523,7 +598,7 @@ TEST_F(BufferManagerTest, FlushWakesWorkerForLessThanAStripeOfWrites) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   for (uint32_t p = 0; p < 3; ++p) {
     std::memset(page.data(), int(p + 7), page.size());
-    bm.WritePageAsync(file, p, page.data());
+    WriteCopy(bm, file, p, page);
   }
   ASSERT_TRUE(bm.FlushWrites().ok());
   EXPECT_EQ(bm.recovery_stats().bytes_written, 3u * cfg.disk.page_size);
@@ -550,7 +625,7 @@ TEST_F(BufferManagerTest, ScanOfQueuedWritesReadsTheirBytes) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     for (uint32_t p = 0; p < n; ++p) {
       std::memset(page.data(), int(p + 1), page.size());
-      bm.WritePageAsync(file, p, page.data());
+      WriteCopy(bm, file, p, page);
     }
     auto scan = bm.OpenScan(file);
     for (uint32_t p = 0; p < n; ++p) {
@@ -576,7 +651,7 @@ TEST_F(BufferManagerTest, DestroyedWithQueuedWritesServesThemAndReturns) {
     auto file = bm.CreateFile();
     std::vector<uint8_t> page(cfg.disk.page_size, 0x6b);
     std::this_thread::sleep_for(std::chrono::milliseconds(20));  // idle
-    for (uint32_t p = 0; p < 3; ++p) bm.WritePageAsync(file, p, page.data());
+    for (uint32_t p = 0; p < 3; ++p) WriteCopy(bm, file, p, page);
   }
   EXPECT_EQ(SimulatedDisk::FreeFrames(cfg.disk.page_size), 3u);
 }
@@ -591,7 +666,7 @@ TEST_F(BufferManagerTest, ScannerDestroyedMidFileWaitsOutItsReads) {
   const uint32_t n = 40;
   for (uint32_t p = 0; p < n; ++p) {
     std::memset(page.data(), int(p), page.size());
-    bm.WritePageAsync(file, p, page.data());
+    WriteCopy(bm, file, p, page);
   }
   ASSERT_TRUE(bm.FlushWrites().ok());
   {
@@ -618,7 +693,7 @@ TEST_F(BufferManagerTest, RecycledFramesHoldOnlyTheNewManagersBytes) {
     BufferManager first(cfg);
     auto file = first.CreateFile();
     std::vector<uint8_t> page(cfg.disk.page_size, 0xaa);
-    for (uint32_t p = 0; p < 8; ++p) first.WritePageAsync(file, p, page.data());
+    for (uint32_t p = 0; p < 8; ++p) WriteCopy(first, file, p, page);
     ASSERT_TRUE(first.FlushWrites().ok());
   }
   ASSERT_EQ(SimulatedDisk::FreeFrames(cfg.disk.page_size), 8u);
@@ -627,7 +702,7 @@ TEST_F(BufferManagerTest, RecycledFramesHoldOnlyTheNewManagersBytes) {
   std::vector<uint8_t> page(cfg.disk.page_size);
   for (uint32_t p = 0; p < 5; ++p) {
     std::iota(page.begin(), page.end(), uint8_t(p));
-    second.WritePageAsync(file, p, page.data());
+    WriteCopy(second, file, p, page);
   }
   ASSERT_TRUE(second.FlushWrites().ok());
   EXPECT_EQ(SimulatedDisk::FreeFrames(cfg.disk.page_size), 3u);
@@ -651,7 +726,7 @@ TEST_F(BufferManagerTest, PooledBuffersShowOnlyTheScannedFilesBytes) {
   std::vector<uint8_t> page(cfg.disk.page_size, 0xaa);
   auto long_file = bm.CreateFile();
   const uint32_t n = 40;
-  for (uint32_t p = 0; p < n; ++p) bm.WritePageAsync(long_file, p, page.data());
+  for (uint32_t p = 0; p < n; ++p) WriteCopy(bm, long_file, p, page);
   ASSERT_TRUE(bm.FlushWrites().ok());
   {
     auto scan = bm.OpenScan(long_file);
@@ -666,7 +741,7 @@ TEST_F(BufferManagerTest, PooledBuffersShowOnlyTheScannedFilesBytes) {
   const uint32_t m = 3;
   for (uint32_t p = 0; p < m; ++p) {
     std::iota(page.begin(), page.end(), uint8_t(0x40 + p));
-    bm.WritePageAsync(short_file, p, page.data());
+    WriteCopy(bm, short_file, p, page);
   }
   ASSERT_TRUE(bm.FlushWrites().ok());
   auto scan = bm.OpenScan(short_file);
@@ -677,6 +752,51 @@ TEST_F(BufferManagerTest, PooledBuffersShowOnlyTheScannedFilesBytes) {
     EXPECT_EQ(std::memcmp(got, page.data(), page.size()), 0) << p;
   }
   EXPECT_EQ(MustNext(scan), nullptr);
+}
+
+// A scan's caller may keep the page NextPage just returned. The kept
+// buffer leaves the scan, and the frame reads later pages into a fresh
+// one, so each kept page keeps its own bytes after the scan is gone.
+TEST_F(BufferManagerTest, KeptScanPagesOutliveTheScan) {
+  BufferManagerConfig cfg = FastConfig(2);
+  cfg.io_prefetch_depth = 2;
+  BufferManager bm(cfg);
+  auto file = bm.CreateFile();
+  const uint32_t n = 10;
+  auto pattern = [&](uint32_t p) {
+    std::vector<uint8_t> bytes(cfg.disk.page_size);
+    std::iota(bytes.begin(), bytes.end(), uint8_t(31 * p + 1));
+    return bytes;
+  };
+  for (uint32_t p = 0; p < n; ++p) WriteCopy(bm, file, p, pattern(p));
+  ASSERT_TRUE(bm.FlushWrites().ok());
+  std::vector<PageBuffer> kept;
+  {
+    auto scan = bm.OpenScan(file);
+    for (uint32_t p = 0; p < n; ++p) {
+      const uint8_t* got = MustNext(scan);
+      ASSERT_NE(got, nullptr);
+      EXPECT_EQ(std::memcmp(got, pattern(p).data(), cfg.disk.page_size), 0)
+          << p;
+      if (p % 2 == 0) {
+        kept.push_back(scan.KeepPage());
+        EXPECT_EQ(kept.back().data(), got);
+      }
+    }
+    EXPECT_EQ(MustNext(scan), nullptr);
+  }  // the scan ends and gives its frames back
+  ASSERT_EQ(kept.size(), n / 2);
+  for (uint32_t i = 0; i < kept.size(); ++i) {
+    EXPECT_EQ(std::memcmp(kept[i].data(), pattern(2 * i).data(),
+                          cfg.disk.page_size),
+              0)
+        << 2 * i;
+  }
+  // Dropped pages go back to the pool, which hands them out again.
+  const uint64_t allocated = bm.pool_pages_allocated();
+  kept.clear();
+  for (uint32_t i = 0; i < n / 2; ++i) kept.push_back(bm.TakePage());
+  EXPECT_EQ(bm.pool_pages_allocated(), allocated);
 }
 
 TEST_F(BufferManagerTest, ScriptedReadFaultIsRetriedTransparently) {
@@ -690,7 +810,7 @@ TEST_F(BufferManagerTest, ScriptedReadFaultIsRetriedTransparently) {
   std::vector<uint8_t> page(cfg.disk.page_size);
   for (uint32_t p = 0; p < 4; ++p) {
     std::memset(page.data(), int(p + 1), page.size());
-    bm.WritePageAsync(file, p, page.data());
+    WriteCopy(bm, file, p, page);
   }
   ASSERT_TRUE(bm.FlushWrites().ok());
   auto scan = bm.OpenScan(file);
@@ -716,7 +836,7 @@ TEST_F(BufferManagerTest, ProbabilisticFaultsRecoverDeterministically) {
   const uint32_t n = 32;
   for (uint32_t p = 0; p < n; ++p) {
     std::memset(page.data(), int(p), page.size());
-    bm.WritePageAsync(file, p, page.data());
+    WriteCopy(bm, file, p, page);
   }
   ASSERT_TRUE(bm.FlushWrites().ok());
   auto scan = bm.OpenScan(file);
@@ -739,7 +859,7 @@ TEST_F(BufferManagerTest, TornWriteIsCaughtByWriteVerify) {
   BufferManager bm(cfg);
   auto file = bm.CreateFile();
   std::vector<uint8_t> page(cfg.disk.page_size, 0x5a);
-  for (uint32_t p = 0; p < 4; ++p) bm.WritePageAsync(file, p, page.data());
+  for (uint32_t p = 0; p < 4; ++p) WriteCopy(bm, file, p, page);
   ASSERT_TRUE(bm.FlushWrites().ok());
   IoRecoveryStats stats = bm.recovery_stats();
   EXPECT_GT(stats.write_verify_failures, 0u);
@@ -759,7 +879,7 @@ TEST_F(BufferManagerTest, TornWriteWithoutVerifySurfacesDataLoss) {
   BufferManager bm(cfg);
   auto file = bm.CreateFile();
   std::vector<uint8_t> page(cfg.disk.page_size, 0x5a);
-  for (uint32_t p = 0; p < 4; ++p) bm.WritePageAsync(file, p, page.data());
+  for (uint32_t p = 0; p < 4; ++p) WriteCopy(bm, file, p, page);
   // The tear reports success, so the write path is clean...
   ASSERT_TRUE(bm.FlushWrites().ok());
   // ...and the damage is only detectable when the page is read back:

@@ -323,6 +323,31 @@ TEST(BitopsTest, RoundUp) {
   EXPECT_EQ(RoundUp(65, 64), 128u);
 }
 
+TEST(BitopsTest, FastMod32EqualsRemainder) {
+  const uint64_t kMax = UINT32_MAX;
+  for (uint64_t d : std::initializer_list<uint64_t>{
+           1, 2, 3, 7, 64, (1ull << 31) - 1, 1ull << 31, kMax}) {
+    const FastMod32 mod{uint32_t(d)};
+    EXPECT_EQ(mod.divisor(), d);
+    for (uint64_t x : std::initializer_list<uint64_t>{0, 1, d - 1, d, d + 1,
+                                                      kMax}) {
+      if (x > kMax) continue;  // d + 1 for d = 2^32 - 1
+      EXPECT_EQ(mod(uint32_t(x)), x % d) << x << " % " << d;
+    }
+  }
+  EXPECT_EQ(FastMod32()(12345), 0u);  // the default divisor is 1
+  Rng rng(0xFA57);
+  uint64_t mismatches = 0;
+  for (int i = 0; i < 1000000; ++i) {
+    // Divisors of every magnitude: 32 random bits shifted by 0-31.
+    uint32_t d = uint32_t(rng.Next()) >> (rng.Next() % 32);
+    if (d == 0) d = 1;
+    const uint32_t x = uint32_t(rng.Next());
+    if (FastMod32(d)(x) != x % d) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
 TEST(AlignedTest, AlignmentHonored) {
   for (size_t align : {64ul, 4096ul, 8192ul}) {
     void* p = AlignedAlloc(100, align);
