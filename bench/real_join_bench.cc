@@ -519,7 +519,8 @@ int RunJsonHarness(const FlagParser& flags) {
       bool ok = true;
       JsonValue cfg = JsonValue::Object();
       cfg.Set("phase", "disk_grace");
-      cfg.Set("scheme", SchemeName(DiskJoinConfig{}.join_scheme));
+      // The disk join probes its partitions with group prefetching.
+      cfg.Set("scheme", SchemeName(Scheme::kGroup));
       cfg.Set("checksums", dc.checksums);
       cfg.Set("fault_rate", dc.rate);
       cfg.Set("fault_seed", fault_seed);

@@ -54,15 +54,6 @@ struct GraceConfig {
   /// Force a partition count (0 = derive from the memory budget).
   uint32_t forced_num_partitions = 0;
 
-  /// Let HybridHashJoin run with a single partition (everything built
-  /// and probed in place, nothing spilled) when the sizing says the
-  /// whole build fits the budget. Off by default — the classic hybrid
-  /// shape always keeps at least one spilled partition — but a caller
-  /// joining a partition that is already the product of partitioning
-  /// (recursion depth >= 1) should set this so a level that fits in the
-  /// grant finishes in memory instead of spilling again.
-  bool hybrid_allow_single_partition = false;
-
   /// Storage managers handle only limited numbers of concurrently active
   /// partitions (§7.5 cites "hundreds" for IBM DB2). 0 = unlimited; a
   /// positive cap triggers multi-pass partitioning when the required

@@ -19,8 +19,7 @@ namespace hashjoin {
 namespace {
 
 /// Probes one slot of a partition page against the build table, counting
-/// key matches. Shared by every execution policy below, so the policies
-/// differ only in prefetch scheduling, never in what a probe observes.
+/// key matches.
 inline void ProbeSlotCounting(const HashTable& ht, SlottedPage& pg, int s,
                               uint64_t* matches) {
   uint16_t len;
@@ -34,86 +33,30 @@ inline void ProbeSlotCounting(const HashTable& ht, SlottedPage& pg, int s,
   });
 }
 
-inline const BucketHeader* SlotBucket(const HashTable& ht,
-                                      const SlottedPage& pg, int s) {
-  return ht.bucket(ht.BucketIndex(pg.GetHashCode(s)));
-}
-
-#if HASHJOIN_HAS_COROUTINES
-/// One probe chain over the page's slots: hash/prefetch, suspend, probe.
-KernelCoro ProbePageChain(RealMemory& mm, const HashTable& ht,
-                          SlottedPage& pg, int& next, uint64_t* matches) {
-  while (next < pg.slot_count()) {
-    const int s = next++;
-    mm.Prefetch(SlotBucket(ht, pg, s), sizeof(BucketHeader));
-    co_await KernelCoro::NextStage{};
-    ProbeSlotCounting(ht, pg, s, matches);
-  }
-}
-#endif
-
-/// Count-only probe of one partition page under the disk join's
-/// configured execution policy. Slots are probed in order under every
-/// policy (group pass 2, SPP stage 2, and the coroutine chains all
-/// preserve slot order within their visit), so the tally is
-/// scheme-independent.
-void ProbePageCounting(const HashTable& ht, SlottedPage& pg, Scheme scheme,
-                       const KernelParams& params, uint64_t* matches) {
+/// Count-only probe of one partition page with group prefetching (§4):
+/// prefetch the bucket headers of a group of G slots, then probe those
+/// slots in order. G is KernelParams' default group size.
+void ProbePageCounting(const HashTable& ht, SlottedPage& pg,
+                       uint64_t* matches) {
   RealMemory mm;
+  const int group = int(KernelParams{}.EffectiveGroupSize());
   const int n = pg.slot_count();
-  switch (scheme) {
-    case Scheme::kBaseline:
-      for (int s = 0; s < n; ++s) ProbeSlotCounting(ht, pg, s, matches);
-      return;
-    case Scheme::kSimple:
-      // Just-in-time bucket prefetch right before the visit (§7.1).
-      for (int s = 0; s < n; ++s) {
-        mm.Prefetch(SlotBucket(ht, pg, s), sizeof(BucketHeader));
-        ProbeSlotCounting(ht, pg, s, matches);
-      }
-      return;
-    case Scheme::kGroup: {
-      const int group = int(params.EffectiveGroupSize());
-      for (int base = 0; base < n; base += group) {
-        const int g = std::min(group, n - base);
-        for (int i = 0; i < g; ++i) {
-          mm.Prefetch(SlotBucket(ht, pg, base + i), sizeof(BucketHeader));
-        }
-        for (int i = 0; i < g; ++i) {
-          ProbeSlotCounting(ht, pg, base + i, matches);
-        }
-      }
-      return;
+  for (int base = 0; base < n; base += group) {
+    const int g = std::min(group, n - base);
+    for (int i = 0; i < g; ++i) {
+      mm.Prefetch(ht.bucket(ht.BucketIndex(pg.GetHashCode(base + i))),
+                  sizeof(BucketHeader));
     }
-    case Scheme::kSwp: {
-      const int d = int(params.EffectiveDistance());
-      for (int s = 0; s < std::min(d, n); ++s) {
-        mm.Prefetch(SlotBucket(ht, pg, s), sizeof(BucketHeader));
-      }
-      for (int j = 0; j < n; ++j) {
-        if (j + d < n) {
-          mm.Prefetch(SlotBucket(ht, pg, j + d), sizeof(BucketHeader));
-        }
-        ProbeSlotCounting(ht, pg, j, matches);
-      }
-      return;
-    }
-    case Scheme::kCoro: {
-#if HASHJOIN_HAS_COROUTINES
-      int next = 0;
-      RunCoroPipeline(mm, params.EffectiveGroupSize(), [&](uint32_t) {
-        return ProbePageChain(mm, ht, pg, next, matches);
-      });
-      return;
-#else
-      HJ_CHECK(SchemeAvailable(scheme))
-          << "disk join configured with the coro scheme on a toolchain "
-             "without C++20 coroutines";
-      return;
-#endif
+    for (int i = 0; i < g; ++i) {
+      ProbeSlotCounting(ht, pg, base + i, matches);
     }
   }
 }
+
+/// The routing hook of a pass that copies every tuple it routes.
+constexpr auto kTakeNone = [](uint32_t, uint32_t, const uint8_t*) {
+  return false;
+};
 
 /// One working output page per partition, each a pool buffer that is
 /// handed over whole (to the write queue or to residency) when it fills.
@@ -150,6 +93,36 @@ class OutputPages {
 
 }  // namespace
 
+/// One side's partition files and the index of the next page of each.
+struct DiskGraceJoin::SpillFiles {
+  std::vector<BufferManager::FileId> files;
+  std::vector<uint64_t> next_page;
+};
+
+/// Mutable bookkeeping of one Join(), shared by its passes and the
+/// spill/un-spill helpers. The residency owns the resident pages; this
+/// owns the files, write cursors and hash tables.
+struct DiskGraceJoin::JoinState {
+  JoinState(uint32_t fanout, uint32_t page_size, bool resident)
+      : res(fanout, page_size, resident),
+        build_on_disk(fanout, 0),
+        tables(fanout) {}
+
+  PartitionResidency res;
+  SpillFiles build;
+  SpillFiles probe;
+  /// File holds the COMPLETE build partition (safe to re-read, and a
+  /// second eviction of a re-admitted partition skips re-writing).
+  std::vector<char> build_on_disk;
+  /// Tables of the resident partitions during the probe pass; they point
+  /// into the residency's pages, so they are declared after it (and
+  /// destroyed before it).
+  std::vector<std::unique_ptr<HashTable>> tables;
+  /// False during the build pass (an evicted partition's file is still
+  /// growing), true once the pass is complete.
+  bool probe_pass = false;
+};
+
 DiskGraceJoin::DiskGraceJoin(BufferManager* bm, const DiskJoinConfig& config)
     : bm_(bm), config_(config), page_size_(bm->config().disk.page_size) {
   HJ_CHECK(config_.num_partitions >= 1);
@@ -184,15 +157,36 @@ DiskPhaseStats DiskGraceJoin::Measure(Fn&& fn) {
   return stats;
 }
 
+DiskGraceJoin::SpillFiles DiskGraceJoin::CreatePartitionFiles(
+    uint32_t fanout, uint32_t level) {
+  HJ_CHECK(fanout >= 1);
+  if (level_tally_.size() <= level) level_tally_.resize(level + 1);
+  level_tally_[level].level = level;
+  level_tally_[level].partitions_written += fanout;
+  SpillFiles out;
+  out.files.resize(fanout);
+  out.next_page.assign(fanout, 0);
+  for (uint32_t p = 0; p < fanout; ++p) {
+    out.files[p] = bm_->CreateFile();
+    file_stats_[out.files[p]].level = int(level);
+  }
+  return out;
+}
+
 void DiskGraceJoin::QueueWritePage(BufferManager::FileId file,
                                    uint64_t page_index, PageBuffer page,
                                    SlotHashes hashes) {
+  static_assert(FileStats::kHistBins == SpillLevelStats::kHistBins);
   SlottedPage pg = SlottedPage::Attach(page.data());
   FileStats& fs = file_stats_[file];
+  // A partition file's pages are its level's spill cost.
+  SpillLevelStats* lv =
+      fs.level >= 0 ? &level_tally_[size_t(fs.level)] : nullptr;
+  uint64_t page_bytes = 0;
   for (int s = 0; s < pg.slot_count(); ++s) {
     uint16_t len = 0;
     const uint8_t* t = pg.GetTuple(s, &len);
-    fs.data_bytes += len;
+    page_bytes += len;
     // Histogram + uniformity sampling for the adaptive fan-out and the
     // block-nested-loop detector. Level-0 routing hashes the 4-byte key,
     // and partition files memoize exactly that hash, so one key hash
@@ -205,7 +199,9 @@ void DiskGraceJoin::QueueWritePage(BufferManager::FileId file,
       std::memcpy(&key, t, 4);
       hash = HashKey32(key);
     }
-    ++fs.hist[hash % FileStats::kHistBins];
+    const uint32_t bin = hash % FileStats::kHistBins;
+    ++fs.hist[bin];
+    if (lv != nullptr) ++lv->hist[bin];
     if (!fs.has_tuples) {
       fs.first_hash = hash;
       fs.has_tuples = true;
@@ -214,6 +210,11 @@ void DiskGraceJoin::QueueWritePage(BufferManager::FileId file,
     }
   }
   fs.tuples += pg.slot_count();
+  fs.data_bytes += page_bytes;
+  if (lv != nullptr) {
+    lv->tuples += pg.slot_count();
+    lv->bytes_written += page_bytes;
+  }
   // The stamp yields the page's CRC, so the buffer manager need not sum
   // the page: one checksum pass per page written.
   std::optional<uint32_t> crc;
@@ -263,21 +264,25 @@ StatusOr<BufferManager::FileId> DiskGraceJoin::StoreRelation(
   return file;
 }
 
-Status DiskGraceJoin::PartitionInto(
-    BufferManager::FileId input,
-    const std::vector<BufferManager::FileId>& outs, uint32_t fanout,
-    uint32_t level) {
-  if (level_tally_.size() <= level) level_tally_.resize(level + 1);
-  SpillLevelStats& lv = level_tally_[level];
-  lv.level = level;
-  lv.partitions_written += fanout;
-  WallTimer level_timer;
+template <typename Take>
+Status DiskGraceJoin::PartitionInto(BufferManager::FileId input,
+                                    uint32_t level, SpillFiles* out,
+                                    JoinState* st, Take&& take) {
+  WallTimer timer;
+  const uint32_t fanout = uint32_t(out->files.size());
   const FastMod32 route(fanout);
-  OutputPages out(bm_, fanout);
-  std::vector<uint64_t> next_page(fanout, 0);
-  auto flush = [&](uint32_t p) {
-    QueueWritePage(outs[p], next_page[p]++, out.Take(p),
-                   SlotHashes::kMemoized);
+  OutputPages pages(bm_, fanout);
+  // Hands one full page to residency or to the write queue; the budget
+  // may then claim victims at this page boundary.
+  auto emit = [&](uint32_t p) {
+    if (st != nullptr && st->res.resident(p)) {
+      const uint64_t page_tuples = pages.view(p).slot_count();
+      st->res.AddPage(p, pages.Take(p), page_tuples);
+    } else {
+      QueueWritePage(out->files[p], out->next_page[p]++, pages.Take(p),
+                     SlotHashes::kMemoized);
+    }
+    if (st != nullptr) EnforceResidencyBudget(st);
   };
   auto scan = bm_->OpenScan(input);
   const uint8_t* page = nullptr;
@@ -285,8 +290,13 @@ Status DiskGraceJoin::PartitionInto(
     HJ_RETURN_IF_ERROR(scan.NextPage(&page));
     if (page == nullptr) break;
     HJ_RETURN_IF_ERROR(VerifyPage(page));
+    // A revoke mid-probe demotes victims here too. That is safe because
+    // each probe tuple is probed exactly once: tuples already probed
+    // against the demoted partition stand, and the partition's remaining
+    // probe tuples are routed to its probe file and joined from disk.
+    if (st != nullptr) EnforceResidencyBudget(st);
     // The scan buffer is recycled on the next NextPage(), but tuples are
-    // fully copied into output buffers within this iteration.
+    // fully copied into output pages (or probed) within this iteration.
     SlottedPage in = SlottedPage::Attach(const_cast<uint8_t*>(page));
     for (int s = 0; s < in.slot_count(); ++s) {
       uint16_t len = 0;
@@ -305,44 +315,33 @@ Status DiskGraceJoin::PartitionInto(
       } else {
         hash = in.GetHashCode(s);
       }
-      ++lv.tuples;
-      lv.bytes_written += len;
-      ++lv.hist[hash % SpillLevelStats::kHistBins];
       const uint32_t p = route(level == 0 ? hash : SaltedRehash(hash, level));
-      if (out.view(p).AddTuple(tuple, len, hash) < 0) {
-        flush(p);
-        int idx = out.view(p).AddTuple(tuple, len, hash);
+      if (take(p, hash, tuple)) continue;
+      if (pages.view(p).AddTuple(tuple, len, hash) < 0) {
+        emit(p);
+        const int idx = pages.view(p).AddTuple(tuple, len, hash);
         HJ_CHECK(idx >= 0);
       }
     }
   }
   for (uint32_t p = 0; p < fanout; ++p) {
-    if (out.view(p).slot_count() > 0) flush(p);
+    if (pages.view(p).slot_count() > 0) emit(p);
   }
-  lv.partition_seconds += level_timer.ElapsedSeconds();
+  level_tally_[level].partition_seconds += timer.ElapsedSeconds();
   return bm_->FlushWrites();
 }
 
 StatusOr<std::vector<BufferManager::FileId>> DiskGraceJoin::Partition(
     BufferManager::FileId input, DiskPhaseStats* stats) {
-  return Partition(input, stats,
-                   ChooseFanout(input, /*level=*/0, EffectiveBudget()));
-}
-
-StatusOr<std::vector<BufferManager::FileId>> DiskGraceJoin::Partition(
-    BufferManager::FileId input, DiskPhaseStats* stats, uint32_t fanout) {
-  HJ_CHECK(fanout >= 1);
-  std::vector<BufferManager::FileId> part_files(fanout);
-  for (uint32_t p = 0; p < fanout; ++p) {
-    part_files[p] = bm_->CreateFile();
-  }
-  Status st;
+  SpillFiles parts = CreatePartitionFiles(
+      ChooseFanout(input, /*level=*/0, EffectiveBudget()), /*level=*/0);
+  Status status;
   DiskPhaseStats measured = Measure([&] {
-    st = PartitionInto(input, part_files, fanout, /*level=*/0);
+    status = PartitionInto(input, /*level=*/0, &parts, nullptr, kTakeNone);
   });
   if (stats != nullptr) *stats = measured;
-  if (!st.ok()) return st;
-  return part_files;
+  if (!status.ok()) return status;
+  return std::move(parts.files);
 }
 
 uint64_t DiskGraceJoin::EffectiveBudget() {
@@ -394,7 +393,6 @@ uint32_t DiskGraceJoin::ChooseFanout(BufferManager::FileId input,
   // and fewer half-empty output buffers.
   const double avg_bytes = double(fs.data_bytes) / double(fs.tuples);
   for (uint32_t f = 1; f <= FileStats::kHistBins; f *= 2) {
-    if (f > config_.max_fanout) break;
     uint64_t largest = 0;
     for (uint32_t r = 0; r < f; ++r) {
       uint64_t tuples = 0;
@@ -411,7 +409,7 @@ uint32_t DiskGraceJoin::ChooseFanout(BufferManager::FileId input,
         pages * uint64_t(page_size_) + HashTable::EstimateBytes(largest);
     if (need <= budget) return f;
   }
-  return std::min(config_.max_fanout, FileStats::kHistBins);
+  return FileStats::kHistBins;
 }
 
 uint64_t DiskGraceJoin::EstimateBuildBytes(BufferManager::FileId file) const {
@@ -427,22 +425,44 @@ void DiskGraceJoin::NoteBuildBytes(uint64_t pages, uint64_t tuples) {
   tally_.max_build_bytes = std::max(tally_.max_build_bytes, bytes);
 }
 
+Status DiskGraceJoin::LoadPages(BufferManager::FileId file,
+                                std::vector<PageBuffer>* pages,
+                                uint64_t* tuples) {
+  pages->reserve(pages->size() + bm_->FileNumPages(file));
+  auto scan = bm_->OpenScan(file);
+  const uint8_t* page = nullptr;
+  while (true) {
+    HJ_RETURN_IF_ERROR(scan.NextPage(&page));
+    if (page == nullptr) return Status::OK();
+    HJ_RETURN_IF_ERROR(VerifyPage(page));
+    pages->push_back(scan.KeepPage());
+    *tuples += SlottedPage::Attach(pages->back().data()).slot_count();
+  }
+}
+
+std::unique_ptr<HashTable> DiskGraceJoin::BuildTable(
+    const std::vector<PageBuffer>& pages, uint64_t tuples, uint32_t fanout) {
+  NoteBuildBytes(pages.size(), tuples);
+  auto ht = std::make_unique<HashTable>(ChooseBucketCount(tuples, fanout));
+  for (const PageBuffer& page : pages) {
+    SlottedPage pg = SlottedPage::Attach(page.data());
+    for (int s = 0; s < pg.slot_count(); ++s) {
+      ht->Insert(pg.GetHashCode(s), pg.GetTuple(s, nullptr));
+    }
+  }
+  return ht;
+}
+
 Status DiskGraceJoin::BuildAndProbe(const std::vector<PageBuffer>& build_pages,
                                     uint64_t build_tuples,
                                     BufferManager::FileId probe,
                                     uint64_t* matches) {
   if (build_tuples == 0) return Status::OK();
-  NoteBuildBytes(build_pages.size(), build_tuples);
   // The bucket count only needs to be relatively prime to the moduli the
   // hash codes are constrained by; the initial partition count covers the
   // common case, and recursion levels use an independent (salted) hash.
-  HashTable ht(ChooseBucketCount(build_tuples, config_.num_partitions));
-  for (const PageBuffer& page : build_pages) {
-    SlottedPage pg = SlottedPage::Attach(page.data());
-    for (int s = 0; s < pg.slot_count(); ++s) {
-      ht.Insert(pg.GetHashCode(s), pg.GetTuple(s, nullptr));
-    }
-  }
+  const std::unique_ptr<HashTable> ht =
+      BuildTable(build_pages, build_tuples, config_.num_partitions);
   auto scan = bm_->OpenScan(probe);
   const uint8_t* page = nullptr;
   while (true) {
@@ -450,8 +470,7 @@ Status DiskGraceJoin::BuildAndProbe(const std::vector<PageBuffer>& build_pages,
     if (page == nullptr) break;
     HJ_RETURN_IF_ERROR(VerifyPage(page));
     SlottedPage pg = SlottedPage::Attach(const_cast<uint8_t*>(page));
-    ProbePageCounting(ht, pg, config_.join_scheme, config_.join_params,
-                      matches);
+    ProbePageCounting(*ht, pg, matches);
   }
   return Status::OK();
 }
@@ -500,36 +519,24 @@ Status DiskGraceJoin::JoinInMemory(BufferManager::FileId build,
   // Load the build partition (pages must outlive the hash table, so the
   // scan's pages are kept) and stream the probe partition against it.
   std::vector<PageBuffer> pages;
-  pages.reserve(bm_->FileNumPages(build));
   uint64_t tuples = 0;
-  {
-    auto scan = bm_->OpenScan(build);
-    const uint8_t* page = nullptr;
-    while (true) {
-      HJ_RETURN_IF_ERROR(scan.NextPage(&page));
-      if (page == nullptr) break;
-      HJ_RETURN_IF_ERROR(VerifyPage(page));
-      pages.push_back(scan.KeepPage());
-      tuples += SlottedPage::Attach(pages.back().data()).slot_count();
-    }
-  }
+  HJ_RETURN_IF_ERROR(LoadPages(build, &pages, &tuples));
   return BuildAndProbe(pages, tuples, probe, matches);
 }
 
-Status DiskGraceJoin::RecurseSplit(
-    BufferManager::FileId probe,
-    const std::vector<BufferManager::FileId>& sub_build, uint32_t fanout,
-    uint32_t depth, uint64_t* matches) {
+Status DiskGraceJoin::RecurseSplit(BufferManager::FileId probe,
+                                   const SpillFiles& sub_build,
+                                   uint32_t depth, uint64_t* matches) {
   ++tally_.recursive_splits;
   tally_.deepest_recursion = std::max(tally_.deepest_recursion, depth + 1);
-  std::vector<BufferManager::FileId> sub_probe(fanout);
+  const uint32_t fanout = uint32_t(sub_build.files.size());
+  SpillFiles sub_probe = CreatePartitionFiles(fanout, depth + 1);
+  HJ_RETURN_IF_ERROR(
+      PartitionInto(probe, depth + 1, &sub_probe, nullptr, kTakeNone));
   for (uint32_t p = 0; p < fanout; ++p) {
-    sub_probe[p] = bm_->CreateFile();
-  }
-  HJ_RETURN_IF_ERROR(PartitionInto(probe, sub_probe, fanout, depth + 1));
-  for (uint32_t p = 0; p < fanout; ++p) {
-    HJ_RETURN_IF_ERROR(
-        JoinPartitionPair(sub_build[p], sub_probe[p], depth + 1, matches));
+    HJ_RETURN_IF_ERROR(JoinPartitionPair(sub_build.files[p],
+                                         sub_probe.files[p], depth + 1,
+                                         matches));
   }
   return Status::OK();
 }
@@ -612,7 +619,7 @@ Status DiskGraceJoin::JoinPartitionPair(BufferManager::FileId build,
   // too big, but if the probe side fits, joining from the other end
   // avoids spilling entirely. Counting is side-symmetric, so only the
   // memory plan changes.
-  if (config_.role_reversal && EstimateBuildBytes(probe) <= budget) {
+  if (EstimateBuildBytes(probe) <= budget) {
     ReverseRoles(&build, &probe);
     return JoinInMemory(build, probe, matches);
   }
@@ -627,24 +634,22 @@ Status DiskGraceJoin::JoinPartitionPair(BufferManager::FileId build,
   // check below catches the skewed-but-not-uniform shapes.
   if (depth < config_.max_recursion_depth && !UniformHash(build)) {
     const uint64_t build_pages = bm_->FileNumPages(build);
-    const uint32_t fanout = ChooseFanout(build, depth + 1, budget);
-    std::vector<BufferManager::FileId> sub_build(fanout);
-    for (uint32_t p = 0; p < fanout; ++p) sub_build[p] = bm_->CreateFile();
-    HJ_RETURN_IF_ERROR(PartitionInto(build, sub_build, fanout, depth + 1));
+    SpillFiles sub_build = CreatePartitionFiles(
+        ChooseFanout(build, depth + 1, budget), depth + 1);
+    HJ_RETURN_IF_ERROR(
+        PartitionInto(build, depth + 1, &sub_build, nullptr, kTakeNone));
     uint64_t largest = 0;
-    for (uint32_t p = 0; p < fanout; ++p) {
-      largest = std::max(largest, bm_->FileNumPages(sub_build[p]));
+    for (BufferManager::FileId f : sub_build.files) {
+      largest = std::max(largest, bm_->FileNumPages(f));
     }
     if (largest < build_pages) {
-      return RecurseSplit(probe, sub_build, fanout, depth, matches);
+      return RecurseSplit(probe, sub_build, depth, matches);
     }
   }
 
   // Rungs 3 and 4 hold one side in budget-sized pieces and re-scan the
   // other per piece — so work off whichever side is cheaper to hold.
-  if (config_.role_reversal && EstimateBuildBytes(probe) < need) {
-    ReverseRoles(&build, &probe);
-  }
+  if (EstimateBuildBytes(probe) < need) ReverseRoles(&build, &probe);
 
   // Ladder rung 4 (last resort, checked first because it is a shape,
   // not a size): every build tuple shares one hash code, so each chunk
@@ -658,48 +663,31 @@ Status DiskGraceJoin::JoinPartitionPair(BufferManager::FileId build,
   return JoinChunked(build, probe, matches);
 }
 
-/// Mutable bookkeeping of one hybrid Join() pass, shared by the driver
-/// and its spill/un-spill helpers. The residency object owns the
-/// resident pages; this owns the files, write cursors, and hash tables.
-struct DiskGraceJoin::HybridState {
-  std::vector<BufferManager::FileId> build_files;
-  std::vector<uint64_t> build_next_page;
-  /// File holds the COMPLETE build partition (safe to re-read, and a
-  /// second eviction of a re-admitted partition skips re-writing).
-  std::vector<char> build_on_disk;
-  std::vector<BufferManager::FileId> probe_files;
-  std::vector<char> probe_created;
-  std::vector<uint64_t> probe_next_page;
-  std::vector<std::unique_ptr<HashTable>> tables;
-  /// False during the build partition pass (an evicted partition's file
-  /// is still growing), true once the pass is complete.
-  bool probe_pass = false;
-};
-
-Status DiskGraceJoin::SpillVictim(PartitionResidency* res, uint32_t victim,
-                                  HybridState* st) {
+void DiskGraceJoin::SpillVictim(JoinState* st, uint32_t victim) {
   ++tally_.victim_spills;
   // The table points into the pages, so it goes before they change hands.
   st->tables[victim].reset();
-  std::vector<PageBuffer> pages = res->Evict(victim);
+  std::vector<PageBuffer> pages = st->res.Evict(victim);
   if (!st->build_on_disk[victim]) {
     // First eviction: queue the resident pages as they are. During the
     // build pass the partition's remaining tuples will go straight to
     // the file, completing it by end of pass; a partition evicted during
     // the probe pass is complete the moment these writes land.
     for (PageBuffer& page : pages) {
-      QueueWritePage(st->build_files[victim], st->build_next_page[victim]++,
+      QueueWritePage(st->build.files[victim], st->build.next_page[victim]++,
                      std::move(page), SlotHashes::kMemoized);
     }
     if (st->probe_pass) st->build_on_disk[victim] = 1;
   }
   // else: the file already holds the whole partition (this residency
   // came from an un-spill) and dropping the pages costs no I/O.
-  return Status::OK();
 }
 
-Status DiskGraceJoin::EnforceResidencyBudget(PartitionResidency* res,
-                                             HybridState* st) {
+void DiskGraceJoin::EnforceResidencyBudget(JoinState* st) {
+  PartitionResidency& res = st->res;
+  // Nothing resident, nothing to evict: a join whose partitions all
+  // started spilled never polls here.
+  if (res.ResidentBytes() == 0) return;
   uint64_t target = EffectiveBudget();
   // Consume a pending revoke hint: the grant's revoke listener stored
   // the post-revoke size the moment the broker took the memory, which
@@ -712,46 +700,36 @@ Status DiskGraceJoin::EnforceResidencyBudget(PartitionResidency* res,
     trough_budget_ = std::min(trough_budget_, hint);
     if (target == 0 || hint < target) target = hint;
   }
-  if (target == 0) return Status::OK();  // unlimited
-  while (res->ResidentBytes() > target) {
-    const int victim = res->PickVictim(res->ResidentBytes() - target);
+  if (target == 0) return;  // unlimited
+  while (res.ResidentBytes() > target) {
+    const int victim = res.PickVictim(res.ResidentBytes() - target);
     if (victim < 0) break;  // minimum working set: nothing left to evict
     if (target < peak_budget_) ++tally_.revoke_spills;
-    HJ_RETURN_IF_ERROR(SpillVictim(res, uint32_t(victim), st));
+    SpillVictim(st, uint32_t(victim));
   }
-  return Status::OK();
 }
 
-Status DiskGraceJoin::UnspillPartition(PartitionResidency* res, uint32_t p,
-                                       HybridState* st) {
+Status DiskGraceJoin::UnspillPartition(JoinState* st, uint32_t p) {
   ++tally_.victim_unspills;
   std::vector<PageBuffer> pages;
   uint64_t tuples = 0;
-  auto scan = bm_->OpenScan(st->build_files[p]);
-  const uint8_t* page = nullptr;
-  while (true) {
-    HJ_RETURN_IF_ERROR(scan.NextPage(&page));
-    if (page == nullptr) break;
-    HJ_RETURN_IF_ERROR(VerifyPage(page));
-    pages.push_back(scan.KeepPage());
-    tuples += SlottedPage::Attach(pages.back().data()).slot_count();
-  }
-  res->Readmit(p, std::move(pages), tuples);
+  HJ_RETURN_IF_ERROR(LoadPages(st->build.files[p], &pages, &tuples));
+  st->res.Readmit(p, std::move(pages), tuples);
   return Status::OK();
 }
 
-Status DiskGraceJoin::MaybeUnspill(PartitionResidency* res, HybridState* st) {
+Status DiskGraceJoin::MaybeUnspill(JoinState* st) {
   // Inverse spill order: the latest victim went out at the lowest
   // budget, so it is the cheapest to bring back and the most likely to
   // fit a partial re-grant.
   bool flushed = false;
   while (true) {
-    const int p = res->LastSpilled();
+    const int p = st->res.LastSpilled();
     if (p < 0) break;
     const uint64_t budget = EffectiveBudget();
     if (budget != 0) {
-      const uint64_t cost = EstimateBuildBytes(st->build_files[p]);
-      if (res->ResidentBytes() + cost > budget) break;
+      const uint64_t cost = EstimateBuildBytes(st->build.files[p]);
+      if (st->res.ResidentBytes() + cost > budget) break;
     }
     if (!flushed) {
       // The partition files were written asynchronously; settle them
@@ -760,206 +738,8 @@ Status DiskGraceJoin::MaybeUnspill(PartitionResidency* res, HybridState* st) {
       flushed = true;
     }
     if (budget > trough_budget_) ++tally_.regrant_unspills;
-    HJ_RETURN_IF_ERROR(UnspillPartition(res, uint32_t(p), st));
+    HJ_RETURN_IF_ERROR(UnspillPartition(st, uint32_t(p)));
   }
-  return Status::OK();
-}
-
-Status DiskGraceJoin::JoinHybrid(BufferManager::FileId build,
-                                 BufferManager::FileId probe, uint32_t fanout,
-                                 DiskJoinResult* result) {
-  HybridState st;
-  st.build_files.resize(fanout);
-  st.build_next_page.assign(fanout, 0);
-  st.build_on_disk.assign(fanout, 0);
-  st.probe_files.assign(fanout, 0);
-  st.probe_created.assign(fanout, 0);
-  st.probe_next_page.assign(fanout, 0);
-  st.tables.resize(fanout);
-  for (uint32_t p = 0; p < fanout; ++p) st.build_files[p] = bm_->CreateFile();
-
-  // Revoke hint wiring: learn post-revoke grant sizes the moment they
-  // happen, instead of at the next budget poll. The listener only
-  // stores to an atomic (per the SetRevokeListener contract it must not
-  // call back into the broker), and is uninstalled on every exit path
-  // because the closure captures `this`.
-  revoke_hint_.store(UINT64_MAX, std::memory_order_relaxed);
-  struct ListenerGuard {
-    const DiskJoinConfig* config;
-    ~ListenerGuard() {
-      if (config->install_revoke_listener) config->install_revoke_listener({});
-    }
-  } guard{&config_};
-  if (config_.install_revoke_listener) {
-    config_.install_revoke_listener([this](uint64_t new_bytes) {
-      revoke_hint_.store(new_bytes, std::memory_order_relaxed);
-    });
-  }
-
-  uint64_t matches = 0;
-  std::vector<char> spilled(fanout, 0);
-  const FastMod32 route(fanout);  // tuple -> partition: hash % fanout
-  Status pass_st;
-  {
-    PartitionResidency res(fanout, page_size_, [](uint64_t tuples) {
-      return HashTable::EstimateBytes(tuples);
-    });
-
-    // ---- Build pass: partition the build input, keeping partitions
-    // resident until the live budget forces smallest-loss victims out.
-    result->partition_phase = Measure([&] {
-      pass_st = [&]() -> Status {
-        OutputPages out(bm_, fanout);
-        // Hands one full working page to residency or to the write
-        // queue, then lets the budget claim victims at this page
-        // boundary.
-        auto emit = [&](uint32_t p) -> Status {
-          if (res.resident(p)) {
-            const uint64_t page_tuples = out.view(p).slot_count();
-            res.AddPage(p, out.Take(p), page_tuples);
-          } else {
-            QueueWritePage(st.build_files[p], st.build_next_page[p]++,
-                           out.Take(p), SlotHashes::kMemoized);
-          }
-          return EnforceResidencyBudget(&res, &st);
-        };
-        auto scan = bm_->OpenScan(build);
-        const uint8_t* page = nullptr;
-        while (true) {
-          HJ_RETURN_IF_ERROR(scan.NextPage(&page));
-          if (page == nullptr) break;
-          HJ_RETURN_IF_ERROR(VerifyPage(page));
-          SlottedPage in = SlottedPage::Attach(const_cast<uint8_t*>(page));
-          for (int s = 0; s < in.slot_count(); ++s) {
-            uint16_t len = 0;
-            const uint8_t* tuple = in.GetTuple(s, &len);
-            uint32_t key;
-            std::memcpy(&key, tuple, 4);
-            const uint32_t hash = HashKey32(key);
-            const uint32_t p = route(hash);
-            if (out.view(p).AddTuple(tuple, len, hash) < 0) {
-              HJ_RETURN_IF_ERROR(emit(p));
-              const int idx = out.view(p).AddTuple(tuple, len, hash);
-              HJ_CHECK(idx >= 0);
-            }
-          }
-        }
-        for (uint32_t p = 0; p < fanout; ++p) {
-          if (out.view(p).slot_count() > 0) HJ_RETURN_IF_ERROR(emit(p));
-        }
-        return bm_->FlushWrites();
-      }();
-    });
-    HJ_RETURN_IF_ERROR(pass_st);
-    // Every partition evicted during the pass kept receiving its
-    // remaining tuples directly, so the spilled files are complete now.
-    for (uint32_t p = 0; p < fanout; ++p) {
-      if (!res.resident(p)) st.build_on_disk[p] = 1;
-    }
-    st.probe_pass = true;
-
-    // ---- Un-spill window: with the build files complete, re-admit
-    // spilled partitions while the (possibly re-grown) budget allows.
-    HJ_RETURN_IF_ERROR(MaybeUnspill(&res, &st));
-
-    // ---- Probe pass: hash tables over the resident partitions, probe
-    // them on the fly (the hybrid fraction — zero join-phase I/O);
-    // tuples of spilled partitions go to probe partition files. The
-    // resident probe is the plain per-tuple path; spilled pairs use the
-    // configured execution policy in the join phase below.
-    result->probe_partition_phase = Measure([&] {
-      pass_st = [&]() -> Status {
-        for (uint32_t p = 0; p < fanout; ++p) {
-          if (!res.resident(p) || res.tuples(p) == 0) continue;
-          NoteBuildBytes(res.pages(p).size(), res.tuples(p));
-          auto ht = std::make_unique<HashTable>(
-              ChooseBucketCount(res.tuples(p), fanout));
-          for (const PageBuffer& page : res.pages(p)) {
-            SlottedPage pg = SlottedPage::Attach(page.data());
-            for (int s = 0; s < pg.slot_count(); ++s) {
-              ht->Insert(pg.GetHashCode(s), pg.GetTuple(s, nullptr));
-            }
-          }
-          st.tables[p] = std::move(ht);
-        }
-        OutputPages out(bm_, fanout);
-        auto spill_probe = [&](uint32_t p) {
-          if (!st.probe_created[p]) {
-            st.probe_files[p] = bm_->CreateFile();
-            st.probe_created[p] = 1;
-          }
-          QueueWritePage(st.probe_files[p], st.probe_next_page[p]++,
-                         out.Take(p), SlotHashes::kMemoized);
-        };
-        auto scan = bm_->OpenScan(probe);
-        const uint8_t* page = nullptr;
-        while (true) {
-          HJ_RETURN_IF_ERROR(scan.NextPage(&page));
-          if (page == nullptr) break;
-          HJ_RETURN_IF_ERROR(VerifyPage(page));
-          // A revoke mid-probe demotes victims here, at the page
-          // boundary. That is safe because each probe tuple is probed
-          // exactly once: tuples already probed against the demoted
-          // partition stand, and the partition's remaining probe tuples
-          // are routed to its probe file and joined from disk.
-          HJ_RETURN_IF_ERROR(EnforceResidencyBudget(&res, &st));
-          SlottedPage in = SlottedPage::Attach(const_cast<uint8_t*>(page));
-          for (int s = 0; s < in.slot_count(); ++s) {
-            uint16_t len = 0;
-            const uint8_t* tuple = in.GetTuple(s, &len);
-            uint32_t key;
-            std::memcpy(&key, tuple, 4);
-            const uint32_t hash = HashKey32(key);
-            const uint32_t p = route(hash);
-            if (res.resident(p)) {
-              if (st.tables[p] != nullptr) {
-                st.tables[p]->Probe(hash, [&](const uint8_t* bt) {
-                  uint32_t bkey;
-                  std::memcpy(&bkey, bt, 4);
-                  if (bkey == key) ++matches;
-                });
-              }
-            } else if (out.view(p).AddTuple(tuple, len, hash) < 0) {
-              spill_probe(p);
-              const int idx = out.view(p).AddTuple(tuple, len, hash);
-              HJ_CHECK(idx >= 0);
-            }
-          }
-        }
-        for (uint32_t p = 0; p < fanout; ++p) {
-          if (out.view(p).slot_count() > 0) spill_probe(p);
-        }
-        return bm_->FlushWrites();
-      }();
-    });
-    HJ_RETURN_IF_ERROR(pass_st);
-    for (uint32_t p = 0; p < fanout; ++p) {
-      spilled[p] = res.resident(p) ? 0 : 1;
-    }
-  }  // residency scope: resident pages released before the join phase
-  for (uint32_t p = 0; p < fanout; ++p) st.tables[p].reset();
-
-  // ---- Join phase: only the spilled pairs touch disk again; each one
-  // descends the degradation ladder as needed.
-  result->join_phase = Measure([&] {
-    pass_st = [&]() -> Status {
-      for (uint32_t p = 0; p < fanout; ++p) {
-        if (!spilled[p]) continue;
-        if (!st.probe_created[p]) {
-          // No probe tuple hashed here; an empty file keeps the pair
-          // aligned (the ladder short-circuits empty sides).
-          st.probe_files[p] = bm_->CreateFile();
-          st.probe_created[p] = 1;
-        }
-        HJ_RETURN_IF_ERROR(JoinPartitionPair(st.build_files[p],
-                                             st.probe_files[p], /*depth=*/0,
-                                             &matches));
-      }
-      return Status::OK();
-    }();
-  });
-  HJ_RETURN_IF_ERROR(pass_st);
-  result->output_tuples = matches;
   return Status::OK();
 }
 
@@ -1001,21 +781,96 @@ StatusOr<DiskJoinResult> DiskGraceJoin::Join(BufferManager::FileId build,
   const uint32_t fanout =
       ChooseFanout(build, /*level=*/0, EffectiveBudget());
   result.num_partitions = fanout;
-  if (config_.hybrid_residency) {
-    HJ_RETURN_IF_ERROR(JoinHybrid(build, probe, fanout, &result));
-  } else {
-    HJ_ASSIGN_OR_RETURN(auto build_parts,
-                        Partition(build, &result.partition_phase, fanout));
-    HJ_ASSIGN_OR_RETURN(
-        auto probe_parts,
-        Partition(probe, &result.probe_partition_phase, fanout));
-    HJ_ASSIGN_OR_RETURN(
-        result.output_tuples,
-        JoinPartitions(build_parts, probe_parts, &result.join_phase));
+
+  // Revoke hint wiring: learn post-revoke grant sizes the moment they
+  // happen, instead of at the next budget poll. The listener only
+  // stores to an atomic (per the SetRevokeListener contract it must not
+  // call back into the broker), and is uninstalled on every exit path
+  // because the closure captures `this`.
+  revoke_hint_.store(UINT64_MAX, std::memory_order_relaxed);
+  struct ListenerGuard {
+    const DiskJoinConfig* config;
+    ~ListenerGuard() {
+      if (config->install_revoke_listener) config->install_revoke_listener({});
+    }
+  } guard{&config_};
+  if (config_.install_revoke_listener) {
+    config_.install_revoke_listener([this](uint64_t new_bytes) {
+      revoke_hint_.store(new_bytes, std::memory_order_relaxed);
+    });
   }
+
+  uint64_t matches = 0;
+  std::vector<BufferManager::FileId> spilled_build;
+  std::vector<BufferManager::FileId> spilled_probe;
+  Status pass_st;
+  {
+    JoinState st(fanout, page_size_, config_.hybrid_residency);
+    // Both sides' files up front, build side first: the classic mode's
+    // file ids, whichever partitions end up written.
+    st.build = CreatePartitionFiles(fanout, /*level=*/0);
+    st.probe = CreatePartitionFiles(fanout, /*level=*/0);
+
+    // ---- Build pass: partition the build input; resident partitions
+    // keep their pages until the live budget forces victims out.
+    result.partition_phase = Measure([&] {
+      pass_st = PartitionInto(build, /*level=*/0, &st.build, &st, kTakeNone);
+    });
+    HJ_RETURN_IF_ERROR(pass_st);
+    // Every partition evicted during the pass kept receiving its
+    // remaining tuples directly, so the spilled files are complete now.
+    for (uint32_t p = 0; p < fanout; ++p) {
+      if (!st.res.resident(p)) st.build_on_disk[p] = 1;
+    }
+    st.probe_pass = true;
+
+    // ---- Un-spill window: with the build files complete, re-admit
+    // evicted partitions while the (possibly re-grown) budget allows.
+    HJ_RETURN_IF_ERROR(MaybeUnspill(&st));
+
+    // ---- Probe pass: hash tables over the resident partitions, probed
+    // on the fly (the hybrid fraction — zero join-phase I/O); tuples of
+    // spilled partitions go to probe partition files. The resident probe
+    // is the plain per-tuple path; spilled pairs are probed with group
+    // prefetching in the join phase below.
+    result.probe_partition_phase = Measure([&] {
+      for (uint32_t p = 0; p < fanout; ++p) {
+        if (!st.res.resident(p) || st.res.tuples(p) == 0) continue;
+        st.tables[p] = BuildTable(st.res.pages(p), st.res.tuples(p), fanout);
+      }
+      pass_st = PartitionInto(
+          probe, /*level=*/0, &st.probe, &st,
+          [&](uint32_t p, uint32_t hash, const uint8_t* tuple) {
+            if (!st.res.resident(p)) return false;
+            if (st.tables[p] != nullptr) {
+              uint32_t key;
+              std::memcpy(&key, tuple, 4);
+              st.tables[p]->Probe(hash, [&](const uint8_t* bt) {
+                uint32_t bkey;
+                std::memcpy(&bkey, bt, 4);
+                if (bkey == key) ++matches;
+              });
+            }
+            return true;
+          });
+    });
+    HJ_RETURN_IF_ERROR(pass_st);
+    for (uint32_t p = 0; p < fanout; ++p) {
+      if (st.res.resident(p)) continue;
+      spilled_build.push_back(st.build.files[p]);
+      spilled_probe.push_back(st.probe.files[p]);
+    }
+  }  // resident pages and their tables are released before the join phase
+
+  // ---- Join phase: only the spilled pairs touch disk again; each one
+  // descends the degradation ladder as needed.
+  HJ_ASSIGN_OR_RETURN(
+      const uint64_t joined,
+      JoinPartitions(spilled_build, spilled_probe, &result.join_phase));
+  result.output_tuples = matches + joined;
   result.recovery = fields::Diff(Ledger(), before);
-  // Per-level split statistics, diffed like the recovery tally so each
-  // Join() reports only its own partitioning work.
+  // Per-level partitioning statistics, diffed like the recovery tally so
+  // each Join() reports only its own partitioning work.
   for (size_t l = 0; l < level_tally_.size(); ++l) {
     const SpillLevelStats diff =
         l < levels_before.size()

@@ -5,10 +5,11 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
-#include "join/join_common.h"
+#include "hash/hash_table.h"
 #include "join/residency.h"
 #include "storage/buffer_manager.h"
 #include "storage/relation.h"
@@ -40,31 +41,32 @@ struct DiskPhaseStats {
   }
 };
 
-/// What one recursion level of the partition pass actually did: the
-/// realized spill cost (tuples and bytes rewritten, wall seconds spent
-/// splitting) plus the key-hash histogram observed while routing. Level
-/// 0 is the initial fan-out pass; level L >= 1 is the L-th recursive
-/// repartition, so a non-empty level 1 means skew or memory pressure
-/// forced re-splitting. Persisted into QueryStats so a scheduler can
-/// negotiate grants for repeat queries from realized costs, and so the
-/// cache's eviction policy can price a rebuild with measured (not just
-/// modeled) numbers.
+/// What one recursion level of partitioning actually wrote: the realized
+/// spill cost (tuples and bytes written to this level's partition files,
+/// wall seconds spent routing) plus the key-hash histogram of the written
+/// tuples. Level 0 is the join's first partition pass; level L >= 1 is
+/// the L-th recursive repartition, so a non-empty level 1 means skew or
+/// memory pressure forced re-splitting. The classic mode writes every
+/// routed tuple; the residency mode writes only the partitions it
+/// spills. Persisted into QueryStats so a scheduler can negotiate grants
+/// for repeat queries from realized costs, and so the cache's eviction
+/// policy can price a rebuild with measured (not just modeled) numbers.
 struct SpillLevelStats {
   static constexpr uint32_t kHistBins = 64;
   uint32_t level = 0;
   /// Output partition files opened at this level (sum over split passes).
   uint64_t partitions_written = 0;
-  /// Tuples / payload bytes rewritten at this level — the realized
+  /// Tuples / payload bytes written to this level's files — the realized
   /// spill cost in data volume.
   uint64_t tuples = 0;
   uint64_t bytes_written = 0;
-  /// Wall seconds spent inside this level's split passes.
+  /// Wall seconds spent inside this level's routing passes.
   double partition_seconds = 0;
   /// Key-hash histogram (original memoized hash % kHistBins) of every
-  /// tuple routed at this level.
+  /// tuple written at this level.
   std::array<uint64_t, kHistBins> hist{};
 
-  /// Largest bin's share of all routed tuples (1.0 / kHistBins for a
+  /// Largest bin's share of all written tuples (1.0 / kHistBins for a
   /// perfectly uniform input; near 1.0 for a single hot key).
   double MaxBinFraction() const {
     uint64_t max_bin = 0;
@@ -134,16 +136,6 @@ struct DiskJoinConfig {
   /// and a re-grown grant lets them run in memory again.
   BudgetView dynamic_budget;
 
-  /// Execution policy of the join phase's in-memory probe loop (the
-  /// count-only probe over loaded partition pages). Every policy visits
-  /// the slots of a page in order, so the match count — and every other
-  /// observable — is scheme-independent; the scheme only decides how
-  /// bucket prefetches interleave with the probes.
-  Scheme join_scheme = Scheme::kGroup;
-
-  /// G / D / coroutine interleave width for `join_scheme`.
-  KernelParams join_params;
-
   /// The grant size at admission, bytes (`MemoryGrant::initial_bytes()`).
   /// Seeds the peak/trough watermarks the revoke/un-spill classification
   /// compares against: without it, a grant revoked before the join's
@@ -156,36 +148,26 @@ struct DiskJoinConfig {
   /// Re-decide the partition fan-out from observed input instead of the
   /// static counts above: level 0 projects per-fanout partition sizes
   /// from the key-hash histogram sampled while the input file was
-  /// written, each recursion level sizes its sub-fanout from the actual
-  /// overflow of the partition being split. Off by default — callers
-  /// that planned around a fixed `num_partitions` keep exact behavior.
+  /// written (a power of two up to FileStats::kHistBins), each recursion
+  /// level sizes its sub-fanout from the actual overflow of the
+  /// partition being split. Off by default — callers that planned around
+  /// a fixed `num_partitions` keep exact behavior.
   bool adaptive_fanout = false;
 
-  /// Ceiling on the adaptive level-0 fan-out (power of two, at most the
-  /// histogram bin count FileStats::kHistBins).
-  uint32_t max_fanout = 64;
-
-  /// When a build partition does not fit the budget but its probe
-  /// partition would, swap the two before the join pass — the memory
-  /// ladder works off the smaller side no matter which relation it came
-  /// from. Match counts are side-symmetric (the probe counts key-equal
-  /// pairs), so reversal changes only the memory/I/O plan, never the
-  /// result.
-  bool role_reversal = true;
-
-  /// Run Join() as a true hybrid: keep every build partition in memory
-  /// through the partition pass, evict smallest-loss victims only when
-  /// the live budget demands it, un-spill in inverse order when it
-  /// re-grows, and probe resident partitions on the fly (zero I/O for
-  /// the resident fraction). Off by default — the classic
-  /// partition-everything GRACE pipeline is kept for callers that want
-  /// the paper's Figure 9 shape.
+  /// Whether Join()'s build partitions start resident. With it, Join()
+  /// is a hybrid hash join: partitions stay in memory through the
+  /// partition pass, the live budget evicts smallest-loss victims, a
+  /// re-grown budget un-spills them in inverse order, and the resident
+  /// partitions are probed on the fly (zero I/O for the resident
+  /// fraction). Without it every partition starts spilled and none ever
+  /// un-spills: the classic partition-everything GRACE join of the
+  /// paper's Figure 9. Both run the same passes.
   bool hybrid_residency = false;
 
   /// Installs this join's revoke listener on the caller's grant (e.g.
   /// `[&grant](auto fn) { grant.SetRevokeListener(std::move(fn)); }`).
-  /// The hybrid join uses it to learn the post-revoke grant size at the
-  /// moment of the revoke and evict victims at the next page boundary,
+  /// Join() uses it to learn the post-revoke grant size at the moment of
+  /// the revoke and evict resident victims at the next page boundary,
   /// instead of discovering the squeeze at its next budget poll. The
   /// join installs an empty listener on exit (the hint closure captures
   /// `this`), and the listener itself only stores to an atomic — it
@@ -275,8 +257,9 @@ struct DiskJoinResult {
 /// per-partition output page, and writes full pages back in the
 /// background; the join phase loads each build partition into a hash
 /// table (reusing the memoized hash codes stored in the partition page
-/// slots) and streams the probe partition against it. CPU work runs on
-/// real memory; I/O runs on the simulated disk array.
+/// slots) and streams the probe partition against it with group
+/// prefetching. CPU work runs on real memory; I/O runs on the simulated
+/// disk array.
 ///
 /// Every fallible path returns a Status: transient I/O faults are
 /// absorbed by the buffer manager's retry layer, and only exhausted
@@ -290,9 +273,11 @@ struct DiskJoinResult {
 ///   3. chunked multipass build past the depth cap;
 ///   4. block nested loop when the partition is a single hash code (the
 ///      shape neither splitting nor chunk hash tables can help).
-/// With `hybrid_residency`, Join() additionally keeps partitions in
-/// memory until a revoke evicts smallest-loss victims (PartitionResidency)
-/// and probes the resident fraction with zero join-phase I/O.
+/// Join() runs one pass structure in both residency modes: build pass,
+/// un-spill window, probe pass, then the ladder over the pairs not held
+/// in memory. With `hybrid_residency` partitions start resident until
+/// the budget evicts smallest-loss victims (PartitionResidency), and the
+/// resident fraction is probed with zero join-phase I/O.
 class DiskGraceJoin {
  public:
   /// `bm` must outlive this object.
@@ -310,11 +295,6 @@ class DiskGraceJoin {
   /// `adaptive_fanout`.
   StatusOr<std::vector<BufferManager::FileId>> Partition(
       BufferManager::FileId input, DiskPhaseStats* stats);
-
-  /// Same, with an explicit fan-out (Join() partitions both relations
-  /// with the fan-out it chose from the build side, so pairs align).
-  StatusOr<std::vector<BufferManager::FileId>> Partition(
-      BufferManager::FileId input, DiskPhaseStats* stats, uint32_t fanout);
 
   /// Joins partition-file pairs, returning the match count. Oversized
   /// build partitions descend the degradation ladder as configured.
@@ -339,6 +319,8 @@ class DiskGraceJoin {
   /// block nested loop can handle.
   struct FileStats {
     static constexpr uint32_t kHistBins = 64;
+    /// Recursion level of a partition file; -1 for a stored input.
+    int level = -1;
     uint64_t tuples = 0;
     uint64_t data_bytes = 0;
     std::array<uint64_t, kHistBins> hist{};
@@ -347,7 +329,8 @@ class DiskGraceJoin {
     bool uniform_hash = true;  // every tuple shares one hash code
   };
 
-  struct HybridState;  // hybrid-pass bookkeeping; defined in grace_disk.cc
+  struct SpillFiles;  // one side's partition files; defined in grace_disk.cc
+  struct JoinState;   // Join()'s pass bookkeeping; defined in grace_disk.cc
 
   template <typename Fn>
   DiskPhaseStats Measure(Fn&& fn);
@@ -373,12 +356,17 @@ class DiskGraceJoin {
   /// splitting cannot make progress on such a partition).
   bool UniformHash(BufferManager::FileId file) const;
 
-  /// Stamps (if configured) and queues one page write, tallying stats;
-  /// the page changes hands, uncopied. Fire-and-forget: write errors
-  /// surface at the next FlushWrites. `hashes` says whether each slot
-  /// holds HashKey32 of its key: every page the join writes does, and a
-  /// stored relation's do when it has_hash_codes(); otherwise each key is
-  /// hashed for the FileStats.
+  /// Creates `fanout` partition files at recursion `level` and counts
+  /// them in that level's `partitions_written`.
+  SpillFiles CreatePartitionFiles(uint32_t fanout, uint32_t level);
+
+  /// Stamps (if configured) and queues one page write, tallying the
+  /// file's FileStats and, for a partition file, its level's
+  /// SpillLevelStats; the page changes hands, uncopied. Fire-and-forget:
+  /// write errors surface at the next FlushWrites. `hashes` says whether
+  /// each slot holds HashKey32 of its key: every page the join writes
+  /// does, and a stored relation's do when it has_hash_codes(); otherwise
+  /// each key is hashed for the FileStats.
   void QueueWritePage(BufferManager::FileId file, uint64_t page_index,
                       PageBuffer page, SlotHashes hashes);
   /// End-to-end verification of a page read back from storage: the
@@ -388,12 +376,18 @@ class DiskGraceJoin {
   /// otherwise), so a torn one cannot send the tuple loops past it.
   Status VerifyPage(const uint8_t* page_bytes) const;
 
-  /// Splits `input` into `fanout` files. Level 0 hashes the 4-byte key;
-  /// level >= 1 reroutes on SaltedRehash of the memoized hash code. The
-  /// original hash code is memoized in the output slots either way.
-  Status PartitionInto(BufferManager::FileId input,
-                       const std::vector<BufferManager::FileId>& outs,
-                       uint32_t fanout, uint32_t level);
+  /// The routing loop of every partitioning pass: splits `input` over
+  /// `out`'s partitions. Level 0 hashes the 4-byte key; level >= 1
+  /// reroutes on SaltedRehash of the memoized hash code. The original
+  /// hash code is memoized in the output slots either way. With a join
+  /// state, a full page of a resident partition goes to its residency
+  /// instead of its file, and the live budget may claim victims at every
+  /// page boundary. `take(p, hash, tuple)` sees each tuple before it is
+  /// copied and returns whether it consumed it (the probe pass probes
+  /// resident partitions there).
+  template <typename Take>
+  Status PartitionInto(BufferManager::FileId input, uint32_t level,
+                       SpillFiles* out, JoinState* st, Take&& take);
 
   /// Estimated bytes to join `file`'s pages in memory (pages + table).
   uint64_t EstimateBuildBytes(BufferManager::FileId file) const;
@@ -412,9 +406,8 @@ class DiskGraceJoin {
   /// Ladder rung 2: re-split the pair at `depth + 1` over `sub_build`
   /// (already partitioned) and recurse on each sub-pair. Counts
   /// `recursive_splits`.
-  Status RecurseSplit(BufferManager::FileId probe,
-                      const std::vector<BufferManager::FileId>& sub_build,
-                      uint32_t fanout, uint32_t depth, uint64_t* matches);
+  Status RecurseSplit(BufferManager::FileId probe, const SpillFiles& sub_build,
+                      uint32_t depth, uint64_t* matches);
 
   /// Ladder rung 3: stream the build partition in budget-sized chunks,
   /// probing the full probe partition against each chunk's hash table
@@ -429,34 +422,37 @@ class DiskGraceJoin {
   Status JoinBlockNestedLoop(BufferManager::FileId build,
                              BufferManager::FileId probe, uint64_t* matches);
 
+  /// Keeps every page of `file` (verified), counting its tuples.
+  Status LoadPages(BufferManager::FileId file, std::vector<PageBuffer>* pages,
+                   uint64_t* tuples);
+
+  /// Hash table over kept pages (memoized codes), with a bucket count
+  /// relatively prime to `fanout`; charges `max_build_bytes`.
+  std::unique_ptr<HashTable> BuildTable(const std::vector<PageBuffer>& pages,
+                                        uint64_t tuples, uint32_t fanout);
+
   /// Builds a hash table over loaded pages and streams the probe file
   /// against it.
   Status BuildAndProbe(const std::vector<PageBuffer>& build_pages,
                        uint64_t build_tuples, BufferManager::FileId probe,
                        uint64_t* matches);
 
-  /// Hybrid (residency-managed) whole-join driver; see Join().
-  Status JoinHybrid(BufferManager::FileId build, BufferManager::FileId probe,
-                    uint32_t fanout, DiskJoinResult* result);
-
   /// Evicts smallest-loss victims until the resident set fits the live
   /// budget (or the revoke-hint target, whichever is tighter).
-  Status EnforceResidencyBudget(PartitionResidency* res, HybridState* st);
+  void EnforceResidencyBudget(JoinState* st);
 
   /// Writes one evicted partition's pages to its file (unless the file
   /// already holds the full partition) and drops its hash table. Counts
   /// `victim_spills`.
-  Status SpillVictim(PartitionResidency* res, uint32_t victim,
-                     HybridState* st);
+  void SpillVictim(JoinState* st, uint32_t victim);
 
-  /// Re-admits spilled partitions in inverse spill order while the
+  /// Re-admits evicted partitions in inverse spill order while the
   /// budget headroom lasts.
-  Status MaybeUnspill(PartitionResidency* res, HybridState* st);
+  Status MaybeUnspill(JoinState* st);
 
   /// Reads partition `p`'s file back into residency. Counts
   /// `victim_unspills`.
-  Status UnspillPartition(PartitionResidency* res, uint32_t p,
-                          HybridState* st);
+  Status UnspillPartition(JoinState* st, uint32_t p);
 
   void NoteBuildBytes(uint64_t pages, uint64_t tuples);
 
@@ -473,8 +469,9 @@ class DiskGraceJoin {
   uint32_t page_size_;
   std::unordered_map<BufferManager::FileId, FileStats> file_stats_;
   DiskJoinRecovery tally_;  // cumulative skew/recovery tallies (io unused)
-  /// Cumulative per-level split statistics, indexed by recursion level;
-  /// Join() diffs a snapshot into DiskJoinResult::spill_levels.
+  /// Cumulative per-level partitioning statistics, indexed by recursion
+  /// level and tallied where pages are written; Join() diffs a snapshot
+  /// into DiskJoinResult::spill_levels.
   std::vector<SpillLevelStats> level_tally_;
   /// Largest / smallest non-zero effective budget observed so far; the
   /// deltas against the live value classify spills as revoke-forced and
@@ -482,8 +479,8 @@ class DiskGraceJoin {
   uint64_t peak_budget_ = 0;
   uint64_t trough_budget_ = UINT64_MAX;
   /// Post-revoke grant size pushed by the broker's revoke listener
-  /// (UINT64_MAX = no pending hint); consumed at page boundaries by the
-  /// hybrid pass. Written from the revoking thread, read from the
+  /// (UINT64_MAX = no pending hint); consumed at page boundaries while a
+  /// partition is resident. Written from the revoking thread, read from the
   /// joining thread — hence the atomic.
   std::atomic<uint64_t> revoke_hint_{UINT64_MAX};
 };

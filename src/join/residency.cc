@@ -2,18 +2,16 @@
 
 #include <utility>
 
+#include "hash/hash_table.h"
 #include "util/logging.h"
 
 namespace hashjoin {
 
-PartitionResidency::PartitionResidency(
-    uint32_t num_partitions, uint32_t page_size,
-    std::function<uint64_t(uint64_t)> table_cost)
-    : parts_(num_partitions),
-      page_size_(page_size),
-      table_cost_(std::move(table_cost)) {
+PartitionResidency::PartitionResidency(uint32_t num_partitions,
+                                       uint32_t page_size, bool resident)
+    : parts_(num_partitions), page_size_(page_size) {
   HJ_CHECK(num_partitions >= 1);
-  HJ_CHECK(table_cost_ != nullptr);
+  for (PartState& ps : parts_) ps.resident = resident;
 }
 
 void PartitionResidency::AddPage(uint32_t p, PageBuffer page,
@@ -35,7 +33,8 @@ uint64_t PartitionResidency::ResidentBytes() const {
 uint64_t PartitionResidency::PartitionCost(uint32_t p) const {
   const PartState& ps = parts_[p];
   if (ps.tuples == 0 && ps.pages.empty()) return 0;
-  return ps.pages.size() * uint64_t(page_size_) + table_cost_(ps.tuples);
+  return ps.pages.size() * uint64_t(page_size_) +
+         HashTable::EstimateBytes(ps.tuples);
 }
 
 int PartitionResidency::PickVictim(uint64_t needed) const {

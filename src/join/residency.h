@@ -2,7 +2,6 @@
 #define HASHJOIN_JOIN_RESIDENCY_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "storage/buffer_manager.h"
@@ -12,13 +11,14 @@ namespace hashjoin {
 /// Which build partitions of a hybrid join are held in memory, what each
 /// one costs, and — under a shrinking grant — which one to give up next.
 ///
-/// The hybrid join (DiskGraceJoin with `hybrid_residency`) starts every
-/// partition resident and evicts on demand; this class is the pure
-/// bookkeeping side of that policy. It owns the resident pages (the
-/// join's own page buffers, handed over as they fill) and the spill
-/// ordering, but no I/O: the join evicts a partition by calling Evict()
-/// and queueing the returned pages for write as they are, and re-admits
-/// one by keeping the pages of a scan of its file and calling Readmit().
+/// DiskGraceJoin's residency mode (`hybrid_residency`) starts every
+/// partition resident and evicts on demand; the classic GRACE mode starts
+/// every one spilled. This class is the pure bookkeeping side of that
+/// policy. It owns the resident pages (the join's own page buffers,
+/// handed over as they fill) and the spill ordering, but no I/O: the
+/// join evicts a partition by calling Evict() and queueing the returned
+/// pages for write as they are, and re-admits one by keeping the pages
+/// of a scan of its file and calling Readmit().
 /// Keeping the policy free of I/O makes the victim selection
 /// unit-testable in isolation.
 ///
@@ -28,15 +28,13 @@ namespace hashjoin {
 /// enough, take the largest so the fewest total evictions get there.
 /// Un-spill runs in inverse spill order (latest victim first): later
 /// victims were evicted at lower budgets, so they are the cheapest to
-/// bring back and the most likely to fit a partial re-grant.
+/// bring back and the most likely to fit a partial re-grant. Only
+/// victims un-spill: a partition that started spilled never does.
 class PartitionResidency {
  public:
-  /// `table_cost(tuples)` estimates the hash-table bytes a resident
-  /// partition of that many tuples will need when it is built (the same
-  /// estimator the join's budget checks use, so residency accounting and
-  /// spill decisions agree).
+  /// Every partition starts resident, or every one starts spilled.
   PartitionResidency(uint32_t num_partitions, uint32_t page_size,
-                     std::function<uint64_t(uint64_t)> table_cost);
+                     bool resident);
 
   /// Appends one full page (page_size bytes) to resident partition `p`.
   void AddPage(uint32_t p, PageBuffer page, uint64_t tuples);
@@ -48,7 +46,8 @@ class PartitionResidency {
   }
 
   /// Bytes charged against the budget right now: pages plus projected
-  /// hash table of every resident partition.
+  /// hash table (HashTable::EstimateBytes, the estimator the join's
+  /// budget checks use) of every resident partition.
   uint64_t ResidentBytes() const;
 
   /// Bytes eviction of partition `p` would free.
@@ -76,12 +75,13 @@ class PartitionResidency {
     std::vector<PageBuffer> pages;
     uint64_t tuples = 0;
     bool resident = true;
-    uint64_t spill_seq = 0;  // valid while !resident; orders un-spill
+    /// Orders un-spill while !resident; 0 = started spilled, never
+    /// un-spills.
+    uint64_t spill_seq = 0;
   };
 
   std::vector<PartState> parts_;
   uint32_t page_size_;
-  std::function<uint64_t(uint64_t)> table_cost_;
   uint64_t next_spill_seq_ = 1;
 };
 

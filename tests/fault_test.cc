@@ -302,8 +302,8 @@ TEST(FaultyDiskJoinTest, TornPagesWithoutBufferManagerChecksumsSurfaceDataLoss) 
 // With no checksum at all, a torn page's slot directory is junk. The
 // join checks that every slot lies inside the page before following
 // one, so the torn pages end the join with kDataLoss instead of sending
-// its tuple loops past the frame. The hybrid join routes tuples in
-// loops of its own, so it is checked too.
+// its tuple loops past the frame. The residency mode also reads back
+// the pages of the victims it evicts, so it is checked too.
 void ExpectTornPagesWithoutChecksumsSurfaceDataLoss(bool hybrid) {
   WorkloadSpec spec;
   spec.num_build_tuples = 3000;
@@ -396,6 +396,8 @@ TEST(SkewedDiskJoinTest, IdenticalKeysFallBackToBlockNestedLoop) {
   // hash code), so the join must not burn recursion levels. And because
   // every chunk's hash table would degenerate to a single chain, the
   // ladder's last rung — block nested loop — beats the chunked build.
+  // Both sides are over the budget, so role reversal cannot fit either
+  // one in memory.
   const uint32_t kKey = 12345;
   Relation build(Schema::KeyPayload(100));
   Relation probe(Schema::KeyPayload(100));
@@ -404,7 +406,7 @@ TEST(SkewedDiskJoinTest, IdenticalKeysFallBackToBlockNestedLoop) {
   for (int i = 0; i < 2000; ++i) {
     build.Append(tuple.data(), 100, HashKey32(kKey));
   }
-  for (int i = 0; i < 100; ++i) {
+  for (int i = 0; i < 1000; ++i) {
     probe.Append(tuple.data(), 100, HashKey32(kKey));
   }
 
@@ -413,9 +415,6 @@ TEST(SkewedDiskJoinTest, IdenticalKeysFallBackToBlockNestedLoop) {
   cfg.num_partitions = 4;
   cfg.memory_budget = 64 * 1024;
   cfg.max_recursion_depth = 4;
-  // The tiny probe side would otherwise be adopted as the build via role
-  // reversal and fit in memory; this test is about the chunked rung.
-  cfg.role_reversal = false;
   DiskGraceJoin join(&bm, cfg);
   auto b = join.StoreRelation(build);
   auto p = join.StoreRelation(probe);
@@ -423,7 +422,7 @@ TEST(SkewedDiskJoinTest, IdenticalKeysFallBackToBlockNestedLoop) {
   auto r = join.Join(b.value(), p.value());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
 
-  EXPECT_EQ(r.value().output_tuples, 2000u * 100u);  // full cross product
+  EXPECT_EQ(r.value().output_tuples, 2000u * 1000u);  // full cross product
   EXPECT_EQ(r.value().recovery.recursive_splits, 0u);  // no progress
   EXPECT_EQ(r.value().recovery.chunked_fallbacks, 0u);
   EXPECT_GT(r.value().recovery.bnl_fallbacks, 0u);

@@ -46,6 +46,19 @@ TEST_P(DiskGraceJoinTest, EndToEndMatchesExpected) {
   EXPECT_EQ(r.value().recovery.io.checksum_failures, 0u);
   EXPECT_EQ(r.value().recovery.recursive_splits, 0u);
   EXPECT_EQ(r.value().recovery.chunked_fallbacks, 0u);
+  // Each input is read once by its partition pass, and each partition
+  // page is written once and read once by the join phase.
+  const IoRecoveryStats& io = r.value().recovery.io;
+  EXPECT_GT(io.bytes_written, 0u);
+  EXPECT_EQ(io.bytes_read, io.bytes_written + bm.FileBytes(build.value()) +
+                               bm.FileBytes(probe.value()));
+  // Both inputs are spilled whole at level 0, and nothing deeper.
+  ASSERT_EQ(r.value().spill_levels.size(), 1u);
+  const SpillLevelStats& lv = r.value().spill_levels[0];
+  EXPECT_EQ(lv.level, 0u);
+  EXPECT_EQ(lv.tuples, w.build.num_tuples() + w.probe.num_tuples());
+  EXPECT_EQ(lv.bytes_written, w.build.data_bytes() + w.probe.data_bytes());
+  EXPECT_EQ(lv.partitions_written, 2u * 7u);
 }
 
 INSTANTIATE_TEST_SUITE_P(DiskCounts, DiskGraceJoinTest,
@@ -343,6 +356,68 @@ TEST(DiskGraceJoinTest, StoredRelationsPlanAlikeWithOrWithoutSlotHashCodes) {
   EXPECT_EQ(single.first, 3000ull * 3000);
 }
 
+// --- one pass structure, two residency modes -------------------------
+
+TEST(DiskGraceJoinTest, BothResidencyModesReturnTheGeneratorCount) {
+  // The classic mode (nothing resident) and the residency mode run the
+  // same passes; on generator- and Append-built inputs, unbudgeted, under
+  // a budget that forces victims and under a one-page budget, both must
+  // return the generator's count.
+  WorkloadSpec spec;
+  spec.num_build_tuples = 4000;
+  spec.tuple_size = 100;
+  spec.matches_per_build = 2.0;
+  spec.probe_match_fraction = 0.8;
+  const JoinWorkload w = GenerateJoinWorkload(spec);
+  const Relation build = WithoutHashCodes(w.build);
+  const Relation probe = WithoutHashCodes(w.probe);
+  const uint64_t one_page = FastDisks(1).disk.page_size;
+  for (const uint64_t budget : {uint64_t{0}, uint64_t{160 * 1024}, one_page}) {
+    for (const bool residency : {false, true}) {
+      for (const bool appended : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "budget " << budget << " residency "
+                                        << residency << " appended "
+                                        << appended);
+        DiskJoinConfig cfg;
+        cfg.num_partitions = 8;
+        cfg.memory_budget = budget;
+        cfg.hybrid_residency = residency;
+        auto r = appended ? RunJoin(cfg, build, probe)
+                          : RunJoin(cfg, w.build, w.probe);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        EXPECT_EQ(r.value().output_tuples, w.expected_matches);
+        if (residency && budget != 0) {
+          EXPECT_GT(r.value().recovery.victim_spills, 0u);
+        } else {
+          EXPECT_EQ(r.value().recovery.victim_spills, 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST(DiskGraceJoinTest, ResidencyJoinCountsOnlyTheTuplesItSpills) {
+  // A budget that holds about two of eight partitions: the victims'
+  // tuples are written at level 0, the resident partitions' are not.
+  WorkloadSpec spec;
+  spec.num_build_tuples = 8000;
+  spec.tuple_size = 100;
+  const JoinWorkload w = GenerateJoinWorkload(spec);
+  DiskJoinConfig cfg;
+  cfg.num_partitions = 8;
+  cfg.hybrid_residency = true;
+  cfg.memory_budget = 400 * 1024;
+  auto r = RunJoin(cfg, w.build, w.probe);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().output_tuples, w.expected_matches);
+  EXPECT_GT(r.value().recovery.victim_spills, 0u);
+  ASSERT_FALSE(r.value().spill_levels.empty());
+  const SpillLevelStats& lv = r.value().spill_levels[0];
+  EXPECT_EQ(lv.level, 0u);
+  EXPECT_GT(lv.tuples, 0u);
+  EXPECT_LT(lv.tuples, w.build.num_tuples() + w.probe.num_tuples());
+}
+
 // --- hybrid residency ------------------------------------------------
 
 TEST(DiskGraceJoinTest, HybridResidencyJoinsResidentPartitionsWithoutSpill) {
@@ -351,14 +426,23 @@ TEST(DiskGraceJoinTest, HybridResidencyJoinsResidentPartitionsWithoutSpill) {
   spec.tuple_size = 100;
   JoinWorkload w = GenerateJoinWorkload(spec);
 
+  BufferManager bm(FastDisks(2));
   DiskJoinConfig cfg;
   cfg.num_partitions = 4;
   cfg.hybrid_residency = true;  // unlimited budget: all stay resident
-  auto r = RunJoin(cfg, w.build, w.probe);
+  DiskGraceJoin join(&bm, cfg);
+  auto b = join.StoreRelation(w.build);
+  auto p = join.StoreRelation(w.probe);
+  ASSERT_TRUE(b.ok() && p.ok());
+  auto r = join.Join(b.value(), p.value());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().output_tuples, w.expected_matches);
   EXPECT_EQ(r.value().recovery.victim_spills, 0u);
   EXPECT_EQ(r.value().recovery.victim_unspills, 0u);
+  // The inputs are read once each and nothing is written.
+  EXPECT_EQ(r.value().recovery.io.bytes_written, 0u);
+  EXPECT_EQ(r.value().recovery.io.bytes_read,
+            bm.FileBytes(b.value()) + bm.FileBytes(p.value()));
 }
 
 TEST(DiskGraceJoinTest, HybridResidencyEvictsVictimsAndStaysCorrect) {
