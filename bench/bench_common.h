@@ -12,6 +12,7 @@
 #include "mem/memory_model.h"
 #include "perf/calibrate.h"
 #include "simcache/memory_sim.h"
+#include "storage/buffer_manager.h"
 #include "tune/prefetch_tuner.h"
 #include "util/flags.h"
 #include "util/json_writer.h"
@@ -384,6 +385,27 @@ inline tune::TunerConfig TunerConfigFromResolution(
   tune::TunerConfig cfg;
   cfg.stages_k = costs.k();
   cfg.max_outstanding = r.calibration.max_outstanding;
+  return cfg;
+}
+
+/// The disks of the fault-sweep cases (`raw`, `clean`, `faults`) of
+/// real_join_bench and real_partition_bench: four fast disks, page
+/// checksums per `checksums`, one `fault_rate` for read errors, write
+/// errors and torn pages alike, and write verification whenever faults
+/// are injected (a torn page reports success; only a read-back catches
+/// it).
+inline BufferManagerConfig FaultSweepDisks(bool checksums, double fault_rate,
+                                           uint64_t fault_seed) {
+  BufferManagerConfig cfg;
+  cfg.num_disks = 4;
+  cfg.disk.bandwidth_mb_per_s = 20000;
+  cfg.disk.request_latency_us = 0;
+  cfg.checksum_pages = checksums;
+  cfg.disk.fault.read_error_rate = fault_rate;
+  cfg.disk.fault.write_error_rate = fault_rate;
+  cfg.disk.fault.torn_page_rate = fault_rate;
+  cfg.disk.fault.seed = fault_seed;
+  cfg.verify_writes = fault_rate > 0;
   return cfg;
 }
 

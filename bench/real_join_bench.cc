@@ -195,21 +195,8 @@ void DiskGraceJoinBench(benchmark::State& state, bool checksums,
   }());
   uint64_t injected = 0, retries = 0, verify_fixes = 0;
   for (auto _ : state) {
-    BufferManagerConfig cfg;
-    cfg.num_disks = 4;
-    cfg.disk.bandwidth_mb_per_s = 20000;
-    cfg.disk.request_latency_us = 0;
-    cfg.checksum_pages = checksums;
-    cfg.disk.fault.read_error_rate = fault_rate;
-    cfg.disk.fault.write_error_rate = fault_rate;
-    cfg.disk.fault.torn_page_rate = fault_rate;
-    cfg.disk.fault.seed = fault_seed;
-    cfg.verify_writes = fault_rate > 0;  // torn pages need the read-back
-    BufferManager bm(cfg);
-    DiskJoinConfig jc;
-    jc.num_partitions = 8;
-    jc.page_checksums = checksums;
-    DiskGraceJoin join(&bm, jc);
+    BufferManager bm(bench::FaultSweepDisks(checksums, fault_rate, fault_seed));
+    DiskGraceJoin join(&bm, 8);
     auto b = join.StoreRelation(w.build);
     auto p = join.StoreRelation(w.probe);
     if (!b.ok() || !p.ok()) {
@@ -528,21 +515,9 @@ int RunJsonHarness(const FlagParser& flags) {
       cfg.Set("build_tuples", dw.build.num_tuples());
       JsonValue& rec = reporter.AddRecord(
           std::string("disk_grace/") + dc.name, std::move(cfg), [&] {
-            BufferManagerConfig bmc;
-            bmc.num_disks = 4;
-            bmc.disk.bandwidth_mb_per_s = 20000;
-            bmc.disk.request_latency_us = 0;
-            bmc.checksum_pages = dc.checksums;
-            bmc.disk.fault.read_error_rate = dc.rate;
-            bmc.disk.fault.write_error_rate = dc.rate;
-            bmc.disk.fault.torn_page_rate = dc.rate;
-            bmc.disk.fault.seed = fault_seed;
-            bmc.verify_writes = dc.rate > 0;
-            BufferManager bm(bmc);
-            DiskJoinConfig jc;
-            jc.num_partitions = 8;
-            jc.page_checksums = dc.checksums;
-            DiskGraceJoin join(&bm, jc);
+            BufferManager bm(
+                bench::FaultSweepDisks(dc.checksums, dc.rate, fault_seed));
+            DiskGraceJoin join(&bm, 8);
             auto b = join.StoreRelation(dw.build);
             auto p = join.StoreRelation(dw.probe);
             if (!b.ok() || !p.ok()) {

@@ -133,21 +133,8 @@ void DiskPartitionBench(benchmark::State& state, bool checksums,
       *new Relation(GenerateSourceRelation(100'000, 100, 42));
   uint64_t injected = 0, retries = 0;
   for (auto _ : state) {
-    BufferManagerConfig cfg;
-    cfg.num_disks = 4;
-    cfg.disk.bandwidth_mb_per_s = 20000;
-    cfg.disk.request_latency_us = 0;
-    cfg.checksum_pages = checksums;
-    cfg.disk.fault.read_error_rate = fault_rate;
-    cfg.disk.fault.write_error_rate = fault_rate;
-    cfg.disk.fault.torn_page_rate = fault_rate;
-    cfg.disk.fault.seed = fault_seed;
-    cfg.verify_writes = fault_rate > 0;  // torn pages need the read-back
-    BufferManager bm(cfg);
-    DiskJoinConfig jc;
-    jc.num_partitions = 64;
-    jc.page_checksums = checksums;
-    DiskGraceJoin join(&bm, jc);
+    BufferManager bm(bench::FaultSweepDisks(checksums, fault_rate, fault_seed));
+    DiskGraceJoin join(&bm, 64);
     auto file = join.StoreRelation(input);
     if (!file.ok()) {
       state.SkipWithError("store failed");

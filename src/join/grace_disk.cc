@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "hash/hash_func.h"
@@ -215,29 +214,16 @@ void DiskGraceJoin::QueueWritePage(BufferManager::FileId file,
     lv->tuples += pg.slot_count();
     lv->bytes_written += page_bytes;
   }
-  // The stamp yields the page's CRC, so the buffer manager need not sum
-  // the page: one checksum pass per page written.
-  std::optional<uint32_t> crc;
-  if (config_.page_checksums) crc = pg.StampChecksum();
-  bm_->WritePageAsync(file, page_index, std::move(page), crc);
+  bm_->WritePageAsync(file, page_index, std::move(page));
 }
 
 Status DiskGraceJoin::VerifyPage(const uint8_t* page_bytes) const {
   // A buffer manager that checksums pages has already checked this
-  // frame against the CRC of the page exactly as QueueWritePage queued
-  // it, so re-summing would check the same bytes twice (DESIGN.md §7):
-  // one checksum pass per page read.
+  // frame against the CRC of the page as QueueWritePage queued it.
   if (bm_->config().checksum_pages) return Status::OK();
-  SlottedPage pg = SlottedPage::Attach(const_cast<uint8_t*>(page_bytes));
-  if (config_.page_checksums) {
-    if (!pg.VerifyChecksum(page_size_)) {
-      return Status::DataLoss(
-          "slotted page failed end-to-end checksum verification");
-    }
-    return Status::OK();
-  }
   // No checksum protects the page: at least keep a torn one from
   // sending the tuple loops past the frame.
+  SlottedPage pg = SlottedPage::Attach(const_cast<uint8_t*>(page_bytes));
   if (!pg.SlotsWithinFrame(page_size_)) {
     return Status::DataLoss("slotted page has slots outside the page");
   }
@@ -255,7 +241,7 @@ StatusOr<BufferManager::FileId> DiskGraceJoin::StoreRelation(
       rel.has_hash_codes() ? SlotHashes::kMemoized : SlotHashes::kNone;
   for (size_t p = 0; p < rel.num_pages(); ++p) {
     // The relation is const: each page is copied once, into the buffer
-    // that is stamped and queued.
+    // that is queued.
     PageBuffer page = bm_->TakePage();
     std::memcpy(page.data(), rel.page(p).data(), page_size_);
     QueueWritePage(file, p, std::move(page), hashes);

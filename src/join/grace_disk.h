@@ -119,16 +119,6 @@ struct DiskJoinConfig {
   /// the chunked build. 0 disables recursion entirely.
   uint32_t max_recursion_depth = 4;
 
-  /// Stamp a SlottedPage checksum into every page this join writes and
-  /// verify it on every page it reads back — an end-to-end integrity
-  /// check across the full I/O path. When the buffer manager checksums
-  /// pages too, its CRC is derived from the stamp (the CRC of the page
-  /// as stamped and queued), so its read check already covers that path
-  /// and the join does not re-sum; otherwise the join re-sums each page
-  /// it reads. With neither checksum, the join still checks that every
-  /// slot of a page it reads lies inside the page.
-  bool page_checksums = true;
-
   /// Live memory budget of a scheduler's memory-broker grant. When it
   /// reads non-zero it overrides `memory_budget` and is re-read at every
   /// sizing decision — so a broker revoke mid-join forces subsequent
@@ -360,20 +350,18 @@ class DiskGraceJoin {
   /// them in that level's `partitions_written`.
   SpillFiles CreatePartitionFiles(uint32_t fanout, uint32_t level);
 
-  /// Stamps (if configured) and queues one page write, tallying the
-  /// file's FileStats and, for a partition file, its level's
-  /// SpillLevelStats; the page changes hands, uncopied. Fire-and-forget:
-  /// write errors surface at the next FlushWrites. `hashes` says whether
-  /// each slot holds HashKey32 of its key: every page the join writes
-  /// does, and a stored relation's do when it has_hash_codes(); otherwise
-  /// each key is hashed for the FileStats.
+  /// Queues one page write, tallying the file's FileStats and, for a
+  /// partition file, its level's SpillLevelStats; the page changes
+  /// hands, uncopied. Fire-and-forget: write errors surface at the next
+  /// FlushWrites. `hashes` says whether each slot holds HashKey32 of its
+  /// key: every page the join writes does, and a stored relation's do
+  /// when it has_hash_codes(); otherwise each key is hashed for the
+  /// FileStats.
   void QueueWritePage(BufferManager::FileId file, uint64_t page_index,
                       PageBuffer page, SlotHashes hashes);
-  /// End-to-end verification of a page read back from storage: the
-  /// stamp is re-summed only when the buffer manager does not checksum
-  /// pages, since its CRC is the CRC of the page as stamped. A page no
-  /// checksum protects must keep every slot inside the page (kDataLoss
-  /// otherwise), so a torn one cannot send the tuple loops past it.
+  /// Checks a page read back from storage that the buffer manager did
+  /// not checksum: every slot must lie inside the page (kDataLoss
+  /// otherwise), so a torn page cannot send the tuple loops past it.
   Status VerifyPage(const uint8_t* page_bytes) const;
 
   /// The routing loop of every partitioning pass: splits `input` over

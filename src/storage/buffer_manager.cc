@@ -58,6 +58,10 @@ BufferManager::BufferManager(const BufferManagerConfig& config)
   // One frame holds the page the caller reads, one takes the next read:
   // a one-frame window would never issue a read.
   HJ_CHECK(config_.io_prefetch_depth >= 2);
+  // The read-back is compared with the page's CRC, which only
+  // checksum_pages keeps: without it write verification checks nothing.
+  HJ_CHECK(!config_.verify_writes || config_.checksum_pages)
+      << "verify_writes requires checksum_pages";
   HJ_CHECK(config_.retry.max_attempts >= 1);
   // A bounded retry loop can only outlast a bounded fault burst.
   if (config_.disk.fault.enabled()) {
@@ -105,43 +109,22 @@ void BufferManager::Backoff(uint32_t attempt) {
   }
 }
 
-Status BufferManager::ReadWithRetry(DiskWorker* w, const Request& req) {
-  Status last;
-  for (uint32_t attempt = 0; attempt < config_.retry.max_attempts;
-       ++attempt) {
-    bytes_read_.fetch_add(config_.disk.page_size, std::memory_order_relaxed);
-    last = w->disk->ReadPage(req.disk_page, req.read->buffer.data());
-    if (!last.ok()) {
-      if (last.code() != StatusCode::kIOError) return last;  // permanent
-      if (attempt + 1 < config_.retry.max_attempts) {
-        read_retries_.fetch_add(1, std::memory_order_relaxed);
-        Backoff(attempt);
-      }
-      continue;
-    }
-    if (req.has_crc && Crc32(req.read->buffer.data(),
-                             config_.disk.page_size) != req.expected_crc) {
-      checksum_failures_.fetch_add(1, std::memory_order_relaxed);
-      last = Status::DataLoss("page checksum mismatch");
-      if (attempt + 1 < config_.retry.max_attempts) {
-        read_retries_.fetch_add(1, std::memory_order_relaxed);
-        Backoff(attempt);
-      }
-      continue;
-    }
-    return Status::OK();
-  }
-  return last;
-}
-
-Status BufferManager::RawReadWithRetry(DiskWorker* w, uint64_t disk_page,
-                                       uint8_t* dst) {
+Status BufferManager::ReadWithRetry(DiskWorker* w, uint64_t disk_page,
+                                    uint8_t* dst,
+                                    std::optional<uint32_t> crc) {
   Status last;
   for (uint32_t attempt = 0; attempt < config_.retry.max_attempts;
        ++attempt) {
     bytes_read_.fetch_add(config_.disk.page_size, std::memory_order_relaxed);
     last = w->disk->ReadPage(disk_page, dst);
-    if (last.ok() || last.code() != StatusCode::kIOError) return last;
+    if (!last.ok()) {
+      if (last.code() != StatusCode::kIOError) return last;  // permanent
+    } else if (crc && Crc32(dst, config_.disk.page_size) != *crc) {
+      checksum_failures_.fetch_add(1, std::memory_order_relaxed);
+      last = Status::DataLoss("page checksum mismatch");
+    } else {
+      return Status::OK();
+    }
     if (attempt + 1 < config_.retry.max_attempts) {
       read_retries_.fetch_add(1, std::memory_order_relaxed);
       Backoff(attempt);
@@ -165,11 +148,12 @@ Status BufferManager::WriteWithRetry(DiskWorker* w, const Request& req) {
       }
       continue;
     }
-    if (config_.verify_writes && req.has_crc) {
+    if (config_.verify_writes) {
       // Read the page back and compare checksums before declaring the
       // write durable — the only way to catch a torn write, which
       // reports success.
-      Status rb = RawReadWithRetry(w, req.disk_page, w->verify_scratch.get());
+      Status rb = ReadWithRetry(w, req.disk_page, w->verify_scratch.get(),
+                                std::nullopt);
       if (!rb.ok()) return rb;
       if (Crc32(w->verify_scratch.get(), config_.disk.page_size) !=
           req.expected_crc) {
@@ -203,7 +187,10 @@ void BufferManager::WorkerLoop(DiskWorker* w) {
     }
     for (Request& req : batch) {
       if (req.read != nullptr) {
-        req.read->status = ReadWithRetry(w, req);
+        req.read->status = ReadWithRetry(
+            w, req.disk_page, req.read->buffer.data(),
+            config_.checksum_pages ? std::optional(req.expected_crc)
+                                   : std::nullopt);
         // The frame may be freed as soon as it reads filled.
         req.read->filled.store(true, std::memory_order_release);
         w->reads_done.fetch_add(1, std::memory_order_release);
@@ -258,15 +245,12 @@ uint64_t BufferManager::FileNumPages(FileId file) const {
 }
 
 void BufferManager::WritePageAsync(FileId file, uint64_t page_index,
-                                   PageBuffer page,
-                                   std::optional<uint32_t> crc) {
+                                   PageBuffer page) {
   HJ_CHECK(page) << "WritePageAsync of an empty PageBuffer";
   const uint32_t disk_id = DiskOf(file, page_index);
   Request req;
   if (config_.checksum_pages) {
-    req.expected_crc =
-        crc ? *crc : Crc32(page.data(), config_.disk.page_size);
-    req.has_crc = true;
+    req.expected_crc = Crc32(page.data(), config_.disk.page_size);
   }
   req.write_data = std::move(page);
   {
@@ -321,10 +305,7 @@ void BufferManager::SubmitReads(FileId file, uint64_t begin, uint64_t end,
         for (uint64_t p = std::max(begin, run * unit); p < run_end; ++p) {
           Request req;
           req.disk_page = meta.pages[p].disk_page;
-          if (config_.checksum_pages) {
-            req.expected_crc = meta.pages[p].crc;
-            req.has_crc = true;
-          }
+          req.expected_crc = meta.pages[p].crc;
           req.read = &frames[p % num_frames];
           req.read->filled.store(false, std::memory_order_relaxed);
           req.read->disk = d;
@@ -357,14 +338,6 @@ std::vector<double> BufferManager::DiskBusySeconds() const {
   result.reserve(disks_.size());
   for (const auto& w : disks_) result.push_back(w->disk->busy_seconds());
   return result;
-}
-
-double BufferManager::max_disk_busy_seconds() const {
-  double mx = 0;
-  for (const auto& w : disks_) {
-    mx = std::max(mx, w->disk->busy_seconds());
-  }
-  return mx;
 }
 
 uint32_t BufferManager::ReadAheadWindow() {

@@ -148,7 +148,8 @@ struct BufferManagerConfig {
   /// the write durable; mismatches trigger a rewrite. This is the
   /// defense against torn writes (which report success), at the price of
   /// one extra read per write — enable it when the device can tear
-  /// pages, e.g. whenever fault.torn_page_rate > 0.
+  /// pages, e.g. whenever fault.torn_page_rate > 0. Requires
+  /// checksum_pages: the read-back is compared with the page's CRC.
   bool verify_writes = false;
   /// Retry/backoff policy for transient faults and checksum mismatches.
   RetryPolicy retry;
@@ -205,13 +206,11 @@ class BufferManager {
   /// Appends/overwrites page `page_index` with `page` (a TakePage()
   /// buffer), queued without a copy and written in the background; the
   /// buffer goes back to the pool once written. With checksum_pages the
-  /// read check uses `crc`, the Crc32 of the page's page_size bytes
-  /// (SlottedPage::StampChecksum returns it), and the page is summed here
-  /// only when the caller passes none. Pages of a file must be written
-  /// densely (the hash join writes partitions sequentially). Write
-  /// failures surface at the next FlushWrites.
-  void WritePageAsync(FileId file, uint64_t page_index, PageBuffer page,
-                      std::optional<uint32_t> crc = std::nullopt)
+  /// page is summed here, once, and every read of it is checked against
+  /// that CRC. Pages of a file must be written densely (the hash join
+  /// writes partitions sequentially). Write failures surface at the next
+  /// FlushWrites.
+  void WritePageAsync(FileId file, uint64_t page_index, PageBuffer page)
       HJ_EXCLUDES(files_mu_);
 
   /// Blocks until every queued write has reached its disk. Returns the
@@ -276,10 +275,6 @@ class BufferManager {
     return double(main_stall_ns_.load()) * 1e-9;
   }
 
-  /// Largest per-disk transfer time — "maximum I/O stall time of all the
-  /// background worker threads" in Figure 9.
-  double max_disk_busy_seconds() const;
-
   /// Cumulative transfer time of each disk (callers diff snapshots to
   /// get per-phase utilization).
   std::vector<double> DiskBusySeconds() const;
@@ -328,8 +323,7 @@ class BufferManager {
     uint64_t disk_page = 0;
     ReadFrame* read = nullptr;
     PageBuffer write_data;  // the page itself, handed over by the writer
-    uint32_t expected_crc = 0;
-    bool has_crc = false;
+    uint32_t expected_crc = 0;  // the page's CRC, with checksum_pages
   };
 
   struct DiskWorker {
@@ -362,11 +356,12 @@ class BufferManager {
   void WorkerLoop(DiskWorker* w);
   /// Frames a scan may keep in flight right now (see SetReadAheadBudget).
   uint32_t ReadAheadWindow();
-  Status ReadWithRetry(DiskWorker* w, const Request& req);
+  /// Reads `disk_page` into `dst`, retrying transient errors and, when a
+  /// `crc` is given, pages that fail it (kDataLoss once retries run out).
+  /// The write-verify read-back passes none: it compares CRCs itself.
+  Status ReadWithRetry(DiskWorker* w, uint64_t disk_page, uint8_t* dst,
+                       std::optional<uint32_t> crc);
   Status WriteWithRetry(DiskWorker* w, const Request& req);
-  /// Plain device read retried on transient errors only (no checksum) —
-  /// the write-verify read-back, which compares CRCs itself.
-  Status RawReadWithRetry(DiskWorker* w, uint64_t disk_page, uint8_t* dst);
   void Backoff(uint32_t attempt);
   /// Records a finished write; wakes FlushWrites after the last one.
   void RetireWrite(Status s) HJ_EXCLUDES(writes_mu_);

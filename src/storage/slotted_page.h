@@ -29,10 +29,10 @@ class SlottedPage {
     uint16_t slot_count;
     uint16_t free_offset;  // start of unused space (grows up)
     uint32_t page_size;
-    /// CRC32 over the whole page with this field zeroed; stamped before
-    /// a page goes to storage, verified after it comes back. 0 on pages
-    /// that were never stamped (Format clears it).
-    uint32_t checksum;
+    /// Zero (Format clears it). Keeps the header at 12 bytes, so page
+    /// capacities and tuple offsets, and with them the simulated
+    /// figures, stay where they were measured.
+    uint32_t padding;
   };
 
   struct Slot {
@@ -115,28 +115,6 @@ class SlottedPage {
     return used >= h->page_size ? 0 : h->page_size - used;
   }
 
-  /// CRC32 over the full page with the header checksum field treated as
-  /// zero (so stamping does not change what is summed).
-  uint32_t ComputeChecksum() const;
-
-  /// Writes ComputeChecksum() into the header. Call after the last
-  /// mutation, right before the page is handed to storage. Returns
-  /// Crc32 of the whole page as stamped, derived from the stamp without
-  /// a second pass: the stamped page differs from the summed one only in
-  /// the field's four bytes, so (CRC-32 being linear) its CRC is the
-  /// stamp XOR the stamp's bytes moved over the rest of the page
-  /// (Crc32Shift).
-  uint32_t StampChecksum();
-
-  /// True iff the header's page size equals `frame_size`, the size of
-  /// the buffer under this view, and the stored checksum matches the
-  /// page contents. The size is checked before anything is summed: a
-  /// page read back from storage cannot say how many bytes it owns.
-  /// Pages are mutated in memory after Format/AddTuple without
-  /// re-stamping, so only call this on pages that round-tripped through
-  /// storage.
-  bool VerifyChecksum(uint32_t frame_size) const;
-
   /// True iff the header's page size equals `frame_size` and every slot
   /// lies inside the page: the slot array fits between the header and
   /// the page end, and each tuple lies between the header and the slot
@@ -166,6 +144,8 @@ class SlottedPage {
 
   uint8_t* base_ = nullptr;
 };
+
+static_assert(sizeof(SlottedPage::PageHeader) == 12);
 
 }  // namespace hashjoin
 

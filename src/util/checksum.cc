@@ -282,42 +282,4 @@ uint32_t Crc32(const void* data, size_t length, uint32_t seed) {
   return kernel(data, length, seed);
 }
 
-namespace {
-
-// Product of two residues mod P in the reflected representation the
-// CRC register uses (bit 31 is x^0), as in zlib's multmodp.
-uint32_t MultModP(uint32_t a, uint32_t b) {
-  uint32_t product = 0;
-  for (uint32_t m = 1u << 31; m != 0; m >>= 1) {
-    product ^= (a & m) ? b : 0;
-    b = (b >> 1) ^ ((b & 1u) ? 0xEDB88320u : 0u);
-  }
-  return product;
-}
-
-// x^(8 * length) mod P, by squaring: x2n[k] = x^(2^k).
-uint32_t ShiftOperator(size_t length) {
-  uint32_t power = 1u << 31;  // x^0
-  uint32_t x2n = 1u << 23;    // x^8
-  for (uint64_t n = length; n != 0; n >>= 1) {
-    if (n & 1) power = MultModP(x2n, power);
-    x2n = MultModP(x2n, x2n);
-  }
-  return power;
-}
-
-}  // namespace
-
-uint32_t Crc32Shift(uint32_t crc, size_t length) {
-  // Callers shift by one length over and over (a page size, say), so
-  // each thread keeps the last operator.
-  thread_local size_t cached_length = 0;
-  thread_local uint32_t cached_operator = 1u << 31;
-  if (length != cached_length) {
-    cached_operator = ShiftOperator(length);
-    cached_length = length;
-  }
-  return MultModP(cached_operator, crc);
-}
-
 }  // namespace hashjoin

@@ -9,12 +9,11 @@ namespace hashjoin {
 /// CRC32 (reflected, polynomial 0xEDB88320) over `length` bytes.
 ///
 /// The `seed` parameter chains calls: pass a previous result to extend
-/// the checksum over a discontiguous byte range, as the page-checksum
-/// code does to skip the in-header checksum field itself.
+/// the checksum over a discontiguous byte range.
 /// Crc32(a+b) == Crc32(b, Crc32(a)); the empty range returns `seed`.
 ///
 /// Used as the page-integrity check of the fault-tolerant I/O path:
-/// the buffer manager stamps every page on write and verifies on read,
+/// the buffer manager sums every page on write and checks every read,
 /// turning torn pages and bit rot into detected (and usually retried)
 /// errors instead of silent corruption.
 ///
@@ -24,16 +23,6 @@ namespace hashjoin {
 /// a byte table. Same values every way: the IEEE polynomial stays (not
 /// CRC32C), so stored CRCs hold.
 uint32_t Crc32(const void* data, size_t length, uint32_t seed = 0);
-
-/// Moves a CRC over `length` more bytes: for byte strings a and b,
-/// Crc32(a + b) == Crc32Shift(Crc32(a), b.size()) ^ Crc32(b) (zlib's
-/// crc32_combine). CRC-32 is linear, so XORing 4 bytes x into a string
-/// `length` bytes before its end XORs Crc32Shift(x, length) into its CRC
-/// (SlottedPage::StampChecksum uses it to learn the stamped page's CRC
-/// without a second pass). Costs one 32-step multiplication mod P; the
-/// operator for a new `length` costs O(log length) more, and each
-/// thread keeps the last one.
-uint32_t Crc32Shift(uint32_t crc, size_t length);
 
 namespace internal_checksum {
 

@@ -230,30 +230,48 @@ TEST(Calibrate, SmallRunProducesUsableMachineParams) {
   opt.stream_passes = 2;
   perf::CalibrationResult cal = perf::CalibrateMachine(opt);
 
+  // Timing decides the readings (and the LFB knee), so a measured run
+  // is held only to what CalibrateMachine guarantees.
   EXPECT_GT(cal.cpu_ghz, 0.0);
   EXPECT_GT(cal.load_latency_ns, 0.0);
   EXPECT_GT(cal.line_gap_ns, 0.0);
-  EXPECT_GE(cal.t_cycles, 1u);
   EXPECT_GE(cal.tnext_cycles, 1u);
   EXPECT_GE(cal.t_cycles, cal.tnext_cycles);  // dependent >= pipelined
 
-  model::MachineParams m = cal.ToMachineParams();
-  EXPECT_EQ(m.full_latency, cal.t_cycles);
-  EXPECT_EQ(m.bandwidth_gap, cal.tnext_cycles);
-
-  // Feed the measured machine through the theorems: feasible stage costs
-  // must give usable (non-sentinel) parameters.
+  // The pipeline behind it runs on fixed calibrations: one whose LFB
+  // ceiling is too low for Theorem 1's group size (as a loaded host may
+  // measure) and one without a ceiling.
   model::CodeCosts costs{{10, 10, 10, 10}};
-  model::ParamChoice choice = perf::TuneFromCalibration(cal, costs);
-  EXPECT_GE(choice.group_size, 2u);
-  EXPECT_GE(choice.prefetch_distance, 1u);
-  EXPECT_TRUE(
-      model::GroupPrefetchModel::ConditionHolds(costs, m,
-                                                choice.group_size) ||
-      !choice.group_feasible);
+  for (uint32_t max_outstanding : {0u, 2u}) {
+    perf::CalibrationResult fixed;
+    fixed.t_cycles = 150;
+    fixed.tnext_cycles = 10;
+    fixed.max_outstanding = max_outstanding;
+    SCOPED_TRACE(max_outstanding);
 
-  JsonValue j = cal.ToJson();
-  EXPECT_EQ(j.Find("t_cycles")->AsInt(), int64_t(cal.t_cycles));
+    model::MachineParams m = fixed.ToMachineParams();
+    EXPECT_EQ(m.full_latency, fixed.t_cycles);
+    EXPECT_EQ(m.bandwidth_gap, fixed.tnext_cycles);
+    EXPECT_EQ(m.max_outstanding, max_outstanding);
+
+    // Feasible stage costs must give usable (non-sentinel) parameters.
+    model::ParamChoice choice = perf::TuneFromCalibration(fixed, costs);
+    EXPECT_TRUE(choice.group_feasible);
+    EXPECT_GE(choice.prefetch_distance, 1u);
+    if (max_outstanding == 0) {
+      EXPECT_FALSE(choice.group_lfb_clamped);
+      EXPECT_GE(choice.group_size, 2u);
+      EXPECT_TRUE(model::GroupPrefetchModel::ConditionHolds(
+          costs, m, choice.group_size));
+    } else {
+      EXPECT_TRUE(choice.group_lfb_clamped);
+      EXPECT_EQ(choice.group_size, max_outstanding);
+    }
+
+    JsonValue j = fixed.ToJson();
+    EXPECT_EQ(j.Find("t_cycles")->AsInt(), int64_t(fixed.t_cycles));
+    EXPECT_EQ(j.Find("max_outstanding")->AsInt(), int64_t(max_outstanding));
+  }
 }
 
 TEST(Calibrate, SanitizeClampsDegenerateCalibrations) {

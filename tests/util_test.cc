@@ -186,25 +186,6 @@ TEST(ChecksumTest, VclmulKernelMatchesBitwiseReference) {
   ExpectMatchesBitwise(internal_checksum::Crc32Vclmul);
 }
 
-TEST(ChecksumTest, ShiftJoinsTwoRanges) {
-  // Crc32(a + b) == Crc32Shift(Crc32(a), |b|) ^ Crc32(b), over random
-  // splits of random lengths, so the shift operator is rebuilt often.
-  Rng rng(1984);
-  std::vector<uint8_t> buf(9000);
-  for (uint8_t& b : buf) b = uint8_t(rng.Next());
-  for (int trial = 0; trial < 2000; ++trial) {
-    const size_t len = trial < 10 ? size_t(trial) : rng.NextBounded(9001);
-    const size_t split = rng.NextBounded(len + 1);
-    const size_t tail = len - split;
-    ASSERT_EQ(Crc32Shift(Crc32(buf.data(), split), tail) ^
-                  Crc32(buf.data() + split, tail),
-              Crc32(buf.data(), len))
-        << "len " << len << " split " << split;
-  }
-  // The empty shift is the identity.
-  EXPECT_EQ(Crc32Shift(0xDEADBEEFu, 0), 0xDEADBEEFu);
-}
-
 TEST(RngTest, Deterministic) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.Next(), b.Next());
