@@ -1,6 +1,6 @@
 // Multi-query join service under memory pressure: N simultaneous
 // disk-backed GRACE joins admitted through the JoinScheduler, sharing
-// one work-stealing pool and one MemoryBroker whose budget is smaller
+// one thread pool and one MemoryBroker whose budget is smaller
 // than the queries' combined working sets. The big high-priority query
 // acquires the whole budget first; the others' admission minima force
 // broker revokes, so it demonstrably spills mid-join (revoke_spills),

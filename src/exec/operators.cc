@@ -229,11 +229,6 @@ GraceJoinOperator::GraceJoinOperator(std::unique_ptr<Operator> build_child,
   HJ_CHECK(batch_size_ >= 1);
 }
 
-void GraceJoinOperator::BindQueryContext(QueryContext* ctx) {
-  config_.executor = ctx != nullptr ? &ctx->executor() : nullptr;
-  config_.dynamic_budget = ctx != nullptr ? ctx->GrantFn() : BudgetView();
-}
-
 Status GraceJoinOperator::Open() {
   HJ_RETURN_IF_ERROR(build_child_->Open());
   HJ_RETURN_IF_ERROR(probe_child_->Open());

@@ -10,7 +10,6 @@
 #include "join/grace.h"
 #include "join/join_common.h"
 #include "model/cost_model.h"
-#include "sched/query_context.h"
 #include "storage/relation.h"
 
 namespace hashjoin {
@@ -129,14 +128,6 @@ class GraceJoinOperator : public Operator {
   Status Open() override;
   bool Next(RowBatch* out) override;
   const Schema& output_schema() const override { return output_schema_; }
-
-  /// Runs this operator as one query of a join service: the morsels go
-  /// through `ctx`'s fair-share handle on the scheduler's shared pool
-  /// (instead of a private pool), and partition sizing follows the
-  /// query's live memory grant — a broker revoke mid-join makes the
-  /// next sizing decision spill more partitions. Call before Open();
-  /// `ctx` must outlive the operator. Passing nullptr unbinds.
-  void BindQueryContext(QueryContext* ctx);
 
   uint64_t rows_joined() const { return result_.output_tuples; }
   const JoinResult& join_result() const { return result_; }

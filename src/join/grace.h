@@ -426,12 +426,14 @@ void JoinInPlace(MM& mm, const Relation& build, const Relation& probe,
 /// receives the concatenated result tuples; pass nullptr to count matches
 /// without retaining them.
 ///
-/// With config.num_threads > 1 both phases run on a work-stealing pool:
-/// partition pairs become morsels sorted largest-first (bounding tail
-/// latency under partition-size skew), every worker records into its own
-/// memory model and output sink, and worker results are merged after
-/// each phase — so output counts and simulated totals are independent of
-/// the thread count. A one-partition plan runs on the calling thread.
+/// With config.num_threads > 1 both phases run on a PoolExecutor:
+/// partition pairs become morsels submitted largest-first to its FIFO
+/// queue, so an idle worker always takes the largest morsel left
+/// (bounding tail latency under partition-size skew). Every worker
+/// records into its own memory model and output sink, and worker results
+/// are merged after each phase — so output counts and simulated totals
+/// are independent of the thread count. A one-partition plan runs on the
+/// calling thread.
 template <typename MM>
 JoinResult GraceHashJoin(MM& mm, const Relation& build,
                          const Relation& probe, const GraceConfig& config,

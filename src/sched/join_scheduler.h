@@ -30,8 +30,8 @@ struct SchedulerConfig {
   /// kResourceExhausted — backpressure, never silent queuing.
   uint32_t max_queue = 8;
 
-  /// Workers in the single work-stealing pool every admitted query's
-  /// morsels share (instead of one pool per join).
+  /// Workers in the single pool every admitted query's morsels share
+  /// (instead of one pool per join).
   uint32_t pool_threads = 4;
 
   /// The memory broker's global grant budget, bytes.
@@ -75,9 +75,9 @@ struct JoinRequest {
 
 /// Admission control + execution for concurrent joins: a bounded
 /// priority queue in front of `max_concurrent` runner threads, one
-/// shared work-stealing ThreadPool fair-shared across the running
-/// queries' morsels, and one MemoryBroker whose revocable grants bound
-/// each query's memory.
+/// shared ThreadPool fair-shared across the running queries' morsels,
+/// and one MemoryBroker whose revocable grants bound each query's
+/// memory.
 ///
 /// Submit() is thread-safe and non-blocking: it returns the query id, or
 /// kResourceExhausted when the queue is full (the backpressure signal —
@@ -109,7 +109,6 @@ class JoinScheduler {
   ServiceStats Drain() HJ_EXCLUDES(mu_, stats_mu_);
 
   MemoryBroker& broker() { return broker_; }
-  ThreadPool& pool() { return pool_; }
   const SchedulerConfig& config() const { return config_; }
 
   /// The cross-query hash-table cache, or nullptr when

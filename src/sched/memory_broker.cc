@@ -47,11 +47,6 @@ uint64_t MemoryBroker::free_bytes() const {
   return free_;
 }
 
-uint64_t MemoryBroker::active_grants() const {
-  MutexLock lock(mu_);
-  return grants_.size();
-}
-
 uint64_t MemoryBroker::RevocableLocked() const {
   uint64_t surplus = 0;
   for (const MemoryGrant* g : grants_) {

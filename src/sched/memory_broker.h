@@ -207,9 +207,6 @@ class MemoryBroker {
   /// Unreserved bytes right now.
   uint64_t free_bytes() const;
 
-  /// Grants currently outstanding.
-  uint64_t active_grants() const;
-
   /// Cumulative revoke / re-grow events across all grants.
   uint64_t total_revokes() const {
     return total_revokes_.load(std::memory_order_relaxed);

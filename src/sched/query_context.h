@@ -127,7 +127,7 @@ class QueryContext {
   MemoryGrant& grant() { return *grant_; }
 
   /// This query's fair-share submission handle on the scheduler's shared
-  /// work-stealing pool; pass as `GraceConfig::executor`.
+  /// pool; pass as `GraceConfig::executor`.
   PoolExecutor& executor() { return executor_; }
 
   /// Mutable while the body runs; the body fills output/recovery fields.

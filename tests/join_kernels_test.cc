@@ -551,7 +551,6 @@ TEST(SimIntegrationTest, CycleBucketsPartitionTotal) {
   GraceConfig config;
   config.memory_budget = 256 * 1024;
   config.page_size = 2048;
-  RealMemory unused;
   Relation out(ConcatSchema(w.build.schema(), w.probe.schema()), 2048);
   GraceHashJoin(mm, w.build, w.probe, config, &out);
   sim::SimStats s = simulator.stats();

@@ -171,7 +171,9 @@ TEST_P(ModelPropertyTest, MinimaAreTight) {
   uint32_t d = SwpPrefetchModel::MinDistance(costs, m);
   ASSERT_GT(d, 0u);
   EXPECT_TRUE(SwpPrefetchModel::ConditionHolds(costs, m, d));
-  if (d > 1) EXPECT_FALSE(SwpPrefetchModel::ConditionHolds(costs, m, d - 1));
+  if (d > 1) {
+    EXPECT_FALSE(SwpPrefetchModel::ConditionHolds(costs, m, d - 1));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ModelPropertyTest,

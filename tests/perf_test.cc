@@ -122,8 +122,12 @@ TEST(PerfCounters, SpinLoopCountsOrDegradesGracefully) {
     // A 2M-iteration dependent-add loop must burn >1M cycles; anything
     // else means the counter window did not cover the loop.
     ASSERT_TRUE(v.cycles.has_value() || v.instructions.has_value());
-    if (v.cycles.has_value()) EXPECT_GT(*v.cycles, 1'000'000u);
-    if (v.instructions.has_value()) EXPECT_GT(*v.instructions, 2'000'000u);
+    if (v.cycles.has_value()) {
+      EXPECT_GT(*v.cycles, 1'000'000u);
+    }
+    if (v.instructions.has_value()) {
+      EXPECT_GT(*v.instructions, 2'000'000u);
+    }
   } else {
     // Unavailable hosts (perf_event_paranoid, containers, no PMU): no
     // crash, a reason, and every counter explicitly absent.

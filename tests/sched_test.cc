@@ -1,6 +1,6 @@
 // Multi-query join service tests: revocable memory grants (broker
-// revoke -> spill, release -> re-grow/un-spill), fair pool sharing via
-// ThreadPool task groups, admission control with backpressure and
+// revoke -> spill, release -> re-grow/un-spill), fair pool sharing
+// between PoolExecutors, admission control with backpressure and
 // deadlines, and N concurrent joins racing on seeded fault-injecting
 // disks. Registered under the `sched` ctest label (ctest -L sched); the
 // concurrency tests are the ones worth running under -DHASHJOIN_TSAN.
@@ -28,68 +28,38 @@ namespace {
 constexpr uint64_t kKiB = 1024;
 constexpr uint64_t kMiB = 1024 * 1024;
 
-// ---------- ThreadPool task groups / PoolExecutor fair sharing ----------
+// ---------- PoolExecutor fair sharing ----------
 
 TEST(TaskGroupTest, GroupsRunAllTasksAndWaitIndependently) {
   ThreadPool pool(4);
-  auto g1 = pool.CreateGroup();
-  auto g2 = pool.CreateGroup();
+  PoolExecutor e1(&pool);
+  PoolExecutor e2(&pool);
   std::atomic<int> c1{0}, c2{0};
   for (int i = 0; i < 200; ++i) {
-    pool.Submit(g1, [&](uint32_t) { c1.fetch_add(1); });
-    pool.Submit(g2, [&](uint32_t) { c2.fetch_add(1); });
+    e1.Submit([&](uint32_t) { c1.fetch_add(1); });
+    e2.Submit([&](uint32_t) { c2.fetch_add(1); });
   }
-  pool.WaitGroup(g1.get());
+  e1.Wait();
   EXPECT_EQ(c1.load(), 200);
-  pool.WaitGroup(g2.get());
+  e2.Wait();
   EXPECT_EQ(c2.load(), 200);
 }
 
-TEST(TaskGroupTest, GroupAndLegacySubmissionsCoexist) {
-  ThreadPool pool(3);
-  auto g = pool.CreateGroup();
-  std::atomic<int> group_count{0}, legacy_count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit(g, [&](uint32_t) { group_count.fetch_add(1); });
-    pool.Submit([&](uint32_t) { legacy_count.fetch_add(1); });
-  }
-  pool.WaitGroup(g.get());
-  EXPECT_EQ(group_count.load(), 100);
-  pool.Wait();  // legacy Wait covers group tasks too (all done by now)
-  EXPECT_EQ(legacy_count.load(), 100);
-}
-
 TEST(ThreadPoolTest, SubmitNotifyCannotLoseWakeups) {
-  // Regression test for a lost-wakeup race in ThreadPool::Submit: the
-  // workers' sleep predicate (queued_) used to be bumped *outside* the
-  // pool mutex before notify_one, so a worker that had just evaluated
-  // the predicate under the lock — but not yet parked — could miss the
-  // notification and strand the task, deadlocking Wait(). The fix
-  // (PublishQueued) publishes the increment under the mutex. This
-  // stresses the exact window: many rounds of a single fast task
-  // against a single worker that is constantly crossing the
-  // check-then-park edge. Before the fix, this hung within a few
-  // hundred rounds; the alarm thread turns a hang into a failure.
-  ThreadPool pool(1);
+  // Guards the pool's one-lock design: a group's queue and the workers'
+  // sleep predicate are read and written under the same mutex, so a
+  // submit cannot land between a worker's check for work and its park.
+  // Many rounds of a single fast task against a single worker keep it
+  // crossing the check-then-park edge; a lost wakeup hangs Wait(), which
+  // fails at the test's ctest TIMEOUT.
+  PoolExecutor pool(1u);
   std::atomic<int> done{0};
-  std::atomic<bool> finished{false};
-  std::thread alarm([&] {
-    auto deadline = std::chrono::steady_clock::now() +
-                    std::chrono::seconds(60);
-    while (!finished.load()) {
-      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-          << "ThreadPool::Wait() hung — lost wakeup in Submit";
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-  });
   constexpr int kRounds = 3000;
   for (int i = 0; i < kRounds; ++i) {
     pool.Submit(
         [&](uint32_t) { done.fetch_add(1, std::memory_order_relaxed); });
     pool.Wait();
   }
-  finished.store(true);
-  alarm.join();
   EXPECT_EQ(done.load(), kRounds);
 }
 

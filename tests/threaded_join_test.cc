@@ -1,6 +1,8 @@
 // Tests of the morsel-parallel GRACE executor and the §7.5 two-step
 // cache-partitioning fixes:
-//  - ThreadPool correctness (all tasks run, stealing drains queues).
+//  - PoolExecutor correctness (all tasks run, Wait covers tasks
+//    submitted from inside tasks, destroying a pool an executor still
+//    uses dies).
 //  - Parallel partition phase produces exactly the serial partitions.
 //  - Join determinism: identical output counts for num_threads 1/2/8
 //    across all four schemes, on uniform and Zipf-skewed workloads.
@@ -16,6 +18,7 @@
 #include <atomic>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <string>
 
@@ -30,10 +33,10 @@
 namespace hashjoin {
 namespace {
 
-// ---------- ThreadPool ----------
+// ---------- ThreadPool, through owned-mode PoolExecutors ----------
 
 TEST(ThreadPoolTest, RunsEveryTask) {
-  ThreadPool pool(4);
+  PoolExecutor pool(4u);
   std::atomic<uint64_t> sum{0};
   for (uint64_t i = 1; i <= 1000; ++i) {
     pool.Submit([&sum, i](uint32_t) { sum.fetch_add(i); });
@@ -43,7 +46,7 @@ TEST(ThreadPoolTest, RunsEveryTask) {
 }
 
 TEST(ThreadPoolTest, WaitIsReusableAcrossRounds) {
-  ThreadPool pool(3);
+  PoolExecutor pool(3u);
   std::atomic<int> count{0};
   for (int round = 0; round < 5; ++round) {
     for (int i = 0; i < 50; ++i) {
@@ -55,7 +58,7 @@ TEST(ThreadPoolTest, WaitIsReusableAcrossRounds) {
 }
 
 TEST(ThreadPoolTest, WorkerIdsAreInRange) {
-  ThreadPool pool(4);
+  PoolExecutor pool(4u);
   std::atomic<uint32_t> bad{0};
   for (int i = 0; i < 200; ++i) {
     pool.Submit([&bad](uint32_t wid) {
@@ -67,7 +70,7 @@ TEST(ThreadPoolTest, WorkerIdsAreInRange) {
 }
 
 TEST(ThreadPoolTest, SubmitFromInsideTask) {
-  ThreadPool pool(2);
+  PoolExecutor pool(2u);
   std::atomic<int> count{0};
   for (int i = 0; i < 10; ++i) {
     pool.Submit([&](uint32_t) {
@@ -77,6 +80,19 @@ TEST(ThreadPoolTest, SubmitFromInsideTask) {
   }
   pool.Wait();
   EXPECT_EQ(count.load(), 20);
+}
+
+// An executor left on a pool would strand its tasks; the pool refuses
+// to go first.
+TEST(ThreadPoolDeathTest, DestroyingPoolWithRegisteredExecutorDies) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        auto pool = std::make_unique<ThreadPool>(1);
+        PoolExecutor executor(pool.get());
+        pool.reset();
+      },
+      "executor still registered");
 }
 
 // ---------- Parallel partition phase ----------

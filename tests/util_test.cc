@@ -390,7 +390,7 @@ TEST(FlagsDeathTest, RefuseUnreadNamesEachFlagAndExits) {
 TEST(TimerTest, MeasuresElapsed) {
   WallTimer t;
   volatile uint64_t x = 0;
-  for (int i = 0; i < 100000; ++i) x += i;
+  for (int i = 0; i < 100000; ++i) x = x + i;
   EXPECT_GE(t.ElapsedNanos(), 0);
   EXPECT_GE(t.ElapsedSeconds(), 0.0);
 }

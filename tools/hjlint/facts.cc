@@ -172,9 +172,9 @@ bool IsKeyword(const std::string& s) {
 }
 
 /// Basename without directory or extension: "src/util/thread_pool.cc"
-/// -> "thread_pool". Used to break member-name ties: a `w->mu` in
-/// buffer_manager.cc resolves to the `mu` declared in buffer_manager.h
-/// (DiskWorker), not the one in thread_pool.h (WorkerQueue).
+/// -> "thread_pool". Used to break member-name ties: a `b->mu_` in
+/// memory_broker.cc resolves to the `mu_` declared in memory_broker.h
+/// (MemoryBroker), not the one in join_scheduler.h or thread_pool.h.
 std::string FileStem(const std::string& path) {
   size_t slash = path.find_last_of("/\\");
   std::string base = slash == std::string::npos ? path : path.substr(slash + 1);
