@@ -119,9 +119,8 @@ inline void PrintBreakdown(const std::string& label,
       pct(s.other_stall_cycles));
 }
 
-/// Normalized-cycles row for line-chart style figures. The column set is
-/// whatever schemes this binary compiled in (hashjoin::AllSchemes), so a
-/// toolchain without coroutines simply prints one column fewer.
+/// Normalized-cycles row for line-chart style figures. The column set
+/// defaults to every scheme (hashjoin::AllSchemes).
 inline void PrintSeriesHeader(const char* x_name,
                               const std::vector<Scheme>& schemes) {
   std::printf("%-14s", x_name);
@@ -159,8 +158,7 @@ inline double ScaleFromFlags(const FlagParser& flags, double default_scale) {
 
 /// Resolves the shared `--scheme` flag: a comma-separated list of scheme
 /// names (one table for every bench, no per-driver copies), defaulting
-/// to every scheme compiled into this binary. Unknown names are fatal
-/// and list the valid values.
+/// to every scheme. Unknown names are fatal and list the valid values.
 inline std::vector<Scheme> SchemesFromFlag(const FlagParser& flags) {
   std::string value = flags.GetString("scheme", "");
   if (value.empty()) return hashjoin::AllSchemes();
@@ -176,13 +174,6 @@ inline std::vector<Scheme> SchemesFromFlag(const FlagParser& flags) {
         std::fprintf(stderr,
                      "unknown --scheme value '%s' (valid: %s)\n",
                      name.c_str(), SchemeNameList().c_str());
-        std::exit(2);
-      }
-      if (!SchemeAvailable(s)) {
-        std::fprintf(stderr,
-                     "--scheme=%s is not compiled into this binary "
-                     "(toolchain lacks C++20 coroutines)\n",
-                     name.c_str());
         std::exit(2);
       }
       schemes.push_back(s);
@@ -315,8 +306,8 @@ inline KernelParams SimPaperPartitionParams() {
 
 /// The outcome of ResolveTuning: the mode, the calibration (when one
 /// ran), the model's feasibility-and-clamp record, and ready-to-use
-/// KernelParams (the static choice; online runs start from it and let
-/// the tuner take over through KernelParams::live).
+/// KernelParams (the static choice; online runs start from it and set
+/// G and D from the tuner after each batch).
 struct TuningResolution {
   TuneMode mode = TuneMode::kOff;
   bool calibrated = false;
@@ -388,25 +379,44 @@ inline tune::TunerConfig TunerConfigFromResolution(
   return cfg;
 }
 
-/// The disks of the fault-sweep cases (`raw`, `clean`, `faults`) of
-/// real_join_bench and real_partition_bench: four fast disks, page
-/// checksums per `checksums`, one `fault_rate` for read errors, write
-/// errors and torn pages alike, and write verification whenever faults
-/// are injected (a torn page reports success; only a read-back catches
-/// it).
-inline BufferManagerConfig FaultSweepDisks(bool checksums, double fault_rate,
-                                           uint64_t fault_seed) {
-  BufferManagerConfig cfg;
-  cfg.num_disks = 4;
-  cfg.disk.bandwidth_mb_per_s = 20000;
-  cfg.disk.request_latency_us = 0;
-  cfg.checksum_pages = checksums;
-  cfg.disk.fault.read_error_rate = fault_rate;
-  cfg.disk.fault.write_error_rate = fault_rate;
-  cfg.disk.fault.torn_page_rate = fault_rate;
-  cfg.disk.fault.seed = fault_seed;
-  cfg.verify_writes = fault_rate > 0;
-  return cfg;
+/// One case of the disk fault sweep of real_join_bench and
+/// real_partition_bench: `raw` (no checksums), `clean` (checksums, no
+/// faults) or `faults` (checksums, faults at `--fault-rate`).
+struct FaultSweepCase {
+  const char* name;
+  bool checksums;
+  double fault_rate;
+  uint64_t fault_seed;
+
+  /// Four fast disks, page checksums per `checksums`, one `fault_rate`
+  /// for read errors, write errors and torn pages alike, and write
+  /// verification whenever faults are injected (a torn page reports
+  /// success; only a read-back catches it).
+  BufferManagerConfig Disks() const {
+    BufferManagerConfig cfg;
+    cfg.num_disks = 4;
+    cfg.disk.bandwidth_mb_per_s = 20000;
+    cfg.disk.request_latency_us = 0;
+    cfg.checksum_pages = checksums;
+    cfg.disk.fault.read_error_rate = fault_rate;
+    cfg.disk.fault.write_error_rate = fault_rate;
+    cfg.disk.fault.torn_page_rate = fault_rate;
+    cfg.disk.fault.seed = fault_seed;
+    cfg.verify_writes = fault_rate > 0;
+    return cfg;
+  }
+};
+
+/// The sweep `--fault-rate` (default 0) and `--fault-seed` ask for: raw
+/// and clean, plus faults when the rate is positive.
+inline std::vector<FaultSweepCase> FaultSweepCases(const FlagParser& flags) {
+  const double rate = flags.GetDouble("fault-rate", 0.0);
+  const uint64_t seed = uint64_t(flags.GetInt("fault-seed", 0x5EED));
+  std::vector<FaultSweepCase> cases = {{"raw", false, 0.0, seed},
+                                       {"clean", true, 0.0, seed},
+                                       {"faults", true, rate, seed}};
+  if (rate <= 0) cases.pop_back();
+  return cases;
 }
 
 }  // namespace bench

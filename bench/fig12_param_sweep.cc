@@ -135,8 +135,8 @@ int RunRealSweep(const FlagParser& flags) {
   BuildPartition(mm, Scheme::kGroup, w.build, &ht,
                  bench::PaperJoinDefaults());
 
-  std::vector<Scheme> schemes = {Scheme::kGroup, Scheme::kSwp};
-  if (SchemeAvailable(Scheme::kCoro)) schemes.push_back(Scheme::kCoro);
+  const std::vector<Scheme> schemes = {Scheme::kGroup, Scheme::kSwp,
+                                       Scheme::kCoro};
 
   const std::vector<uint32_t> g_depths =
       smoke ? std::vector<uint32_t>{2, 4, 8, 12, 16, 24}

@@ -1,19 +1,18 @@
-// Real-hardware microbenchmarks of hash-based group-by aggregation — the
-// paper's proposed extension — comparing the baseline loop against group
-// and software-pipelined prefetching across group counts (cache-resident
-// to far-beyond-cache accumulators).
-
-// --json[=path] switches to the machine-readable harness (see
-// src/perf/bench_reporter.h), writing BENCH_real_agg.json; --smoke
-// shrinks the fact table for ctest; --tune=static calibrates
-// T/Tnext plus the LFB ceiling and picks G and D from the
-// models via the shared bench::ResolveTuning resolver.
-
-#include <benchmark/benchmark.h>
+// Real-hardware measurement of hash-based group-by aggregation — the
+// paper's proposed extension — comparing the baseline loop against group,
+// software-pipelined and coroutine prefetching across group counts
+// (cache-resident to far-beyond-cache accumulators).
+//
+// Every run writes one BenchReporter record per configuration (see
+// src/perf/bench_reporter.h), agg/<scheme>/groups=N at 16K and 4M groups
+// (1K under --smoke), to BENCH_real_agg.json or to the file --json=PATH
+// names. --smoke shrinks the fact table for ctest; --scheme picks the
+// schemes; --tune=static calibrates T/Tnext plus the LFB ceiling and
+// picks G and D from the models via the shared bench::ResolveTuning
+// resolver.
 
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -49,82 +48,7 @@ Relation MakeFacts(uint64_t groups, uint64_t num_tuples) {
   return r;
 }
 
-const Relation& SharedFacts(uint64_t groups) {
-  static auto* cache = new std::map<uint64_t, Relation>();
-  auto it = cache->find(groups);
-  if (it == cache->end()) {
-    it = cache->emplace(groups, MakeFacts(groups, 4'000'000)).first;
-  }
-  return it->second;
-}
-
-// range(0) = distinct group count; range(1) = G or D.
-void RunAgg(benchmark::State& state, int mode) {
-  uint64_t groups = uint64_t(state.range(0));
-  const Relation& facts = SharedFacts(groups);
-  uint32_t param = uint32_t(state.range(1));
-  RealMemory mm;
-  for (auto _ : state) {
-    state.PauseTiming();
-    HashAggTable agg(NextRelativelyPrime(groups, 31));
-    state.ResumeTiming();
-    switch (mode) {
-      case 0:
-        AggregateBaseline(mm, facts, 4, &agg);
-        break;
-      case 1:
-        AggregateGroup(mm, facts, 4, &agg, param);
-        break;
-      case 2:
-        AggregateSwp(mm, facts, 4, &agg, param);
-        break;
-#if HASHJOIN_HAS_COROUTINES
-      case 3:
-        AggregateCoro(mm, facts, 4, &agg, param);
-        break;
-#endif
-    }
-    benchmark::DoNotOptimize(agg.num_groups());
-  }
-  state.SetItemsProcessed(int64_t(state.iterations()) *
-                          int64_t(facts.num_tuples()));
-}
-
-void BM_Agg_Baseline(benchmark::State& state) { RunAgg(state, 0); }
-void BM_Agg_Group(benchmark::State& state) { RunAgg(state, 1); }
-void BM_Agg_Swp(benchmark::State& state) { RunAgg(state, 2); }
-#if HASHJOIN_HAS_COROUTINES
-void BM_Agg_Coro(benchmark::State& state) { RunAgg(state, 3); }
-#endif
-
-// {groups, G/D}; keys are uniform 32-bit, so "groups" ~= tuple count
-// for the large setting (mostly-distinct) — the interesting regime.
-BENCHMARK(BM_Agg_Baseline)
-    ->Args({1 << 14, 1})
-    ->Args({1 << 22, 1})
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Agg_Group)
-    ->Args({1 << 14, 19})
-    ->Args({1 << 22, 8})
-    ->Args({1 << 22, 19})
-    ->Args({1 << 22, 48})
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Agg_Swp)
-    ->Args({1 << 14, 4})
-    ->Args({1 << 22, 2})
-    ->Args({1 << 22, 4})
-    ->Args({1 << 22, 8})
-    ->Unit(benchmark::kMillisecond);
-#if HASHJOIN_HAS_COROUTINES
-BENCHMARK(BM_Agg_Coro)
-    ->Args({1 << 14, 19})
-    ->Args({1 << 22, 8})
-    ->Args({1 << 22, 19})
-    ->Args({1 << 22, 48})
-    ->Unit(benchmark::kMillisecond);
-#endif
-
-int RunJsonHarness(const FlagParser& flags) {
+int Run(const FlagParser& flags) {
   const bool smoke = flags.GetBool("smoke", false);
   const uint64_t num_facts = smoke ? 100'000 : 4'000'000;
 
@@ -147,16 +71,14 @@ int RunJsonHarness(const FlagParser& flags) {
       smoke ? std::vector<uint64_t>{1 << 10}
             : std::vector<uint64_t>{1 << 14, 1 << 22};
   RealMemory mm;
-  // Scheme set: every compiled-in scheme except simple (no inter-tuple
-  // protocol, uninteresting for the accumulator-bound loop); --scheme
-  // overrides. The G column doubles as the coroutine interleave width.
-  std::vector<Scheme> schemes;
-  if (flags.Has("scheme")) {
-    schemes = bench::SchemesFromFlag(flags);
-  } else {
-    schemes = {Scheme::kBaseline, Scheme::kGroup, Scheme::kSwp};
-    if (SchemeAvailable(Scheme::kCoro)) schemes.push_back(Scheme::kCoro);
-  }
+  // Scheme set: every scheme except simple (no inter-tuple protocol,
+  // uninteresting for the accumulator-bound loop); --scheme overrides.
+  // The G column doubles as the coroutine interleave width.
+  const std::vector<Scheme> schemes =
+      flags.Has("scheme")
+          ? bench::SchemesFromFlag(flags)
+          : std::vector<Scheme>{Scheme::kBaseline, Scheme::kGroup,
+                                Scheme::kSwp, Scheme::kCoro};
 
   for (uint64_t groups : group_counts) {
     const Relation facts = MakeFacts(groups, num_facts);
@@ -199,42 +121,8 @@ int RunJsonHarness(const FlagParser& flags) {
 }  // namespace
 }  // namespace hashjoin
 
-// Custom main so the repo's harness flags coexist with
-// google-benchmark's: --json short-circuits into the JSON harness, and
-// the repo flags are stripped from argv before google-benchmark (which
-// rejects unknown flags) sees them.
 int main(int argc, char** argv) {
   hashjoin::FlagParser flags;
   flags.Parse(argc, argv);
-  if (flags.Has("json")) return hashjoin::RunJsonHarness(flags);
-  // Validate --scheme even on the google-benchmark path (where the
-  // registered benchmark list, not the flag, picks the kernels): a typo
-  // should fail loudly, not silently run everything.
-  if (flags.Has("scheme")) {
-    (void)hashjoin::bench::SchemesFromFlag(flags);
-  }
-
-  const char* repo_flags[] = {"--smoke", "--trials", "--warmup",
-                              "--tune", "--scheme"};
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    std::string a = argv[i];
-    bool ours = false;
-    for (const char* f : repo_flags) {
-      if (a.rfind(f, 0) == 0) {
-        if (a == f && i + 1 < argc && argv[i + 1][0] != '-') ++i;
-        ours = true;
-        break;
-      }
-    }
-    if (!ours) args.push_back(argv[i]);
-  }
-  int filtered_argc = int(args.size());
-  benchmark::Initialize(&filtered_argc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return hashjoin::Run(flags);
 }

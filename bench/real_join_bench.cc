@@ -1,36 +1,42 @@
-// Real-hardware microbenchmarks (google-benchmark) of the join phase:
-// GRACE baseline vs simple vs group vs software-pipelined prefetching
-// with actual PREFETCH instructions, plus the §7.1 hash-code
-// memoization ablation and the output-tail-prefetch ablation. This is
-// the "repro=5, intrinsics readily available" path: absolute numbers
-// depend on the host, but group/software-pipelined prefetching should
-// beat the baseline by a clear margin whenever the hash table exceeds
-// the last-level cache.
+// Real-hardware measurement of the join phase: the GRACE baseline vs
+// simple vs group vs software-pipelined vs coroutine prefetching with
+// actual PREFETCH instructions, plus the §7.1 hash-code memoization and
+// output-tail-prefetch ablations of group prefetching. This is the
+// "repro=5, intrinsics readily available" path: absolute numbers depend
+// on the host, but group/software-pipelined prefetching should beat the
+// baseline by a clear margin whenever the hash table exceeds the
+// last-level cache.
 //
-// The full-join benchmarks take repo flags on top of the
-// google-benchmark ones: --threads=N runs BM_GraceJoin on the
-// morsel-parallel executor with N workers (always alongside the
-// 1-thread reference, so one invocation shows the speedup). Wall-clock
-// scaling needs as many online cores, but output counts are verified
-// at every thread count either way.
-//
-// --fault-rate=R / --fault-seed=S drive the disk-backed join benchmarks:
-// BM_DiskGraceJoin/raw (no checksums), /clean (checksums, no faults) and
-// — when R > 0 — /faults (seeded transient errors + torn pages, with
-// write verification). raw vs clean is the checksum overhead; clean vs
-// faults is the retry/recovery overhead at that fault rate.
-
-// --json[=path] switches to the machine-readable harness: warm-up +
-// repeated trials per configuration, hardware counters when available
-// (see src/perf/), one BENCH_real_join.json record per configuration.
-// --smoke shrinks the workload to ctest size; --tune=off|static|online
-// picks how G and D are chosen (bench::ResolveTuning): off uses the
-// paper defaults, static calibrates T/Tnext/max_outstanding on this
-// host and applies Theorems 1+2 with the LFB clamp, and online
-// additionally runs the per-batch PrefetchTuner feedback loop and
-// records its trajectory.
-
-#include <benchmark/benchmark.h>
+// Every run writes one BenchReporter record per configuration (warm-up +
+// repeated trials, hardware counters when available; see src/perf/) to
+// BENCH_real_join.json, or to the file --json=PATH names:
+//   join/<scheme>                  build + probe, --tuple-size bytes
+//                                  (default 100; 20 under --smoke)
+//   join/group/hash_compute        group prefetching hashing every key
+//                                  instead of reusing memoized codes
+//   join/group/no_output_prefetch  group prefetching without the
+//                                  output-tail prefetch
+//   online/<scheme>                --tune=online only (below)
+//   grace_full/threads=N           the full GRACE join on the morsel
+//                                  executor at 1 and --threads workers;
+//                                  output counts are verified at every
+//                                  thread count, wall-clock scaling
+//                                  needs as many online cores
+//   disk_grace/{raw,clean,faults}  the disk-backed join through the
+//                                  fault-tolerant I/O path: no checksums,
+//                                  checksums, and (when --fault-rate=R >
+//                                  0) seeded transient errors + torn
+//                                  pages with write verification
+//                                  (--fault-seed=S); raw vs clean is the
+//                                  checksum overhead, clean vs faults the
+//                                  recovery overhead at that rate
+// --smoke shrinks the workload to ctest size; --scheme picks the
+// schemes; --tune=off|static|online picks how G and D are chosen
+// (bench::ResolveTuning): off uses the paper defaults, static
+// calibrates T/Tnext/max_outstanding on this host and applies Theorems
+// 1+2 with the LFB clamp, and online additionally runs the per-batch
+// PrefetchTuner feedback loop and records its trajectory. G/D sweeps
+// are fig12_param_sweep --real.
 
 #include <cstdio>
 #include <memory>
@@ -54,179 +60,6 @@
 namespace hashjoin {
 namespace {
 
-// Workload shared across benchmark runs (generation is expensive).
-const JoinWorkload& SharedWorkload(uint32_t tuple_size) {
-  static std::map<uint32_t, JoinWorkload>* cache =
-      new std::map<uint32_t, JoinWorkload>();
-  auto it = cache->find(tuple_size);
-  if (it == cache->end()) {
-    WorkloadSpec spec;
-    spec.tuple_size = tuple_size;
-    // ~48MB working set (build + table): far beyond LLC.
-    spec.num_build_tuples =
-        (48ull << 20) / (tuple_size + sizeof(BucketHeader) +
-                         sizeof(HashCell));
-    spec.matches_per_build = 2.0;
-    it = cache->emplace(tuple_size, GenerateJoinWorkload(spec)).first;
-  }
-  return it->second;
-}
-
-void RunJoin(benchmark::State& state, Scheme scheme,
-             const KernelParams& params, uint32_t tuple_size) {
-  const JoinWorkload& w = SharedWorkload(tuple_size);
-  RealMemory mm;
-  for (auto _ : state) {
-    HashTable ht(ChooseBucketCount(w.build.num_tuples(), 31));
-    BuildPartition(mm, scheme, w.build, &ht, params);
-    Relation out(ConcatSchema(w.build.schema(), w.probe.schema()));
-    uint64_t n = ProbePartition(mm, scheme, w.probe, ht, tuple_size,
-                                params, &out);
-    if (n != w.expected_matches) state.SkipWithError("bad join result");
-    benchmark::DoNotOptimize(n);
-  }
-  state.SetItemsProcessed(int64_t(state.iterations()) *
-                          int64_t(w.probe.num_tuples()));
-}
-
-void BM_Join_Baseline(benchmark::State& state) {
-  RunJoin(state, Scheme::kBaseline, KernelParams{},
-          uint32_t(state.range(0)));
-}
-void BM_Join_Simple(benchmark::State& state) {
-  RunJoin(state, Scheme::kSimple, KernelParams{},
-          uint32_t(state.range(0)));
-}
-void BM_Join_Group(benchmark::State& state) {
-  KernelParams p;
-  p.group_size = uint32_t(state.range(1));
-  RunJoin(state, Scheme::kGroup, p, uint32_t(state.range(0)));
-}
-void BM_Join_Swp(benchmark::State& state) {
-  KernelParams p;
-  p.prefetch_distance = uint32_t(state.range(1));
-  RunJoin(state, Scheme::kSwp, p, uint32_t(state.range(0)));
-}
-#if HASHJOIN_HAS_COROUTINES
-void BM_Join_Coro(benchmark::State& state) {
-  KernelParams p;
-  p.group_size = uint32_t(state.range(1));  // interleave width W
-  RunJoin(state, Scheme::kCoro, p, uint32_t(state.range(0)));
-}
-#endif
-
-// Ablations at the pivot point (100B tuples, the paper-default G).
-void BM_Join_Group_NoMemoizedHash(benchmark::State& state) {
-  KernelParams p = bench::PaperJoinDefaults();
-  p.hash_mode = HashCodeMode::kCompute;
-  RunJoin(state, Scheme::kGroup, p, 100);
-}
-void BM_Join_Group_NoOutputPrefetch(benchmark::State& state) {
-  KernelParams p = bench::PaperJoinDefaults();
-  p.prefetch_output = false;
-  RunJoin(state, Scheme::kGroup, p, 100);
-}
-
-BENCHMARK(BM_Join_Baseline)->Arg(20)->Arg(100)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Join_Simple)->Arg(20)->Arg(100)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Join_Group)
-    ->Args({100, 4})
-    ->Args({100, 8})
-    ->Args({100, 16})
-    ->Args({100, 19})
-    ->Args({100, 32})
-    ->Args({100, 64})
-    ->Args({20, 19})
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Join_Swp)
-    ->Args({100, 1})
-    ->Args({100, 2})
-    ->Args({100, 4})
-    ->Args({100, 8})
-    ->Args({20, 4})
-    ->Unit(benchmark::kMillisecond);
-#if HASHJOIN_HAS_COROUTINES
-BENCHMARK(BM_Join_Coro)
-    ->Args({100, 8})
-    ->Args({100, 19})
-    ->Args({100, 32})
-    ->Args({20, 19})
-    ->Unit(benchmark::kMillisecond);
-#endif
-BENCHMARK(BM_Join_Group_NoMemoizedHash)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Join_Group_NoOutputPrefetch)->Unit(benchmark::kMillisecond);
-
-}  // namespace
-
-// Full GRACE join (partition phase + join phase) on a uniform
-// 8-partition workload, run on the morsel-parallel executor. The
-// 1-thread run is the paper's serial path; higher thread counts must
-// produce the identical output count.
-void GraceJoinBench(benchmark::State& state, uint32_t threads) {
-  const JoinWorkload& w = SharedWorkload(20);
-  GraceConfig config;
-  config.forced_num_partitions = 8;
-  config.num_threads = threads;
-  RealMemory mm;
-  for (auto _ : state) {
-    JoinResult r = GraceHashJoin(mm, w.build, w.probe, config, nullptr);
-    if (r.output_tuples != w.expected_matches) {
-      state.SkipWithError("bad join result");
-      break;
-    }
-    benchmark::DoNotOptimize(r.output_tuples);
-  }
-  state.SetItemsProcessed(int64_t(state.iterations()) *
-                          int64_t(w.probe.num_tuples()));
-}
-
-// Disk-backed GRACE join through the fault-tolerant I/O path. A modest
-// workload (~4MB build) keeps each iteration short; the interesting
-// quantity is the *relative* cost of checksums and fault recovery, not
-// the absolute time.
-void DiskGraceJoinBench(benchmark::State& state, bool checksums,
-                        double fault_rate, uint64_t fault_seed) {
-  static const JoinWorkload& w = *new JoinWorkload([] {
-    WorkloadSpec spec;
-    spec.tuple_size = 100;
-    spec.num_build_tuples = 40000;
-    spec.matches_per_build = 2.0;
-    return GenerateJoinWorkload(spec);
-  }());
-  uint64_t injected = 0, retries = 0, verify_fixes = 0;
-  for (auto _ : state) {
-    BufferManager bm(bench::FaultSweepDisks(checksums, fault_rate, fault_seed));
-    DiskGraceJoin join(&bm, 8);
-    auto b = join.StoreRelation(w.build);
-    auto p = join.StoreRelation(w.probe);
-    if (!b.ok() || !p.ok()) {
-      state.SkipWithError("store failed");
-      break;
-    }
-    auto r = join.Join(b.value(), p.value());
-    if (!r.ok() || r.value().output_tuples != w.expected_matches) {
-      state.SkipWithError("bad disk join result");
-      break;
-    }
-    const IoRecoveryStats& io = r.value().recovery.io;
-    injected += io.injected_faults;
-    retries += io.read_retries + io.write_retries;
-    verify_fixes += io.write_verify_failures;
-    benchmark::DoNotOptimize(r.value().output_tuples);
-  }
-  state.SetItemsProcessed(int64_t(state.iterations()) *
-                          int64_t(w.probe.num_tuples()));
-  state.counters["injected_faults"] = double(injected);
-  state.counters["retries"] = double(retries);
-  state.counters["verify_fixes"] = double(verify_fixes);
-}
-
-// ---------------------------------------------------------------------------
-// Machine-readable harness (--json): BenchReporter trials with hardware
-// counters, one record per (scheme, G, D, threads) configuration.
-
-namespace {
-
 using bench::ProbeCodeCosts;  // shared Table-2 cost vector
 
 JoinWorkload MakeWorkload(uint32_t tuple_size, uint64_t working_set_bytes) {
@@ -240,8 +73,8 @@ JoinWorkload MakeWorkload(uint32_t tuple_size, uint64_t working_set_bytes) {
 }
 
 // --tune=online: probe the (pre-built) hash table batch by batch while a
-// tune::PrefetchTuner ramps G/D from live per-batch counters, published
-// to the kernels through KernelParams::live at batch boundaries. One
+// tune::PrefetchTuner ramps G/D from per-batch counters; each batch's
+// probe call takes the depths the tuner chose after the one before. One
 // record per depth-sensitive scheme, with the full tuner trajectory, so
 // fig12_param_sweep --real can compare online convergence against the
 // offline-best depth.
@@ -267,8 +100,6 @@ void RunOnlineJoinSection(perf::BenchReporter* reporter,
       continue;  // no depth to tune
     }
     KernelParams params = tuning.params;
-    LiveTuning live;
-    params.live = &live;
     tune::TunerConfig tcfg =
         bench::TunerConfigFromResolution(tuning, ProbeCodeCosts());
     if (scheme == Scheme::kCoro) {
@@ -280,7 +111,8 @@ void RunOnlineJoinSection(perf::BenchReporter* reporter,
       tcfg.max_outstanding = 0;
     }
     tune::PrefetchTuner tuner(tcfg);
-    live.Publish(tuner.group_size(), tuner.prefetch_distance());
+    params.group_size = tuner.group_size();
+    params.prefetch_distance = tuner.prefetch_distance();
     const uint32_t initial_g = tuner.group_size();
     const uint32_t initial_d = tuner.prefetch_distance();
 
@@ -318,7 +150,8 @@ void RunOnlineJoinSection(perf::BenchReporter* reporter,
       total_cycles += reading.cycles;
       total_tuples += reading.tuples;
       if (tuner.OnBatch(reading)) {
-        live.Publish(tuner.group_size(), tuner.prefetch_distance());
+        params.group_size = tuner.group_size();
+        params.prefetch_distance = tuner.prefetch_distance();
       }
       // Reset the output between batches (outside the timed window):
       // letting ~400MB of matches accumulate makes late batches
@@ -375,7 +208,7 @@ void RunOnlineJoinSection(perf::BenchReporter* reporter,
   }
 }
 
-int RunJsonHarness(const FlagParser& flags) {
+int Run(const FlagParser& flags) {
   const bool smoke = flags.GetBool("smoke", false);
   const uint32_t tuple_size =
       uint32_t(flags.GetInt("tuple-size", smoke ? 20 : 100));
@@ -403,10 +236,9 @@ int RunJsonHarness(const FlagParser& flags) {
   const JoinWorkload w = MakeWorkload(tuple_size, working_set);
   RealMemory mm;
 
-  // --- join phase (build + probe), every scheme in --scheme (default:
-  // all compiled in) ---
-  for (Scheme scheme : bench::SchemesFromFlag(flags)) {
-    KernelParams params = tuned;
+  // --- join phase (build + probe) ---
+  auto add_join_record = [&](const std::string& name, Scheme scheme,
+                             const KernelParams& params) {
     std::unique_ptr<HashTable> ht;
     std::unique_ptr<Relation> out;
     uint64_t outputs = 0;
@@ -422,7 +254,7 @@ int RunJsonHarness(const FlagParser& flags) {
     config.Set("probe_tuples", w.probe.num_tuples());
     config.Set("working_set_bytes", working_set);
     JsonValue& rec = reporter.AddRecord(
-        std::string("join/") + SchemeName(scheme), std::move(config),
+        name, std::move(config),
         /*body=*/
         [&] {
           BuildPartition(mm, scheme, w.build, ht.get(), params);
@@ -440,6 +272,19 @@ int RunJsonHarness(const FlagParser& flags) {
     rec.Set("outputs", outputs);
     rec.Set("verified", ok);
     rec.Set("tuning", tuning.ToJson());
+  };
+  for (Scheme scheme : bench::SchemesFromFlag(flags)) {
+    add_join_record(std::string("join/") + SchemeName(scheme), scheme,
+                    tuned);
+    if (scheme != Scheme::kGroup) continue;
+    // The DESIGN §5 ablations, at the same depths as join/group.
+    KernelParams hash_compute = tuned;
+    hash_compute.hash_mode = HashCodeMode::kCompute;
+    add_join_record("join/group/hash_compute", scheme, hash_compute);
+    KernelParams no_output_prefetch = tuned;
+    no_output_prefetch.prefetch_output = false;
+    add_join_record("join/group/no_output_prefetch", scheme,
+                    no_output_prefetch);
   }
 
   // --- online tuning: per-batch feedback loop (--tune=online) ---
@@ -487,20 +332,9 @@ int RunJsonHarness(const FlagParser& flags) {
 
   // --- disk-backed join through the fault-tolerant I/O path ---
   {
-    const double fault_rate = flags.GetDouble("fault-rate", 0.0);
-    const uint64_t fault_seed =
-        uint64_t(flags.GetInt("fault-seed", 0x5EED));
     const JoinWorkload dw =
         MakeWorkload(100, smoke ? (1ull << 20) : (8ull << 20));
-    struct DiskCase {
-      const char* name;
-      bool checksums;
-      double rate;
-    };
-    std::vector<DiskCase> cases = {{"raw", false, 0.0},
-                                   {"clean", true, 0.0}};
-    if (fault_rate > 0) cases.push_back({"faults", true, fault_rate});
-    for (const DiskCase& dc : cases) {
+    for (const bench::FaultSweepCase& dc : bench::FaultSweepCases(flags)) {
       DiskJoinRecovery recovery;
       uint64_t outputs = 0;
       bool ok = true;
@@ -509,14 +343,13 @@ int RunJsonHarness(const FlagParser& flags) {
       // The disk join probes its partitions with group prefetching.
       cfg.Set("scheme", SchemeName(Scheme::kGroup));
       cfg.Set("checksums", dc.checksums);
-      cfg.Set("fault_rate", dc.rate);
-      cfg.Set("fault_seed", fault_seed);
+      cfg.Set("fault_rate", dc.fault_rate);
+      cfg.Set("fault_seed", dc.fault_seed);
       cfg.Set("tuple_size", 100);
       cfg.Set("build_tuples", dw.build.num_tuples());
       JsonValue& rec = reporter.AddRecord(
           std::string("disk_grace/") + dc.name, std::move(cfg), [&] {
-            BufferManager bm(
-                bench::FaultSweepDisks(dc.checksums, dc.rate, fault_seed));
+            BufferManager bm(dc.Disks());
             DiskGraceJoin join(&bm, 8);
             auto b = join.StoreRelation(dw.build);
             auto p = join.StoreRelation(dw.probe);
@@ -547,73 +380,8 @@ int RunJsonHarness(const FlagParser& flags) {
 
 }  // namespace hashjoin
 
-// Custom main: the repo's flags (--threads, --fault-rate, --fault-seed)
-// must come out of argv before google-benchmark sees them
-// (ReportUnrecognizedArguments rejects foreign flags).
 int main(int argc, char** argv) {
   hashjoin::FlagParser flags;
   flags.Parse(argc, argv);
-  if (flags.Has("json")) return hashjoin::RunJsonHarness(flags);
-  // Validate --scheme even on the google-benchmark path (where the
-  // registered benchmark list, not the flag, picks the kernels): a typo
-  // should fail loudly, not silently run everything.
-  if (flags.Has("scheme")) {
-    (void)hashjoin::bench::SchemesFromFlag(flags);
-  }
-  uint32_t threads = uint32_t(flags.GetInt("threads", 1));
-  double fault_rate = flags.GetDouble("fault-rate", 0.0);
-  uint64_t fault_seed = uint64_t(flags.GetInt("fault-seed", 0x5EED));
-
-  const char* repo_flags[] = {"--threads", "--fault-rate", "--fault-seed",
-                              "--scheme", "--tune"};
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    std::string a = argv[i];
-    bool ours = false;
-    for (const char* f : repo_flags) {
-      if (a.rfind(f, 0) == 0) {
-        if (a == f && i + 1 < argc && argv[i + 1][0] != '-') ++i;
-        ours = true;
-        break;
-      }
-    }
-    if (!ours) args.push_back(argv[i]);
-  }
-  int filtered_argc = int(args.size());
-
-  std::set<uint32_t> counts = {1u, std::max(1u, threads)};
-  std::vector<std::string> names;  // outlive RunSpecifiedBenchmarks
-  for (uint32_t t : counts) {
-    names.push_back("BM_GraceJoin/threads:" + std::to_string(t));
-    benchmark::RegisterBenchmark(names.back().c_str(),
-                                 hashjoin::GraceJoinBench, t)
-        ->Unit(benchmark::kMillisecond)
-        ->UseRealTime();
-  }
-
-  benchmark::RegisterBenchmark("BM_DiskGraceJoin/raw",
-                               hashjoin::DiskGraceJoinBench,
-                               /*checksums=*/false, 0.0, fault_seed)
-      ->Unit(benchmark::kMillisecond)
-      ->UseRealTime();
-  benchmark::RegisterBenchmark("BM_DiskGraceJoin/clean",
-                               hashjoin::DiskGraceJoinBench,
-                               /*checksums=*/true, 0.0, fault_seed)
-      ->Unit(benchmark::kMillisecond)
-      ->UseRealTime();
-  if (fault_rate > 0) {
-    benchmark::RegisterBenchmark("BM_DiskGraceJoin/faults",
-                                 hashjoin::DiskGraceJoinBench,
-                                 /*checksums=*/true, fault_rate, fault_seed)
-        ->Unit(benchmark::kMillisecond)
-        ->UseRealTime();
-  }
-
-  benchmark::Initialize(&filtered_argc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return hashjoin::Run(flags);
 }

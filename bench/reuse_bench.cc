@@ -74,8 +74,6 @@ int main(int argc, char** argv) {
   HJ_CHECK(ParseScheme(scheme_name, &scheme))
       << "unknown scheme " << scheme_name << " (valid: " << SchemeNameList()
       << ")";
-  HJ_CHECK(SchemeAvailable(scheme))
-      << scheme_name << " not available in this build";
 
   ReplaySpec spec;
   spec.num_tables = uint32_t(flags.GetInt("tables", smoke ? 8 : 16));

@@ -47,13 +47,11 @@ int main(int argc, char** argv) {
               (unsigned long long)tuples, geo.scale);
   // Conflict-protocol schemes (simple has no inter-tuple protocol, so it
   // is uninteresting here); --scheme overrides the set.
-  std::vector<Scheme> schemes;
-  if (flags.Has("scheme")) {
-    schemes = SchemesFromFlag(flags);
-  } else {
-    schemes = {Scheme::kBaseline, Scheme::kGroup, Scheme::kSwp};
-    if (SchemeAvailable(Scheme::kCoro)) schemes.push_back(Scheme::kCoro);
-  }
+  const std::vector<Scheme> schemes =
+      flags.Has("scheme")
+          ? SchemesFromFlag(flags)
+          : std::vector<Scheme>{Scheme::kBaseline, Scheme::kGroup,
+                                Scheme::kSwp, Scheme::kCoro};
   std::printf("%-10s", "theta");
   for (Scheme s : schemes) std::printf(" %14s", SchemeName(s));
   std::printf("\n");

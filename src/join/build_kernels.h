@@ -224,7 +224,7 @@ void BuildSimple(MM& mm, const Relation& build, HashTable* ht,
 template <typename MM>
 void BuildGroup(MM& mm, const Relation& build, HashTable* ht,
                 const KernelParams& params) {
-  uint32_t group = params.EffectiveGroupSize();
+  const uint32_t group = params.EffectiveGroupSize();
   BuildContext<MM> ctx(&mm, ht, build, params.hash_mode);
   const auto& cfg = mm.config();
   std::vector<BuildState> states(group);
@@ -234,13 +234,6 @@ void BuildGroup(MM& mm, const Relation& build, HashTable* ht,
   // Group prefetching can tolerate any number of delayed tuples (skewed
   // keys); `delayed` holds state indices, processed serially below.
   while (more) {
-    // Group boundary: adopt a live-tuned G while no tuple is in flight.
-    const uint32_t next_group = params.EffectiveGroupSize();
-    if (next_group != group) {
-      group = next_group;
-      states.resize(group);
-      delayed.reserve(group);
-    }
     uint32_t g = 0;
     while (g < group) {
       mm.Busy(cfg.cost_stage_overhead_gp);
@@ -278,8 +271,6 @@ void BuildGroup(MM& mm, const Relation& build, HashTable* ht,
 template <typename MM>
 void BuildSwp(MM& mm, const Relation& build, HashTable* ht,
               const KernelParams& params) {
-  // Live-tuned D is adopted once per pass: ring size, stage offsets, and
-  // the waiting-queue state indices all depend on it.
   const uint64_t d = params.EffectiveDistance();
   constexpr uint32_t kStages = 2;  // k = 2 dependent references
   BuildContext<MM> ctx(&mm, ht, build, params.hash_mode);

@@ -11,11 +11,11 @@
 // with the per-tuple state machine kept implicit in the coroutine
 // frame. See "Asynchronous Memory Access Chaining" and "Interleaving
 // with Coroutines" (PAPERS.md); DESIGN.md "Execution policies".
-//
-// Everything here compiles only when the toolchain supports C++20
-// coroutines (HASHJOIN_HAS_COROUTINES, probed by CMake); otherwise the
-// kCoro scheme reports unavailable and the dispatchers in exec_policy.h
-// refuse it.
+
+#include <coroutine>
+#include <exception>
+#include <utility>
+#include <vector>
 
 #include "join/aggregate_kernels.h"
 #include "join/build_kernels.h"
@@ -23,13 +23,6 @@
 #include "join/partition_kernels.h"
 #include "join/probe_kernels.h"
 #include "util/logging.h"
-
-#if HASHJOIN_HAS_COROUTINES
-
-#include <coroutine>
-#include <exception>
-#include <utility>
-#include <vector>
 
 namespace hashjoin {
 
@@ -122,8 +115,7 @@ KernelCoro ProbeChain(ProbeContext<MM>& ctx, ProbeState& st) {
 /// Coroutine-interleaved probing. Interleave width W comes from the
 /// effective group size (the drivers feed it from model::ChooseParams or
 /// an online tuner — the same Theorem-1 sizing GP uses: W concurrent
-/// chains hide the same latency G concurrent group slots do). W is fixed
-/// for the life of the pipeline; live overrides apply at pass start.
+/// chains hide the same latency G concurrent group slots do).
 template <typename MM>
 uint64_t ProbeCoro(MM& mm, const Relation& probe, const HashTable& ht,
                    uint32_t build_tuple_size, const KernelParams& params,
@@ -232,7 +224,5 @@ void AggregateCoro(MM& mm, const Relation& input, uint32_t value_offset,
 }
 
 }  // namespace hashjoin
-
-#endif  // HASHJOIN_HAS_COROUTINES
 
 #endif  // HASHJOIN_JOIN_CORO_KERNELS_H_

@@ -7,11 +7,6 @@
 // over the shared stage functions. This mirrors the RealMemory/SimMemory
 // split one level up: the stage functions fix *what* a tuple's visit
 // does, a policy fixes *when* each stage runs relative to other tuples.
-//
-// The coroutine policy compiles only on toolchains with C++20 coroutine
-// support; elsewhere Scheme::kCoro reports unavailable (SchemeAvailable)
-// and dispatching it dies with a check failure rather than silently
-// falling back to a different policy.
 
 #include "join/aggregate_kernels.h"
 #include "join/build_kernels.h"
@@ -19,18 +14,8 @@
 #include "join/join_common.h"
 #include "join/partition_kernels.h"
 #include "join/probe_kernels.h"
-#include "util/logging.h"
 
 namespace hashjoin {
-
-/// Dies with a diagnostic when a scheme that did not compile into this
-/// binary is dispatched (today only kCoro, on pre-coroutine toolchains).
-inline void RequireSchemeCompiled(Scheme scheme) {
-  HJ_CHECK(SchemeAvailable(scheme))
-      << "scheme '" << SchemeName(scheme)
-      << "' was not compiled into this binary (toolchain lacks C++20 "
-         "coroutines)";
-}
 
 /// Dispatches partitioning on scheme.
 template <typename MM>
@@ -39,7 +24,6 @@ void PartitionRelation(MM& mm, Scheme scheme, const Relation& input,
                        const KernelParams& params,
                        uint32_t hash_divisor = 1,
                        PageRange range = PageRange{}) {
-  RequireSchemeCompiled(scheme);
   switch (scheme) {
     case Scheme::kBaseline:
       return PartitionBaseline(mm, input, sinks, num_partitions, params,
@@ -54,12 +38,8 @@ void PartitionRelation(MM& mm, Scheme scheme, const Relation& input,
       return PartitionSwp(mm, input, sinks, num_partitions, params,
                           hash_divisor, range);
     case Scheme::kCoro:
-#if HASHJOIN_HAS_COROUTINES
       return PartitionCoro(mm, input, sinks, num_partitions, params,
                            hash_divisor, range);
-#else
-      return;  // unreachable: RequireSchemeCompiled checked
-#endif
   }
 }
 
@@ -96,7 +76,6 @@ void PartitionCombined(MM& mm, const Relation& input,
 template <typename MM>
 void BuildPartition(MM& mm, Scheme scheme, const Relation& build,
                     HashTable* ht, const KernelParams& params) {
-  RequireSchemeCompiled(scheme);
   switch (scheme) {
     case Scheme::kBaseline:
       return BuildBaseline(mm, build, ht, params);
@@ -107,11 +86,7 @@ void BuildPartition(MM& mm, Scheme scheme, const Relation& build,
     case Scheme::kSwp:
       return BuildSwp(mm, build, ht, params);
     case Scheme::kCoro:
-#if HASHJOIN_HAS_COROUTINES
       return BuildCoro(mm, build, ht, params);
-#else
-      return;  // unreachable: RequireSchemeCompiled checked
-#endif
   }
 }
 
@@ -122,7 +97,6 @@ uint64_t ProbePartition(MM& mm, Scheme scheme, const Relation& probe,
                         const HashTable& ht, uint32_t build_tuple_size,
                         const KernelParams& params, Relation* out,
                         ProbeStats* stats = nullptr) {
-  RequireSchemeCompiled(scheme);
   switch (scheme) {
     case Scheme::kBaseline:
       return ProbeBaseline(mm, probe, ht, build_tuple_size, params, out,
@@ -136,25 +110,19 @@ uint64_t ProbePartition(MM& mm, Scheme scheme, const Relation& probe,
     case Scheme::kSwp:
       return ProbeSwp(mm, probe, ht, build_tuple_size, params, out, stats);
     case Scheme::kCoro:
-#if HASHJOIN_HAS_COROUTINES
       return ProbeCoro(mm, probe, ht, build_tuple_size, params, out,
                        stats);
-#else
-      return 0;  // unreachable: RequireSchemeCompiled checked
-#endif
   }
   return 0;
 }
 
 /// Dispatches hash aggregation on scheme. Group takes its strip size and
-/// coro its interleave width from the effective (live-tuned or static)
-/// group size; SPP takes the effective prefetch distance. The dispatch
-/// is the pass boundary, so live overrides are adopted here.
+/// coro its interleave width from the effective group size; SPP takes
+/// the effective prefetch distance.
 template <typename MM>
 void AggregateRelation(MM& mm, Scheme scheme, const Relation& input,
                        uint32_t value_offset, HashAggTable* agg,
                        const KernelParams& params) {
-  RequireSchemeCompiled(scheme);
   switch (scheme) {
     case Scheme::kBaseline:
       return AggregateBaseline(mm, input, value_offset, agg);
@@ -167,12 +135,8 @@ void AggregateRelation(MM& mm, Scheme scheme, const Relation& input,
       return AggregateSwp(mm, input, value_offset, agg,
                           params.EffectiveDistance());
     case Scheme::kCoro:
-#if HASHJOIN_HAS_COROUTINES
       return AggregateCoro(mm, input, value_offset, agg,
                            params.EffectiveGroupSize());
-#else
-      return;  // unreachable: RequireSchemeCompiled checked
-#endif
   }
 }
 

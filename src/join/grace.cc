@@ -50,16 +50,9 @@ std::string SchemeNameList() {
   return list;
 }
 
-bool SchemeAvailable(Scheme s) {
-  if (s == Scheme::kCoro) return HASHJOIN_HAS_COROUTINES != 0;
-  return true;
-}
-
 std::vector<Scheme> AllSchemes() {
   std::vector<Scheme> out;
-  for (const SchemeEntry& e : kSchemeTable) {
-    if (SchemeAvailable(e.scheme)) out.push_back(e.scheme);
-  }
+  for (const SchemeEntry& e : kSchemeTable) out.push_back(e.scheme);
   return out;
 }
 

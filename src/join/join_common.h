@@ -2,7 +2,6 @@
 #define HASHJOIN_JOIN_JOIN_COMMON_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -14,18 +13,6 @@
 #include "util/logging.h"
 
 namespace hashjoin {
-
-// Compile-feature gate for the coroutine execution policy. CMake probes
-// the toolchain with check_cxx_source_compiles and defines the macro to
-// 0 or 1; a build outside CMake falls back to the compiler's own
-// feature-test macro so plain `g++ -std=c++20` still works.
-#ifndef HASHJOIN_HAS_COROUTINES
-#if defined(__cpp_impl_coroutine) && __has_include(<coroutine>)
-#define HASHJOIN_HAS_COROUTINES 1
-#else
-#define HASHJOIN_HAS_COROUTINES 0
-#endif
-#endif
 
 /// The CPU-cache execution policies for both phases: the four the paper
 /// compares (§7.1) — the GRACE baseline, straightforward ("simple")
@@ -53,12 +40,8 @@ bool ParseScheme(const std::string& name, Scheme* out);
 /// Comma-separated list of every valid scheme name, for error messages.
 std::string SchemeNameList();
 
-/// Whether this build can execute `s`: false only for kCoro on a
-/// toolchain without C++20 coroutine support (see the CMake gate).
-bool SchemeAvailable(Scheme s);
-
-/// Every scheme this build can execute, in table order. Bench drivers
-/// iterate this so a newly added scheme shows up everywhere at once.
+/// Every scheme, in table order. Bench drivers iterate this so a newly
+/// added scheme shows up everywhere at once.
 std::vector<Scheme> AllSchemes();
 
 /// How the join phase obtains hash codes: reuse the 4-byte codes the
@@ -78,29 +61,11 @@ inline HashCodeMode SlotHashMode(HashCodeMode requested,
              : HashCodeMode::kCompute;
 }
 
-/// Live G/D overrides published by an online tuner (tune::PrefetchTuner
-/// glue in the benches) and consumed by the kernels at batch boundaries.
-/// 0 means "no override: use the static KernelParams value". Writers
-/// Publish() between batches; readers load with acquire at safe
-/// re-read points only — group kernels at each group boundary, pipelined
-/// and coroutine kernels at pass start (their ring size / chain count is
-/// fixed for the life of a pass).
-struct LiveTuning {
-  std::atomic<uint32_t> group_size{0};
-  std::atomic<uint32_t> prefetch_distance{0};
-
-  void Publish(uint32_t g, uint32_t d) {
-    group_size.store(g, std::memory_order_release);
-    prefetch_distance.store(d, std::memory_order_release);
-  }
-};
-
 /// Tuning parameters shared by the prefetching kernels.
 ///
-/// Kernels must read G and D through EffectiveGroupSize() /
-/// EffectiveDistance() — the policy/tuner handoff — never through the
-/// raw members, so an attached LiveTuning override reaches every scheme
-/// uniformly.
+/// Kernels read G and D through EffectiveGroupSize() /
+/// EffectiveDistance(), never through the raw members, so a degenerate
+/// 0 never reaches a kernel's state array or pipeline ring.
 struct KernelParams {
   uint32_t group_size = 19;        // G; the paper's optimum at T=150
   uint32_t prefetch_distance = 1;  // D; the paper's optimum at T=150
@@ -110,26 +75,12 @@ struct KernelParams {
   HashCodeMode hash_mode = HashCodeMode::kMemoized;
   /// Prefetch the output tail the emit stage will write (ablatable).
   bool prefetch_output = true;
-  /// Optional online-tuner override channel; not owned. nullptr (the
-  /// default) preserves purely static behavior.
-  const LiveTuning* live = nullptr;
 
-  /// G as the kernels should use it right now: the live override when
-  /// one is attached and published, else the static member; never 0.
-  uint32_t EffectiveGroupSize() const {
-    if (live != nullptr) {
-      uint32_t g = live->group_size.load(std::memory_order_acquire);
-      if (g != 0) return g;
-    }
-    return std::max(1u, group_size);
-  }
+  /// G as the kernels use it; never 0.
+  uint32_t EffectiveGroupSize() const { return std::max(1u, group_size); }
 
-  /// D as the kernels should use it right now; never 0.
+  /// D as the kernels use it; never 0.
   uint32_t EffectiveDistance() const {
-    if (live != nullptr) {
-      uint32_t d = live->prefetch_distance.load(std::memory_order_acquire);
-      if (d != 0) return d;
-    }
     return std::max(1u, prefetch_distance);
   }
 };

@@ -306,7 +306,7 @@ void PartitionGroup(MM& mm, const Relation& input, PartitionSinkSet* sinks,
                     uint32_t num_partitions, const KernelParams& params,
                     uint32_t hash_divisor = 1,
                     PageRange range = PageRange{}) {
-  uint32_t group = params.EffectiveGroupSize();
+  const uint32_t group = params.EffectiveGroupSize();
   PartitionContext<MM> ctx(&mm, sinks, num_partitions, input,
                            hash_divisor, range);
   const auto& cfg = mm.config();
@@ -315,13 +315,6 @@ void PartitionGroup(MM& mm, const Relation& input, PartitionSinkSet* sinks,
   delayed.reserve(group);
   bool more = true;
   while (more) {
-    // Group boundary: adopt a live-tuned G while no tuple is in flight.
-    const uint32_t next_group = params.EffectiveGroupSize();
-    if (next_group != group) {
-      group = next_group;
-      states.resize(group);
-      delayed.reserve(group);
-    }
     uint32_t g = 0;
     while (g < group) {
       mm.Busy(cfg.cost_stage_overhead_gp);
@@ -362,8 +355,6 @@ void PartitionSwp(MM& mm, const Relation& input, PartitionSinkSet* sinks,
                   uint32_t num_partitions, const KernelParams& params,
                   uint32_t hash_divisor = 1,
                   PageRange range = PageRange{}) {
-  // Live-tuned D is adopted once per pass: ring size, stage offsets, and
-  // the sinks' waiting-queue state indices all depend on it.
   const uint64_t d = params.EffectiveDistance();
   constexpr uint32_t kStages = 2;  // k = 2 dependent references
   PartitionContext<MM> ctx(&mm, sinks, num_partitions, input,

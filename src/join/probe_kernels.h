@@ -343,7 +343,7 @@ template <typename MM>
 uint64_t ProbeGroup(MM& mm, const Relation& probe, const HashTable& ht,
                     uint32_t build_tuple_size, const KernelParams& params,
                     Relation* out, ProbeStats* stats = nullptr) {
-  uint32_t group = params.EffectiveGroupSize();
+  const uint32_t group = params.EffectiveGroupSize();
   ProbeContext<MM> ctx(&mm, &ht, build_tuple_size,
                        probe.schema().fixed_size(), probe, out,
                        params);
@@ -351,13 +351,6 @@ uint64_t ProbeGroup(MM& mm, const Relation& probe, const HashTable& ht,
   std::vector<ProbeState> states(group);
   bool more = true;
   while (more) {
-    // Group boundary: the safe point to adopt a live-tuned G — no tuple
-    // is mid-pipeline, so resizing the state array loses nothing.
-    const uint32_t next_group = params.EffectiveGroupSize();
-    if (next_group != group) {
-      group = next_group;
-      states.resize(group);
-    }
     uint32_t g = 0;
     while (g < group) {
       mm.Busy(cfg.cost_stage_overhead_gp);
@@ -391,8 +384,6 @@ template <typename MM>
 uint64_t ProbeSwp(MM& mm, const Relation& probe, const HashTable& ht,
                   uint32_t build_tuple_size, const KernelParams& params,
                   Relation* out, ProbeStats* stats = nullptr) {
-  // Live-tuned D is adopted once per pass: the ring size and the stage
-  // offsets are derived from it, so it cannot change mid-pipeline.
   const uint64_t d = params.EffectiveDistance();
   constexpr uint32_t kStages = 3;  // k = 3 dependent references
   ProbeContext<MM> ctx(&mm, &ht, build_tuple_size,

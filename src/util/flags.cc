@@ -64,9 +64,7 @@ std::string FlagParser::GetString(const std::string& name,
 std::vector<std::string> FlagParser::Unread() const {
   std::vector<std::string> unread;
   for (const auto& [name, value] : values_) {
-    if (read_.count(name) == 0 && name.rfind("benchmark_", 0) != 0) {
-      unread.push_back(name);
-    }
+    if (read_.count(name) == 0) unread.push_back(name);
   }
   return unread;
 }

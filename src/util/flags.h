@@ -10,11 +10,10 @@
 namespace hashjoin {
 
 /// Minimal --name=value command-line parser for the bench binaries.
-/// Parse() accepts any flag (google-benchmark consumes its own), so bench
-/// binaries can mix both flag families. Every Has/Get* call marks its flag
-/// read, and Unread() names the flags no code path asked about — a
-/// misspelt or retired flag — which a --json run refuses
-/// (BenchReporter::WriteAndReport) and a driver without one refuses
+/// Parse() accepts any flag. Every Has/Get* call marks its flag read, and
+/// Unread() names the flags no code path asked about — a misspelt or
+/// retired flag — which a record-writing run refuses
+/// (BenchReporter::WriteAndReport) and a driver without records refuses
 /// through RefuseUnread(). Not thread-safe.
 class FlagParser {
  public:
@@ -30,8 +29,7 @@ class FlagParser {
   std::string GetString(const std::string& name,
                         const std::string& default_value) const;
 
-  /// Parsed flags that no Has/Get* call has read, google-benchmark's
-  /// own --benchmark_* flags excepted.
+  /// Parsed flags that no Has/Get* call has read.
   std::vector<std::string> Unread() const;
 
   /// Refuses the flags Unread() names: each goes to stderr, prefixed

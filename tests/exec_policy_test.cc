@@ -66,15 +66,10 @@ TEST(SchemeTableTest, NameListNamesEveryScheme) {
 }
 
 TEST(SchemeTableTest, AllSchemesAreAvailable) {
-  for (Scheme s : AllSchemes()) {
-    EXPECT_TRUE(SchemeAvailable(s)) << SchemeName(s);
-  }
-#if HASHJOIN_HAS_COROUTINES
-  EXPECT_EQ(AllSchemes().size(), 5u);
-#else
-  EXPECT_EQ(AllSchemes().size(), 4u);
-  EXPECT_FALSE(SchemeAvailable(Scheme::kCoro));
-#endif
+  EXPECT_EQ(AllSchemes(),
+            (std::vector<Scheme>{Scheme::kBaseline, Scheme::kSimple,
+                                 Scheme::kGroup, Scheme::kSwp,
+                                 Scheme::kCoro}));
 }
 
 // ---------- two-batch state hygiene ----------
@@ -395,8 +390,6 @@ TEST(AggregatePolicyTest, AllSchemesProduceTheSameGroups) {
 
 // ---------- coroutine pipeline specifics ----------
 
-#if HASHJOIN_HAS_COROUTINES
-
 TEST(CoroPipelineTest, OutputOrderMatchesSerialProbe) {
   WorkloadSpec spec;
   spec.num_build_tuples = 2000;
@@ -452,8 +445,6 @@ TEST(CoroPipelineTest, ChargesCoroOverheadPerResume) {
   EXPECT_GE(simulator.stats().busy_cycles,
             16u * cfg.cost_stage_overhead_coro);
 }
-
-#endif  // HASHJOIN_HAS_COROUTINES
 
 }  // namespace
 }  // namespace hashjoin

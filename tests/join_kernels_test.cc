@@ -22,7 +22,6 @@ uint32_t KeyOf(const uint8_t* tuple) {
 class BuildSchemeTest : public ::testing::TestWithParam<Scheme> {};
 
 TEST_P(BuildSchemeTest, TableMatchesBaselineOracle) {
-  if (!SchemeAvailable(GetParam())) GTEST_SKIP();
   WorkloadSpec spec;
   spec.num_build_tuples = 5000;
   spec.tuple_size = 20;
@@ -55,7 +54,6 @@ TEST_P(BuildSchemeTest, TableMatchesBaselineOracle) {
 }
 
 TEST_P(BuildSchemeTest, SkewedKeysExerciseConflicts) {
-  if (!SchemeAvailable(GetParam())) GTEST_SKIP();
   // Heavy duplicates: many tuples of one group hash to the same bucket,
   // triggering the busy-bucket protocols (§4.4 / §5.3).
   Relation rel = GenerateSkewedRelation(4000, 16, 0.99, 50, 3);
@@ -83,7 +81,6 @@ TEST_P(BuildSchemeTest, SkewedKeysExerciseConflicts) {
 }
 
 TEST_P(BuildSchemeTest, AllDuplicateKeysSingleBucket) {
-  if (!SchemeAvailable(GetParam())) GTEST_SKIP();
   // Worst case: every tuple conflicts.
   Schema schema = Schema::KeyPayload(16);
   Relation rel(schema);
@@ -103,7 +100,6 @@ TEST_P(BuildSchemeTest, AllDuplicateKeysSingleBucket) {
 }
 
 TEST_P(BuildSchemeTest, EmptyInputIsFine) {
-  if (!SchemeAvailable(GetParam())) GTEST_SKIP();
   Relation rel(Schema::KeyPayload(16));
   RealMemory mm;
   HashTable ht(13);
@@ -130,7 +126,6 @@ struct ProbeCase {
 class ProbeSchemeTest : public ::testing::TestWithParam<ProbeCase> {};
 
 TEST_P(ProbeSchemeTest, OutputMatchesExpectedExactly) {
-  if (!SchemeAvailable(GetParam().scheme)) GTEST_SKIP();
   WorkloadSpec spec;
   spec.num_build_tuples = 3000;
   spec.tuple_size = 24;
@@ -166,7 +161,6 @@ TEST_P(ProbeSchemeTest, OutputMatchesExpectedExactly) {
 }
 
 TEST_P(ProbeSchemeTest, ZeroMatchesWhenDisjoint) {
-  if (!SchemeAvailable(GetParam().scheme)) GTEST_SKIP();
   WorkloadSpec spec;
   spec.num_build_tuples = 1000;
   spec.tuple_size = 16;
@@ -193,7 +187,6 @@ TEST_P(ProbeSchemeTest, ZeroMatchesWhenDisjoint) {
 }
 
 TEST_P(ProbeSchemeTest, ManyMatchesPerProbeOverflowPath) {
-  if (!SchemeAvailable(GetParam().scheme)) GTEST_SKIP();
   // One build key duplicated far beyond the candidate buffer forces the
   // overflow rescan path.
   Schema schema = Schema::KeyPayload(16);
@@ -223,7 +216,6 @@ TEST_P(ProbeSchemeTest, ManyMatchesPerProbeOverflowPath) {
 }
 
 TEST_P(ProbeSchemeTest, EmptyProbeInput) {
-  if (!SchemeAvailable(GetParam().scheme)) GTEST_SKIP();
   Schema schema = Schema::KeyPayload(16);
   Relation build(schema);
   uint8_t t[16] = {};
@@ -268,7 +260,6 @@ INSTANTIATE_TEST_SUITE_P(
 class PartitionSchemeTest : public ::testing::TestWithParam<Scheme> {};
 
 TEST_P(PartitionSchemeTest, PreservesEveryTupleInRightPartition) {
-  if (!SchemeAvailable(GetParam())) GTEST_SKIP();
   Relation input = GenerateSourceRelation(20000, 20, 17);
   const uint32_t P = 13;
   std::vector<Relation> parts;
@@ -308,7 +299,6 @@ TEST_P(PartitionSchemeTest, PreservesEveryTupleInRightPartition) {
 }
 
 TEST_P(PartitionSchemeTest, SinglePartitionDegenerate) {
-  if (!SchemeAvailable(GetParam())) GTEST_SKIP();
   Relation input = GenerateSourceRelation(3000, 32, 5);
   std::vector<Relation> parts;
   parts.emplace_back(input.schema(), 2048);
@@ -321,7 +311,6 @@ TEST_P(PartitionSchemeTest, SinglePartitionDegenerate) {
 }
 
 TEST_P(PartitionSchemeTest, ManyPartitionsFewTuples) {
-  if (!SchemeAvailable(GetParam())) GTEST_SKIP();
   Relation input = GenerateSourceRelation(50, 16, 9);
   const uint32_t P = 97;
   std::vector<Relation> parts;
@@ -337,7 +326,6 @@ TEST_P(PartitionSchemeTest, ManyPartitionsFewTuples) {
 }
 
 TEST_P(PartitionSchemeTest, SkewedInputFloodsOnePartition) {
-  if (!SchemeAvailable(GetParam())) GTEST_SKIP();
   // All tuples share few keys: output buffers of hot partitions fill
   // constantly, exercising the full-page conflict protocols (§6).
   Relation input = GenerateSkewedRelation(10000, 20, 1.1, 4, 23);
@@ -368,7 +356,6 @@ TEST_P(PartitionSchemeTest, SkewedInputFloodsOnePartition) {
 }
 
 TEST_P(PartitionSchemeTest, VariableLengthTuplesSurvive) {
-  if (!SchemeAvailable(GetParam())) GTEST_SKIP();
   // Mixed tuple lengths (the slotted pages and partition copy paths are
   // length-driven, §7.1 "fixed length and variable length attributes").
   Relation input(Schema::KeyPayload(16), 1024);
@@ -422,7 +409,6 @@ struct GraceCase {
 class GraceJoinTest : public ::testing::TestWithParam<GraceCase> {};
 
 TEST_P(GraceJoinTest, EndToEndCountsMatch) {
-  if (!SchemeAvailable(GetParam().scheme)) GTEST_SKIP();
   WorkloadSpec spec;
   spec.num_build_tuples = 20000;
   spec.tuple_size = 20;
@@ -458,7 +444,6 @@ TEST_P(GraceJoinTest, EndToEndCountsMatch) {
 }
 
 TEST_P(GraceJoinTest, NullOutputStillCounts) {
-  if (!SchemeAvailable(GetParam().scheme)) GTEST_SKIP();
   WorkloadSpec spec;
   spec.num_build_tuples = 5000;
   spec.tuple_size = 16;

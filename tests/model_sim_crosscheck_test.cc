@@ -9,16 +9,13 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "join/coro_kernels.h"
 #include "mem/memory_model.h"
 #include "model/cost_model.h"
 #include "simcache/memory_sim.h"
 #include "util/aligned.h"
 #include "util/bitops.h"
 #include "util/random.h"
-
-#if HASHJOIN_HAS_COROUTINES
-#include "join/coro_kernels.h"
-#endif
 
 namespace hashjoin {
 namespace {
@@ -173,8 +170,6 @@ TEST_P(SwpCrosscheck, PredictionWithinTolerance) {
 INSTANTIATE_TEST_SUITE_P(Distances, SwpCrosscheck,
                          ::testing::Values(1, 2, 4, 8));
 
-#if HASHJOIN_HAS_COROUTINES
-
 // W coroutine chains over strided elements, resumed round-robin, run in
 // lockstep: sweep s executes stage s of every chain, which is exactly
 // group prefetching with G = W. The group model therefore predicts the
@@ -242,8 +237,6 @@ TEST_P(CoroCrosscheck, GroupModelPlusResumeOverheadPredicts) {
 // Widths divide kN so the chains stay in lockstep to the last sweep.
 INSTANTIATE_TEST_SUITE_P(Widths, CoroCrosscheck,
                          ::testing::Values(4, 8, 16, 32));
-
-#endif  // HASHJOIN_HAS_COROUTINES
 
 TEST(ModelSimCrosscheck, FeasibleGroupHidesLatencyInSimulatorToo) {
   SyntheticWorkload w(4);

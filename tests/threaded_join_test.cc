@@ -21,6 +21,7 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <type_traits>
 
 #include "gtest/gtest.h"
 #include "hash/hash_table.h"
@@ -155,17 +156,20 @@ TEST(ParallelPartitionTest, MultiPassMatchesSerial) {
 
 // ---------- Determinism across thread counts ----------
 
+// gtest has no printer for this struct, so it names each case by the
+// struct's bytes. The struct has no padding, so those bytes, and with
+// them the ctest names, are the same in every build.
 struct ThreadedCase {
   Scheme scheme;
-  bool skewed;
+  uint32_t skewed;  // 0: uniform keys, 1: Zipf-skewed keys
 };
+static_assert(std::has_unique_object_representations_v<ThreadedCase>);
 
 class ThreadedJoinDeterminism
     : public ::testing::TestWithParam<ThreadedCase> {};
 
 TEST_P(ThreadedJoinDeterminism, SameOutputForAnyThreadCount) {
   const ThreadedCase& c = GetParam();
-  if (!SchemeAvailable(c.scheme)) GTEST_SKIP();
   Relation build = c.skewed
                        ? GenerateSkewedRelation(12000, 20, 0.9, 3000, 17)
                        : GenerateSourceRelation(12000, 20, 17);
@@ -206,16 +210,16 @@ TEST_P(ThreadedJoinDeterminism, SameOutputForAnyThreadCount) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllSchemes, ThreadedJoinDeterminism,
-    ::testing::Values(ThreadedCase{Scheme::kBaseline, false},
-                      ThreadedCase{Scheme::kSimple, false},
-                      ThreadedCase{Scheme::kGroup, false},
-                      ThreadedCase{Scheme::kSwp, false},
-                      ThreadedCase{Scheme::kBaseline, true},
-                      ThreadedCase{Scheme::kSimple, true},
-                      ThreadedCase{Scheme::kGroup, true},
-                      ThreadedCase{Scheme::kSwp, true},
-                      ThreadedCase{Scheme::kCoro, false},
-                      ThreadedCase{Scheme::kCoro, true}),
+    ::testing::Values(ThreadedCase{Scheme::kBaseline, 0},
+                      ThreadedCase{Scheme::kSimple, 0},
+                      ThreadedCase{Scheme::kGroup, 0},
+                      ThreadedCase{Scheme::kSwp, 0},
+                      ThreadedCase{Scheme::kBaseline, 1},
+                      ThreadedCase{Scheme::kSimple, 1},
+                      ThreadedCase{Scheme::kGroup, 1},
+                      ThreadedCase{Scheme::kSwp, 1},
+                      ThreadedCase{Scheme::kCoro, 0},
+                      ThreadedCase{Scheme::kCoro, 1}),
     [](const auto& info) {
       return std::string(SchemeName(info.param.scheme)) +
              (info.param.skewed ? "_skewed" : "_uniform");

@@ -2,15 +2,12 @@
 // feedback controller's state machine on simulated counter streams, the
 // ChooseParams G/D invariants under randomized inputs (never a 0
 // sentinel, never past the measured LFB ceiling), the LFB probe's
-// structural guarantees, and the LiveTuning -> KernelParams handoff the
-// kernels read at batch boundaries.
+// structural guarantees, and the floor KernelParams puts under G and D.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <random>
-#include <thread>
 #include <vector>
 
 #include "join/join_common.h"
@@ -359,32 +356,7 @@ TEST(LfbProbe, KneeIsTheFirstKReachingTheKneeFraction) {
 }
 
 // ---------------------------------------------------------------------------
-// LiveTuning -> KernelParams handoff
-
-TEST(LiveTuning, EffectiveParamsFollowPublishedOverrides) {
-  KernelParams params;
-  params.group_size = 19;
-  params.prefetch_distance = 4;
-  // No live channel: statics pass through.
-  EXPECT_EQ(params.EffectiveGroupSize(), 19u);
-  EXPECT_EQ(params.EffectiveDistance(), 4u);
-
-  LiveTuning live;
-  params.live = &live;
-  // Attached but unpublished (0,0): still the statics.
-  EXPECT_EQ(params.EffectiveGroupSize(), 19u);
-  EXPECT_EQ(params.EffectiveDistance(), 4u);
-
-  live.Publish(8, 2);
-  EXPECT_EQ(params.EffectiveGroupSize(), 8u);
-  EXPECT_EQ(params.EffectiveDistance(), 2u);
-
-  // Publishing 0 withdraws the override (back to statics), never
-  // yielding a 0 depth to a kernel.
-  live.Publish(0, 0);
-  EXPECT_EQ(params.EffectiveGroupSize(), 19u);
-  EXPECT_EQ(params.EffectiveDistance(), 4u);
-}
+// KernelParams floor
 
 TEST(LiveTuning, NeverZeroEvenWithDegenerateStatics) {
   KernelParams params;
@@ -392,36 +364,6 @@ TEST(LiveTuning, NeverZeroEvenWithDegenerateStatics) {
   params.prefetch_distance = 0;
   EXPECT_EQ(params.EffectiveGroupSize(), 1u);
   EXPECT_EQ(params.EffectiveDistance(), 1u);
-}
-
-TEST(LiveTuning, ConcurrentPublisherNeverYieldsZeroOrTornPair) {
-  // One publisher cycling through nonzero depths, one reader thread
-  // hammering Effective*(). The reader must only ever see depths the
-  // publisher wrote (or the statics), never 0.
-  LiveTuning live;
-  KernelParams params;
-  params.group_size = 19;
-  params.prefetch_distance = 4;
-  params.live = &live;
-
-  std::atomic<bool> stop{false};
-  std::atomic<bool> failed{false};
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      uint32_t g = params.EffectiveGroupSize();
-      uint32_t d = params.EffectiveDistance();
-      if (g == 0 || d == 0 || g > 64 || d > 64) {
-        failed.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  });
-  for (int i = 0; i < 20'000; ++i) {
-    live.Publish(1 + (i % 32), 1 + (i % 8));
-  }
-  stop.store(true, std::memory_order_relaxed);
-  reader.join();
-  EXPECT_FALSE(failed.load());
 }
 
 }  // namespace

@@ -362,14 +362,15 @@ TEST(FlagsTest, UnreadNamesFlagsNoCallAskedAbout) {
   FlagParser flags;
   flags.Parse(6, const_cast<char**>(argv));
   EXPECT_EQ(flags.Unread(),
-            (std::vector<std::string>{"auto-tune", "json", "scale",
-                                      "smoke"}));
+            (std::vector<std::string>{"auto-tune", "benchmark_filter",
+                                      "json", "scale", "smoke"}));
   EXPECT_TRUE(flags.Has("json"));
   EXPECT_TRUE(flags.GetBool("smoke", false));
   EXPECT_EQ(flags.GetInt("absent", 1), 1);  // reading an absent flag is fine
   EXPECT_DOUBLE_EQ(flags.GetDouble("scale", 0.1), 0.5);
-  // google-benchmark's own flags are never reported.
-  EXPECT_EQ(flags.Unread(), std::vector<std::string>{"auto-tune"});
+  // A --benchmark_* flag is unread like any other.
+  EXPECT_EQ(flags.Unread(),
+            (std::vector<std::string>{"auto-tune", "benchmark_filter"}));
 }
 
 TEST(FlagsDeathTest, RefuseUnreadNamesEachFlagAndExits) {
@@ -378,12 +379,17 @@ TEST(FlagsDeathTest, RefuseUnreadNamesEachFlagAndExits) {
   FlagParser flags;
   flags.Parse(4, const_cast<char**>(argv));
   EXPECT_EXIT(flags.RefuseUnread(), ::testing::ExitedWithCode(2),
+              "^prog: unknown flag --benchmark_filter\n"
               "prog: unknown flag --scael\n"
-              "prog: unknown flag --smoke");
+              "prog: unknown flag --smoke\n$");
   flags.GetBool("smoke", false);
   EXPECT_EXIT(flags.RefuseUnread(), ::testing::ExitedWithCode(2),
-              "^prog: unknown flag --scael\n$");
+              "^prog: unknown flag --benchmark_filter\n"
+              "prog: unknown flag --scael\n$");
   flags.GetDouble("scael", 0);
+  EXPECT_EXIT(flags.RefuseUnread(), ::testing::ExitedWithCode(2),
+              "^prog: unknown flag --benchmark_filter\n$");
+  flags.GetString("benchmark_filter", "");
   flags.RefuseUnread();  // everything read: returns
 }
 

@@ -712,7 +712,7 @@ void CollectDecls(const std::string& path, const std::string& contents,
 
     // Plain data member: used to suppress bare-use attribution for
     // atomic field names that also exist as ordinary members
-    // (KernelParams::group_size vs LiveTuning::group_size).
+    // (PageBuffer::bytes_ vs MemoryGrant::bytes_).
     std::string s = decl;
     for (char stop : {'=', '{', '['}) {
       int angle = 0;

@@ -90,9 +90,8 @@ struct DeclIndex {
   std::vector<MemberDecl> atomics;     // std::atomic<...> fields
   /// Names that are also declared as plain (non-atomic) data members
   /// somewhere in the program. Bare-use detection for atomics is
-  /// suppressed for these names: `p.group_size = 19` on a plain
-  /// KernelParams must not be confused with LiveTuning's atomic
-  /// group_size.
+  /// suppressed for these names: `bytes_ = nullptr` on a plain
+  /// PageBuffer must not be confused with MemoryGrant's atomic bytes_.
   std::set<std::string> plain_members;
   std::vector<FnAnnotation> annotations;
   std::vector<DeclaredEdge> declared_edges;
