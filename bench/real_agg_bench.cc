@@ -32,10 +32,37 @@
 namespace hashjoin {
 namespace {
 
-Relation MakeFacts(uint64_t groups, uint64_t num_tuples) {
-  Relation r(Schema({{"key", AttrType::kInt32, 4},
-                     {"value", AttrType::kInt64, 8},
-                     {"pad", AttrType::kFixedChar, 8}}));
+/// The fact table plus, per key, the count and sum an exact
+/// aggregation must produce.
+struct Facts {
+  Relation rel;
+  std::vector<uint64_t> count;  // indexed by key
+  std::vector<int64_t> sum;
+  uint64_t distinct_keys = 0;
+
+  /// Whether `agg` holds exactly one group per distinct key, each with
+  /// the reference count and sum.
+  bool Matches(const HashAggTable& agg) const {
+    if (agg.num_groups() != distinct_keys) return false;
+    std::vector<bool> seen(count.size(), false);
+    bool ok = true;
+    agg.ForEachGroup([&](const AggState& s) {
+      if (s.key >= count.size() || seen[s.key] ||
+          s.count != count[s.key] || s.sum != sum[s.key]) {
+        ok = false;
+        return;
+      }
+      seen[s.key] = true;
+    });
+    return ok;
+  }
+};
+
+Facts MakeFacts(uint64_t groups, uint64_t num_tuples) {
+  Facts f{Relation(Schema({{"key", AttrType::kInt32, 4},
+                           {"value", AttrType::kInt64, 8},
+                           {"pad", AttrType::kFixedChar, 8}})),
+          std::vector<uint64_t>(groups, 0), std::vector<int64_t>(groups, 0)};
   Rng rng(5);
   for (uint64_t i = 0; i < num_tuples; ++i) {
     uint8_t t[20] = {};
@@ -43,9 +70,11 @@ Relation MakeFacts(uint64_t groups, uint64_t num_tuples) {
     int64_t value = int64_t(rng.NextBounded(100));
     std::memcpy(t, &key, 4);
     std::memcpy(t + 4, &value, 8);
-    r.Append(t, sizeof(t), HashKey32(key));
+    f.rel.Append(t, sizeof(t), HashKey32(key));
+    if (f.count[key]++ == 0) ++f.distinct_keys;
+    f.sum[key] += value;
   }
-  return r;
+  return f;
 }
 
 int Run(const FlagParser& flags) {
@@ -81,7 +110,7 @@ int Run(const FlagParser& flags) {
                                 Scheme::kSwp, Scheme::kCoro};
 
   for (uint64_t groups : group_counts) {
-    const Relation facts = MakeFacts(groups, num_facts);
+    const Facts facts = MakeFacts(groups, num_facts);
     for (Scheme scheme : schemes) {
       const KernelParams params = tuned;
       std::unique_ptr<HashAggTable> agg;
@@ -93,14 +122,14 @@ int Run(const FlagParser& flags) {
       config.Set("D", params.prefetch_distance);
       config.Set("threads", 1);
       config.Set("groups", groups);
-      config.Set("fact_tuples", facts.num_tuples());
+      config.Set("fact_tuples", facts.rel.num_tuples());
       JsonValue& rec = reporter.AddRecord(
           std::string("agg/") + SchemeName(scheme) + "/groups=" +
               std::to_string(groups),
           std::move(config),
           /*body=*/
           [&] {
-            AggregateRelation(mm, scheme, facts, 4, agg.get(), params);
+            AggregateRelation(mm, scheme, facts.rel, 4, agg.get(), params);
             out_groups = agg->num_groups();
           },
           /*setup=*/
@@ -109,7 +138,7 @@ int Run(const FlagParser& flags) {
                 NextRelativelyPrime(groups, 31));
           });
       rec.Set("outputs", out_groups);
-      rec.Set("verified", out_groups <= groups && out_groups > 0);
+      rec.Set("verified", facts.Matches(*agg));
       rec.Set("tuning", tuning.ToJson());
     }
   }

@@ -173,10 +173,15 @@ DiskGraceJoin::SpillFiles DiskGraceJoin::CreatePartitionFiles(
 }
 
 void DiskGraceJoin::QueueWritePage(BufferManager::FileId file,
-                                   uint64_t page_index, PageBuffer page,
-                                   SlotHashes hashes) {
+                                   uint64_t page_index, PageBuffer page) {
+  TallyPage(file, page.data(), SlotHashes::kMemoized);
+  bm_->WritePageAsync(file, page_index, std::move(page));
+}
+
+void DiskGraceJoin::TallyPage(BufferManager::FileId file,
+                              const uint8_t* page, SlotHashes hashes) {
   static_assert(FileStats::kHistBins == SpillLevelStats::kHistBins);
-  SlottedPage pg = SlottedPage::Attach(page.data());
+  const SlottedPage pg = SlottedPage::Attach(const_cast<uint8_t*>(page));
   FileStats& fs = file_stats_[file];
   // A partition file's pages are its level's spill cost.
   SpillLevelStats* lv =
@@ -214,12 +219,11 @@ void DiskGraceJoin::QueueWritePage(BufferManager::FileId file,
     lv->tuples += pg.slot_count();
     lv->bytes_written += page_bytes;
   }
-  bm_->WritePageAsync(file, page_index, std::move(page));
 }
 
 Status DiskGraceJoin::VerifyPage(const uint8_t* page_bytes) const {
   // A buffer manager that checksums pages has already checked this
-  // frame against the CRC of the page as QueueWritePage queued it.
+  // frame against the CRC of the page as it was queued.
   if (bm_->config().checksum_pages) return Status::OK();
   // No checksum protects the page: at least keep a torn one from
   // sending the tuple loops past the frame.
@@ -239,14 +243,13 @@ StatusOr<BufferManager::FileId> DiskGraceJoin::StoreRelation(
   auto file = bm_->CreateFile();
   const SlotHashes hashes =
       rel.has_hash_codes() ? SlotHashes::kMemoized : SlotHashes::kNone;
-  for (size_t p = 0; p < rel.num_pages(); ++p) {
-    // The relation is const: each page is copied once, into the buffer
-    // that is queued.
-    PageBuffer page = bm_->TakePage();
-    std::memcpy(page.data(), rel.page(p).data(), page_size_);
-    QueueWritePage(file, p, std::move(page), hashes);
+  std::vector<const uint8_t*> pages(rel.num_pages());
+  for (size_t p = 0; p < pages.size(); ++p) {
+    pages[p] = rel.page(p).data();
+    TallyPage(file, pages[p], hashes);
   }
-  HJ_RETURN_IF_ERROR(bm_->FlushWrites());
+  // Written from the relation's own pages: no copy and no pool page.
+  HJ_RETURN_IF_ERROR(bm_->WritePages(file, pages));
   return file;
 }
 
@@ -265,8 +268,7 @@ Status DiskGraceJoin::PartitionInto(BufferManager::FileId input,
       const uint64_t page_tuples = pages.view(p).slot_count();
       st->res.AddPage(p, pages.Take(p), page_tuples);
     } else {
-      QueueWritePage(out->files[p], out->next_page[p]++, pages.Take(p),
-                     SlotHashes::kMemoized);
+      QueueWritePage(out->files[p], out->next_page[p]++, pages.Take(p));
     }
     if (st != nullptr) EnforceResidencyBudget(st);
   };
@@ -661,7 +663,7 @@ void DiskGraceJoin::SpillVictim(JoinState* st, uint32_t victim) {
     // the probe pass is complete the moment these writes land.
     for (PageBuffer& page : pages) {
       QueueWritePage(st->build.files[victim], st->build.next_page[victim]++,
-                     std::move(page), SlotHashes::kMemoized);
+                     std::move(page));
     }
     if (st->probe_pass) st->build_on_disk[victim] = 1;
   }

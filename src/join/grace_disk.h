@@ -276,7 +276,9 @@ class DiskGraceJoin {
   /// Convenience: default config with `num_partitions` (legacy callers).
   DiskGraceJoin(BufferManager* bm, uint32_t num_partitions);
 
-  /// Writes a memory-resident relation out as a striped page file.
+  /// Writes a memory-resident relation out as a striped page file,
+  /// straight from its pages (BufferManager::WritePages): no pool page
+  /// is taken, and the call returns once every page is on disk.
   StatusOr<BufferManager::FileId> StoreRelation(const Relation& rel);
 
   /// Partitions `input` (a StoreRelation file) into per-partition files;
@@ -350,15 +352,19 @@ class DiskGraceJoin {
   /// them in that level's `partitions_written`.
   SpillFiles CreatePartitionFiles(uint32_t fanout, uint32_t level);
 
-  /// Queues one page write, tallying the file's FileStats and, for a
-  /// partition file, its level's SpillLevelStats; the page changes
-  /// hands, uncopied. Fire-and-forget: write errors surface at the next
-  /// FlushWrites. `hashes` says whether each slot holds HashKey32 of its
-  /// key: every page the join writes does, and a stored relation's do
-  /// when it has_hash_codes(); otherwise each key is hashed for the
-  /// FileStats.
+  /// Queues one page the join wrote (every slot memoizes its key's
+  /// hash) as page `page_index` of `file`, after TallyPage; the page
+  /// changes hands, uncopied. Fire-and-forget: write errors surface at
+  /// the next FlushWrites.
   void QueueWritePage(BufferManager::FileId file, uint64_t page_index,
-                      PageBuffer page, SlotHashes hashes);
+                      PageBuffer page);
+  /// Tallies one page bound for `file` in the file's FileStats and, for
+  /// a partition file, its level's SpillLevelStats. `hashes` says
+  /// whether each slot holds HashKey32 of its key: every page the join
+  /// writes does, and a stored relation's do when it has_hash_codes();
+  /// otherwise each key is hashed for the FileStats.
+  void TallyPage(BufferManager::FileId file, const uint8_t* page,
+                 SlotHashes hashes);
   /// Checks a page read back from storage that the buffer manager did
   /// not checksum: every slot must lie inside the page (kDataLoss
   /// otherwise), so a torn page cannot send the tuple loops past it.

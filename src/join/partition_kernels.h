@@ -42,17 +42,21 @@ struct alignas(kCacheLineSize) PartitionSink {
   }
 };
 
-/// Manages the P sinks of one partition pass.
+/// Manages the P sinks of one partition pass. Their working pages are
+/// one page-aligned block of P pages, sink p's at page p: one allocation
+/// instead of one per sink, each with its own allocator remainder.
 class PartitionSinkSet {
  public:
   PartitionSinkSet(std::vector<Relation>* dests, uint32_t page_size)
-      : page_size_(page_size) {
-    sinks_ = MakeAlignedBuffer<PartitionSink>(dests->size());
-    num_sinks_ = dests->size();
+      : page_size_(page_size), num_sinks_(dests->size()) {
+    sinks_ = MakeAlignedBuffer<PartitionSink>(num_sinks_);
+    pages_ = AlignedBuffer<uint8_t>(static_cast<uint8_t*>(
+        AlignedAlloc(num_sinks_ * page_size_, page_size_)));
     for (size_t i = 0; i < num_sinks_; ++i) {
       sinks_[i] = PartitionSink{};
       sinks_[i].dest = &(*dests)[i];
-      InstallFreshPage(&sinks_[i]);
+      sinks_[i].page = pages_.get() + i * page_size_;
+      sinks_[i].free_offset = sizeof(SlottedPage::PageHeader);
     }
   }
 
@@ -98,28 +102,23 @@ class PartitionSinkSet {
   }
 
   /// Flushes every sink's partial page (end of the partition pass) and
-  /// releases the buffers.
+  /// frees the block of working pages.
   void FinalFlushAll() {
     for (size_t i = 0; i < num_sinks_; ++i) {
       PartitionSink* s = &sinks_[i];
       HJ_CHECK(s->pending == 0);
       HJ_CHECK(s->waiting_head == -1);
       if (s->slot_count > 0) Flush(s);
-      AlignedFree(s->page);
       s->page = nullptr;
     }
+    pages_.reset();
   }
 
  private:
-  void InstallFreshPage(PartitionSink* s) {
-    s->page = static_cast<uint8_t*>(AlignedAlloc(page_size_, page_size_));
-    s->slot_count = 0;
-    s->free_offset = sizeof(SlottedPage::PageHeader);
-  }
-
   uint32_t page_size_;
+  size_t num_sinks_;
   AlignedBuffer<PartitionSink> sinks_;
-  size_t num_sinks_ = 0;
+  AlignedBuffer<uint8_t> pages_;  // every sink's working page
 };
 
 /// Shared context of one partition pass. `hash_divisor` supports

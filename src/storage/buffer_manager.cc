@@ -139,7 +139,7 @@ Status BufferManager::WriteWithRetry(DiskWorker* w, const Request& req) {
        ++attempt) {
     bytes_written_.fetch_add(config_.disk.page_size,
                              std::memory_order_relaxed);
-    last = w->disk->WritePage(req.disk_page, req.write_data.data());
+    last = w->disk->WritePage(req.disk_page, req.write_bytes);
     if (!last.ok()) {
       if (last.code() != StatusCode::kIOError) return last;  // permanent
       if (attempt + 1 < config_.retry.max_attempts) {
@@ -247,12 +247,29 @@ uint64_t BufferManager::FileNumPages(FileId file) const {
 void BufferManager::WritePageAsync(FileId file, uint64_t page_index,
                                    PageBuffer page) {
   HJ_CHECK(page) << "WritePageAsync of an empty PageBuffer";
-  const uint32_t disk_id = DiskOf(file, page_index);
   Request req;
-  if (config_.checksum_pages) {
-    req.expected_crc = Crc32(page.data(), config_.disk.page_size);
-  }
+  req.write_bytes = page.data();
   req.write_data = std::move(page);
+  QueueWrite(file, page_index, std::move(req));
+}
+
+Status BufferManager::WritePages(FileId file,
+                                 std::span<const uint8_t* const> pages) {
+  for (size_t i = 0; i < pages.size(); ++i) {
+    Request req;
+    req.write_bytes = pages[i];
+    QueueWrite(file, i, std::move(req));
+  }
+  // The caller's bytes are lent only until every write has retired.
+  return FlushWrites();
+}
+
+void BufferManager::QueueWrite(FileId file, uint64_t page_index,
+                               Request req) {
+  const uint32_t disk_id = DiskOf(file, page_index);
+  if (config_.checksum_pages) {
+    req.expected_crc = Crc32(req.write_bytes, config_.disk.page_size);
+  }
   {
     MutexLock lock(files_mu_);
     FileMeta& meta = files_[file];

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -172,7 +173,8 @@ struct BufferManagerConfig {
 ///
 /// Page buffers come from one pool (PagePool) and change hands instead
 /// of bytes: a caller fills a TakePage() buffer and hands it to
-/// WritePageAsync, which queues it and gives it back after the write; a
+/// WritePageAsync, which queues it and gives it back after the write,
+/// or lends pages it owns to WritePages for the length of the call; a
 /// scan takes frames only for the pages its file has, and its caller may
 /// keep the page just returned (Scanner::KeepPage). So a spill allocates
 /// no buffer per page and copies no page on its way to the disk queue.
@@ -212,6 +214,15 @@ class BufferManager {
   /// FlushWrites.
   void WritePageAsync(FileId file, uint64_t page_index, PageBuffer page)
       HJ_EXCLUDES(files_mu_);
+
+  /// Writes `pages` as pages [0, pages.size()) of `file` straight from
+  /// the caller's bytes, with no pool buffer and no copy, and returns
+  /// FlushWrites()' status: the call returns only once every queued
+  /// write has reached its disk, so no pointer outlives it. Checksums,
+  /// write verification and fault injection treat each page as
+  /// WritePageAsync does.
+  Status WritePages(FileId file, std::span<const uint8_t* const> pages)
+      HJ_EXCLUDES(files_mu_, writes_mu_);
 
   /// Blocks until every queued write has reached its disk. Returns the
   /// first write error since the previous FlushWrites (after retries
@@ -318,11 +329,14 @@ class BufferManager {
   };
 
   /// One disk operation, queued by value: a read into `read` when that
-  /// is set, else a write of `write_data`.
+  /// is set, else a write of the page at `write_bytes`.
   struct Request {
     uint64_t disk_page = 0;
     ReadFrame* read = nullptr;
-    PageBuffer write_data;  // the page itself, handed over by the writer
+    const uint8_t* write_bytes = nullptr;
+    /// Owns write_bytes when the writer handed its page over
+    /// (WritePageAsync); empty when it lent them (WritePages).
+    PageBuffer write_data;
     uint32_t expected_crc = 0;  // the page's CRC, with checksum_pages
   };
 
@@ -354,6 +368,10 @@ class BufferManager {
   };
 
   void WorkerLoop(DiskWorker* w);
+  /// Sums `req`'s page (with checksum_pages), places it as page
+  /// `page_index` of `file` and queues it on its disk.
+  void QueueWrite(FileId file, uint64_t page_index, Request req)
+      HJ_EXCLUDES(files_mu_);
   /// Frames a scan may keep in flight right now (see SetReadAheadBudget).
   uint32_t ReadAheadWindow();
   /// Reads `disk_page` into `dst`, retrying transient errors and, when a

@@ -1,5 +1,6 @@
 #include "storage/relation.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/logging.h"
@@ -16,6 +17,9 @@ Relation::Relation(Relation&& other) noexcept
     : schema_((other.CheckMutable(), std::move(other.schema_))),
       page_size_(other.page_size_),
       pages_(std::move(other.pages_)),
+      extents_(std::move(other.extents_)),
+      carve_next_(std::exchange(other.carve_next_, nullptr)),
+      carve_left_(std::exchange(other.carve_left_, 0)),
       num_tuples_(std::exchange(other.num_tuples_, 0)),
       data_bytes_(std::exchange(other.data_bytes_, 0)),
       append_page_open_(std::exchange(other.append_page_open_, false)),
@@ -28,6 +32,9 @@ Relation& Relation::operator=(Relation&& other) noexcept {
   schema_ = std::move(other.schema_);
   page_size_ = other.page_size_;
   pages_ = std::move(other.pages_);
+  extents_ = std::move(other.extents_);
+  carve_next_ = std::exchange(other.carve_next_, nullptr);
+  carve_left_ = std::exchange(other.carve_left_, 0);
   num_tuples_ = std::exchange(other.num_tuples_, 0);
   data_bytes_ = std::exchange(other.data_bytes_, 0);
   append_page_open_ = std::exchange(other.append_page_open_, false);
@@ -40,12 +47,25 @@ void Relation::CheckMutable() const {
       << "relation is shared with a hash-table cache and is immutable";
 }
 
+uint8_t* Relation::CarvePage() {
+  if (carve_left_ == 0) {
+    // Page-aligned so the simulator's TLB model sees realistic page
+    // boundaries. Sized to the pages held so far plus one, which
+    // doubles a relation's extents 1, 2, 4, ... up to the cap.
+    const size_t n = std::min(kMaxExtentPages, pages_.size() + 1);
+    void* raw = AlignedAlloc(n * page_size_, page_size_);
+    extents_.emplace_back(static_cast<uint8_t*>(raw));
+    carve_next_ = extents_.back().get();
+    carve_left_ = n;
+  }
+  --carve_left_;
+  return std::exchange(carve_next_, carve_next_ + page_size_);
+}
+
 void Relation::AddPage() {
-  // Page-aligned so the simulator's TLB model sees realistic page
-  // boundaries.
-  void* raw = AlignedAlloc(page_size_, page_size_);
-  pages_.emplace_back(static_cast<uint8_t*>(raw));
-  SlottedPage::Format(pages_.back().get(), page_size_);
+  uint8_t* page = CarvePage();
+  SlottedPage::Format(page, page_size_);
+  pages_.push_back(page);
   append_page_open_ = true;
 }
 
@@ -54,11 +74,11 @@ uint8_t* Relation::AllocAppend(uint16_t length,
   CheckMutable();
   if (pages_.empty()) AddPage();
   const uint32_t code = hash_code.value_or(0);
-  SlottedPage pg = SlottedPage::Attach(pages_.back().get());
+  SlottedPage pg = SlottedPage::Attach(pages_.back());
   uint8_t* dst = pg.AllocTuple(length, code, nullptr);
   if (dst == nullptr) {
     AddPage();
-    pg = SlottedPage::Attach(pages_.back().get());
+    pg = SlottedPage::Attach(pages_.back());
     dst = pg.AllocTuple(length, code, nullptr);
     HJ_CHECK(dst != nullptr) << "tuple larger than a page";
   }
@@ -76,8 +96,23 @@ void Relation::Append(const void* data, uint16_t length,
 
 void Relation::AdoptPage(AlignedBuffer<uint8_t> page, SlotHashes hashes) {
   CheckMutable();
-  SlottedPage pg = SlottedPage::Attach(page.get());
-  HJ_CHECK(pg.page_size() == page_size_);
+  HJ_CHECK(SlottedPage::Attach(page.get()).page_size() == page_size_);
+  extents_.push_back(std::move(page));
+  PlacePage(extents_.back().get(), hashes);
+}
+
+void Relation::AppendCopiedPage(const void* page_bytes, SlotHashes hashes) {
+  CheckMutable();
+  const SlottedPage src =
+      SlottedPage::Attach(const_cast<void*>(page_bytes));
+  HJ_CHECK(src.page_size() == page_size_);
+  uint8_t* page = CarvePage();
+  std::memcpy(page, page_bytes, page_size_);
+  PlacePage(page, hashes);
+}
+
+void Relation::PlacePage(uint8_t* page, SlotHashes hashes) {
+  const SlottedPage pg = SlottedPage::Attach(page);
   num_tuples_ += pg.slot_count();
   for (int s = 0; s < pg.slot_count(); ++s) {
     uint16_t len = 0;
@@ -87,22 +122,11 @@ void Relation::AdoptPage(AlignedBuffer<uint8_t> page, SlotHashes hashes) {
   if (pg.slot_count() > 0 && hashes == SlotHashes::kNone) {
     has_hash_codes_ = false;
   }
-  // Keep the open append page (if any) last so AllocAppend keeps
-  // filling it; otherwise adopted pages append in arrival order.
   if (append_page_open_ && !pages_.empty()) {
-    pages_.insert(pages_.end() - 1, std::move(page));
+    pages_.insert(pages_.end() - 1, page);
   } else {
-    pages_.push_back(std::move(page));
+    pages_.push_back(page);
   }
-}
-
-void Relation::AppendCopiedPage(const void* page_bytes, SlotHashes hashes) {
-  const SlottedPage src =
-      SlottedPage::Attach(const_cast<void*>(page_bytes));
-  HJ_CHECK(src.page_size() == page_size_);
-  void* raw = AlignedAlloc(page_size_, page_size_);
-  std::memcpy(raw, page_bytes, page_size_);
-  AdoptPage(AlignedBuffer<uint8_t>(static_cast<uint8_t*>(raw)), hashes);
 }
 
 Relation Relation::CopyPages(size_t begin, size_t end) const {
@@ -111,7 +135,7 @@ Relation Relation::CopyPages(size_t begin, size_t end) const {
   const SlotHashes hashes =
       has_hash_codes_ ? SlotHashes::kMemoized : SlotHashes::kNone;
   for (size_t i = begin; i < end; ++i) {
-    copy.AppendCopiedPage(pages_[i].get(), hashes);
+    copy.AppendCopiedPage(pages_[i], hashes);
   }
   return copy;
 }
@@ -133,7 +157,8 @@ void Relation::Absorb(Relation* other) {
   // Close our open append page: absorbed pages land after it, so it can
   // no longer be the AllocAppend target.
   append_page_open_ = false;
-  for (auto& page : other->pages_) pages_.push_back(std::move(page));
+  pages_.insert(pages_.end(), other->pages_.begin(), other->pages_.end());
+  for (auto& extent : other->extents_) extents_.push_back(std::move(extent));
   num_tuples_ += other->num_tuples_;
   data_bytes_ += other->data_bytes_;
   has_hash_codes_ = has_hash_codes_ && other->has_hash_codes_;
@@ -143,6 +168,9 @@ void Relation::Absorb(Relation* other) {
 void Relation::Clear() {
   CheckMutable();
   pages_.clear();
+  extents_.clear();
+  carve_next_ = nullptr;
+  carve_left_ = 0;
   num_tuples_ = 0;
   data_bytes_ = 0;
   append_page_open_ = false;

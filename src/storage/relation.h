@@ -31,6 +31,11 @@ enum class SlotHashes : bool { kNone, kMemoized };
 /// partition pass memoize codes, an append without one clears the state,
 /// and kernels trust slot codes only while it holds.
 ///
+/// Pages are carved from page-aligned extents the relation owns: one
+/// allocation holds up to kMaxExtentPages contiguous pages, so an extent
+/// costs one allocator remainder instead of one per page (DESIGN.md §3).
+/// A page never moves while its relation lives.
+///
 /// A relation owned by a shared_ptr can be shared with a hash-table cache
 /// instead of copied (weak_from_this()). Once shared it is frozen: cached
 /// hash cells point into its pages, so every mutator — a move from it or
@@ -54,12 +59,13 @@ class Relation : public std::enable_shared_from_this<Relation> {
   uint8_t* AllocAppend(uint16_t length,
                        std::optional<uint32_t> hash_code = kNoHashCode);
 
-  /// Takes ownership of an already-formatted page.
+  /// Takes ownership of an already-formatted page (a one-page extent).
   void AdoptPage(AlignedBuffer<uint8_t> page, SlotHashes hashes);
 
-  /// Copies an already-formatted page's bytes in (the partition phase
-  /// "writes out" full output buffers this way, mirroring an async disk
-  /// write that recycles the caller's buffer).
+  /// Copies an already-formatted page's bytes into a page of this
+  /// relation's extents (the partition phase "writes out" full output
+  /// buffers this way, mirroring an async disk write that recycles the
+  /// caller's buffer).
   void AppendCopiedPage(const void* page_bytes, SlotHashes hashes);
 
   /// A copy of pages [begin, end), page by page through
@@ -90,7 +96,7 @@ class Relation : public std::enable_shared_from_this<Relation> {
   bool frozen() const { return frozen_.load(); }
 
   const SlottedPage page(size_t i) const {
-    return SlottedPage::Attach(const_cast<uint8_t*>(pages_[i].get()));
+    return SlottedPage::Attach(pages_[i]);
   }
 
   /// Calls f(tuple_ptr, length, hash_code) for every tuple in order.
@@ -106,21 +112,41 @@ class Relation : public std::enable_shared_from_this<Relation> {
     }
   }
 
-  /// Moves every page of `other` to the end of this relation (schemas
-  /// must match), leaving `other` empty. The parallel executor uses this
-  /// to concatenate per-worker output sinks without copying.
+  /// Moves every page of `other`, with the extents holding them, to the
+  /// end of this relation (schemas must match), leaving `other` empty.
+  /// The parallel executor uses this to concatenate per-worker output
+  /// sinks without copying.
   void Absorb(Relation* other);
 
-  /// Drops all pages.
+  /// Drops all pages and frees their extents.
   void Clear();
 
  private:
+  /// Extents double from one page up to this many. Doubling keeps an
+  /// extent's untouched tail no larger than the pages already in use,
+  /// so a one-page partition takes one page. At the default 8-KB page
+  /// the cap is 512 KB, where a remainder of under one page is below 2%
+  /// of the extent; a larger cap saves nothing more and only lengthens
+  /// the last extent's unused tail.
+  static constexpr size_t kMaxExtentPages = 64;
+
+  /// Opens a fresh formatted page as the AllocAppend target.
   void AddPage();
+  /// The next unused page of the newest extent, allocating an extent
+  /// when it is used up.
+  uint8_t* CarvePage();
+  /// Accounts a formatted page's tuples and places it in page order:
+  /// before the open append page (if any), so AllocAppend keeps filling
+  /// that one, otherwise last.
+  void PlacePage(uint8_t* page, SlotHashes hashes);
   void CheckMutable() const;
 
   Schema schema_;
   uint32_t page_size_;
-  std::vector<AlignedBuffer<uint8_t>> pages_;
+  std::vector<uint8_t*> pages_;  // in relation order; bytes in extents_
+  std::vector<AlignedBuffer<uint8_t>> extents_;
+  uint8_t* carve_next_ = nullptr;  // next unused page of the newest extent
+  size_t carve_left_ = 0;          // unused pages from carve_next_ on
   uint64_t num_tuples_ = 0;
   uint64_t data_bytes_ = 0;
   bool append_page_open_ = false;  // last page is the AllocAppend target

@@ -64,6 +64,29 @@ TEST_P(DiskGraceJoinTest, EndToEndMatchesExpected) {
 INSTANTIATE_TEST_SUITE_P(DiskCounts, DiskGraceJoinTest,
                          ::testing::Values(1, 2, 4));
 
+// StoreRelation writes straight from the relation's pages: the pool
+// gives no page to the store, and the file reads back page for page.
+TEST(DiskGraceJoinTest, StoreRelationTakesNoPoolPage) {
+  Relation input = GenerateSourceRelation(20000, 100, 41);
+  BufferManager bm(FastDisks(2));
+  DiskGraceJoin join(&bm, 4);
+  auto file = join.StoreRelation(input);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  EXPECT_EQ(bm.pool_pages_allocated(), 0u);
+  ASSERT_EQ(bm.FileNumPages(file.value()), input.num_pages());
+
+  auto scan = bm.OpenScan(file.value());
+  const uint8_t* page = nullptr;
+  for (size_t p = 0; p < input.num_pages(); ++p) {
+    ASSERT_TRUE(scan.NextPage(&page).ok());
+    ASSERT_NE(page, nullptr);
+    EXPECT_EQ(std::memcmp(page, input.page(p).data(), input.page_size()), 0)
+        << "page " << p;
+  }
+  ASSERT_TRUE(scan.NextPage(&page).ok());
+  EXPECT_EQ(page, nullptr);
+}
+
 TEST(DiskGraceJoinTest, PartitionFilesPreserveEverything) {
   Relation input = GenerateSourceRelation(5000, 100, 77);
   BufferManager bm(FastDisks(3));
@@ -477,25 +500,10 @@ TEST(DiskGraceJoinTest, HybridJoinAllocatesPoolPagesOnlyUpToItsPeakInUse) {
   cfg.hybrid_residency = true;
   cfg.memory_budget = 96 * 1024;  // a dozen resident pages
   DiskGraceJoin join(&bm, cfg);
-  // StoreRelation queues a whole relation before it flushes, and the
-  // pool would hold as many pages; store the inputs a few pages at a
-  // time, so the join's own pages are what the pool holds at its peak.
-  auto store = [&](const Relation& rel) {
-    const auto file = bm.CreateFile();
-    for (size_t i = 0; i < rel.num_pages(); ++i) {
-      PageBuffer page = bm.TakePage();
-      std::memcpy(page.data(), rel.page(i).data(), bmc.disk.page_size);
-      bm.WritePageAsync(file, i, std::move(page));
-      if (i % 4 == 3) {
-        EXPECT_TRUE(bm.FlushWrites().ok());
-      }
-    }
-    EXPECT_TRUE(bm.FlushWrites().ok());
-    return file;
-  };
-  const auto build = store(w.build);
-  const auto probe = store(w.probe);
-  auto r = join.Join(build, probe);
+  auto build = join.StoreRelation(w.build);
+  auto probe = join.StoreRelation(w.probe);
+  ASSERT_TRUE(build.ok() && probe.ok());
+  auto r = join.Join(build.value(), probe.value());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().output_tuples, w.expected_matches);
   EXPECT_GT(r.value().recovery.victim_spills, 0u);

@@ -341,6 +341,86 @@ TEST(RelationTest, CopyPagesDuplicatesPagesAndCounts) {
   EXPECT_EQ(std::memcmp(slice.page(0).data(), rel.page(1).data(), 512), 0);
 }
 
+// Pages come from page-aligned extents of 1, 2, 4, ... and then 64
+// pages, so a relation's consecutive pages break (start a new extent)
+// at most once per extent, and no page moves when its relation does.
+TEST(RelationTest, PagesArePageAlignedAndPacked) {
+  constexpr uint32_t kPage = kDefaultPageSize;
+  char t[100] = {};
+  // {pages, extents}: 1 | 2+4+8+16+32 | +64 (1 used) | +64 (2 used) |
+  // 127 + 64 + 64 + 64 + 64 (35 used).
+  const std::vector<std::pair<size_t, size_t>> cases = {
+      {1, 1}, {63, 6}, {64, 7}, {65, 7}, {354, 11}};
+  for (const auto& [pages, extents] : cases) {
+    Relation rel(Schema::KeyPayload(100), kPage);
+    for (uint32_t i = 0; rel.num_pages() < pages; ++i) {
+      std::memcpy(t, &i, sizeof(i));
+      rel.Append(t, sizeof(t), i);
+    }
+    ASSERT_EQ(rel.num_pages(), pages);
+    size_t breaks = 0;
+    for (size_t p = 0; p < pages; ++p) {
+      const uint8_t* at = rel.page(p).data();
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(at) % kPage, 0u) << "page " << p;
+      if (p > 0 && at != rel.page(p - 1).data() + kPage) ++breaks;
+    }
+    EXPECT_LE(breaks + 1, extents) << pages << " pages";
+  }
+
+  // Snapshot every page of `from`: each address must keep its bytes.
+  auto snapshot = [](const Relation& from) {
+    std::vector<std::pair<const uint8_t*, std::vector<uint8_t>>> snap;
+    for (size_t p = 0; p < from.num_pages(); ++p) {
+      const uint8_t* at = from.page(p).data();
+      snap.emplace_back(at, std::vector<uint8_t>(at, at + kPage));
+    }
+    return snap;
+  };
+  auto unchanged = [](const auto& snap) {
+    for (const auto& [at, bytes] : snap) {
+      if (std::memcmp(at, bytes.data(), kPage) != 0) return false;
+    }
+    return true;
+  };
+  Relation a(Schema::KeyPayload(100), kPage);
+  Relation b(Schema::KeyPayload(100), kPage);
+  for (uint32_t i = 0; a.num_pages() < 70; ++i) a.Append(t, sizeof(t), i);
+  // Two pages: b's second extent has one page left to carve.
+  for (uint32_t i = 0; b.num_pages() < 2; ++i) b.Append(t, sizeof(t), i);
+  auto snap_a = snapshot(a);
+  auto snap_b = snapshot(b);
+
+  b.Absorb(&a);
+  ASSERT_EQ(b.num_pages(), 72u);
+  for (size_t p = 0; p < snap_a.size(); ++p) {
+    EXPECT_EQ(b.page(2 + p).data(), snap_a[p].first);
+  }
+  EXPECT_TRUE(unchanged(snap_a));
+  // Appends fill the last absorbed page, then carve new pages from b's
+  // own extents, never over an absorbed page.
+  snap_a.pop_back();
+  const uint64_t tuples = b.num_tuples();
+  for (uint64_t i = 0; b.num_tuples() < tuples + 500; ++i) {
+    b.Append(t, sizeof(t), uint32_t(i));
+  }
+  EXPECT_TRUE(unchanged(snap_a));
+  EXPECT_TRUE(unchanged(snap_b));
+  snap_b = snapshot(b);
+
+  Relation moved = std::move(b);
+  EXPECT_EQ(moved.page(0).data(), snap_b[0].first);
+  EXPECT_TRUE(unchanged(snap_b));
+
+  Relation copy = moved.CopyPages(0, moved.num_pages());
+  EXPECT_TRUE(unchanged(snap_b));
+  ASSERT_EQ(copy.num_pages(), snap_b.size());
+  for (size_t p = 0; p < copy.num_pages(); ++p) {
+    const uint8_t* at = copy.page(p).data();
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(at) % kPage, 0u);
+    EXPECT_EQ(std::memcmp(at, snap_b[p].second.data(), kPage), 0);
+  }
+}
+
 TEST(SimulatedDiskTest, WriteThenReadRoundTrips) {
   DiskConfig cfg;
   cfg.bandwidth_mb_per_s = 10000;  // fast for tests
